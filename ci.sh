@@ -10,7 +10,7 @@
 # failing on ns/entry regressions of the P1/P3/P4/P5/P6/P7 claims vs
 # the checked-in baselines (nil-observer replay rows are held to 5%),
 # an end-to-end smoke of the auditd streaming server including a
-# reboot from a binary checkpoint, a proofs smoke that verifies ledger
+# reboot from its checkpoint, a proofs smoke that verifies ledger
 # inclusion proofs offline (and that tampering fails loudly), and a
 # crash-recovery smoke that kill -9s the daemon mid-trail and requires
 # the write-ahead log to restore every acknowledged entry — with the
@@ -50,7 +50,8 @@ trap cleanup EXIT
 # server_smoke boots auditd on a random port, streams the Figure 4
 # hospital trail into it, asserts the five known infringements are
 # reported and the metrics moved, then SIGTERMs it and requires a
-# clean drain with a final checkpoint on disk.
+# clean drain with a final checkpoint on disk that a fresh boot
+# restores.
 server_smoke() {
 	echo "== auditd server smoke =="
 	SMOKE_TMP=$(mktemp -d)
@@ -177,52 +178,21 @@ server_smoke() {
 		exit 1
 	}
 
-	# Binary-checkpoint boot: the raw-speed tier (-minimize,
-	# -binary-checkpoint) must write a flat binary container on TERM and
-	# a fresh boot from that file must still know all five violations
-	# without re-ingesting anything.
+	# Checkpoint reboot: a fresh boot from the JSON checkpoint the
+	# first (interpreted) daemon wrote on TERM must still know all five
+	# violations without re-ingesting anything — here on the compiled
+	# engine, so the restored cases cross engines.
 	: >"$SMOKE_TMP/addr"
-	"$SMOKE_TMP/auditd" -builtin hospital -addr 127.0.0.1:0 -minimize \
-		-addr-file "$SMOKE_TMP/addr" -checkpoint "$SMOKE_TMP/ckpt.bin" \
-		-binary-checkpoint 2>"$SMOKE_TMP/auditd2.log" &
+	"$SMOKE_TMP/auditd" -builtin hospital -addr 127.0.0.1:0 -compiled \
+		-addr-file "$SMOKE_TMP/addr" -checkpoint "$SMOKE_TMP/ckpt.json" \
+		2>"$SMOKE_TMP/auditd2.log" &
 	SMOKE_PID=$!
 	i=0
 	while [ ! -s "$SMOKE_TMP/addr" ]; do
 		i=$((i + 1))
 		if [ "$i" -gt 100 ]; then
-			echo "binary-checkpoint auditd never wrote its address; log:" >&2
+			echo "auditd did not boot from the checkpoint; log:" >&2
 			cat "$SMOKE_TMP/auditd2.log" >&2
-			exit 1
-		fi
-		sleep 0.1
-	done
-	addr=$(cat "$SMOKE_TMP/addr")
-	"$SMOKE_TMP/auditgen" -builtin hospital -stream |
-		curl -sf --data-binary @- "http://$addr/v1/events?wait=1" >/dev/null
-	kill -TERM "$SMOKE_PID"
-	wait "$SMOKE_PID" || {
-		echo "binary-checkpoint auditd exited non-zero; log:" >&2
-		cat "$SMOKE_TMP/auditd2.log" >&2
-		exit 1
-	}
-	SMOKE_PID=""
-	magic=$(od -An -tx1 -N4 "$SMOKE_TMP/ckpt.bin" | tr -d ' ')
-	if [ "$magic" != "89504342" ]; then
-		echo "checkpoint is not a binary container (magic: $magic)" >&2
-		exit 1
-	fi
-
-	: >"$SMOKE_TMP/addr"
-	"$SMOKE_TMP/auditd" -builtin hospital -addr 127.0.0.1:0 -minimize \
-		-addr-file "$SMOKE_TMP/addr" -checkpoint "$SMOKE_TMP/ckpt.bin" \
-		-binary-checkpoint 2>"$SMOKE_TMP/auditd3.log" &
-	SMOKE_PID=$!
-	i=0
-	while [ ! -s "$SMOKE_TMP/addr" ]; do
-		i=$((i + 1))
-		if [ "$i" -gt 100 ]; then
-			echo "auditd did not boot from the binary checkpoint; log:" >&2
-			cat "$SMOKE_TMP/auditd3.log" >&2
 			exit 1
 		fi
 		sleep 0.1
@@ -231,19 +201,19 @@ server_smoke() {
 	curl -sf "http://$addr/v1/cases?outcome=violation" >"$SMOKE_TMP/violations2.json"
 	b=$(sed -n 's/^  "total": \([0-9][0-9]*\)$/\1/p' "$SMOKE_TMP/violations2.json")
 	if [ "$b" != 5 ]; then
-		echo "expected 5 violations restored from binary checkpoint, got ${b:-none}:" >&2
+		echo "expected 5 violations restored from checkpoint, got ${b:-none}:" >&2
 		cat "$SMOKE_TMP/violations2.json" >&2
 		exit 1
 	fi
 	kill -TERM "$SMOKE_PID"
 	wait "$SMOKE_PID" || {
 		echo "restored auditd exited non-zero; log:" >&2
-		cat "$SMOKE_TMP/auditd3.log" >&2
+		cat "$SMOKE_TMP/auditd2.log" >&2
 		exit 1
 	}
 	SMOKE_PID=""
 
-	echo "server smoke OK ($n violations, clean drain, binary checkpoint reboot)"
+	echo "server smoke OK ($n violations, clean drain, checkpoint reboot)"
 	rm -rf "$SMOKE_TMP"
 	SMOKE_TMP=""
 }
@@ -585,8 +555,8 @@ cover() {
 
 # scenarios runs the declarative purpose-test corpus: every
 # *.scenario.json fixture replays its annotated trails through the
-# interpreter, the compiled automaton and the minimized automaton,
-# requires byte-identical reports, checks the declared verdicts and
+# interpreter and the dense compiled automaton, requires
+# byte-identical reports, checks the declared verdicts and
 # first deviations, and holds each fixture's DFA state coverage to
 # SCENARIO_COVER_MIN (DESIGN.md §16). A short run of the scenario
 # fuzzer rides along, co-mutating a process and its trail to hunt for
@@ -606,8 +576,8 @@ scenarios() {
 
 # benchguard replays the timed P1 (trail length), P3 (parallel cases),
 # P4 (compiled vs interpreted), P5 (observer overhead), P6
-# (raw-speed tier: decode, dispatch, minimized replay, binary
-# boot/restore) and P7 (WAL ingest overhead) series in quick mode and
+# (raw-speed tier: decode, dispatch, dense replay, artifact boot and
+# checkpoint restore) and P7 (WAL ingest overhead) series in quick mode and
 # fails if any long-trail row's ns/entry regressed more than
 # BENCH_SLACK vs the checked-in baselines (later files override
 # earlier rows). The P1/P4 nil-observer replay rows are held to 5%: a

@@ -14,8 +14,7 @@
 //	       [-wal-dir /var/lib/auditd/wal] [-fsync always|interval|off] \
 //	       [-wal-segment-bytes N] [-wal-failure failstop|shed] \
 //	       [-addr-file /run/auditd.addr] \
-//	       [-compiled] [-minimize] [-automata-dir /var/lib/auditd/automata] \
-//	       [-binary-artifacts] [-binary-checkpoint] \
+//	       [-compiled] [-automata-dir /var/lib/auditd/automata] \
 //	       [-ledger] [-ledger-key /var/lib/auditd/ledger.key] \
 //	       [-ledger-batch 64] [-ledger-wait 500ms]
 //
@@ -31,16 +30,11 @@
 //
 // -compiled replays on ahead-of-time determinized purpose automata
 // (DESIGN.md §11); purposes that cannot be compiled stay on the
-// interpreter, per case. -minimize (implies -compiled) runs the
-// Hopcroft minimization and alphabet-compaction pass on each automaton
-// (DESIGN.md §13), shrinking the tables at no change in verdicts.
-// -automata-dir (implies -compiled) is a content-addressed artifact
-// cache: matching artifacts load instead of recompiling, fresh
-// compiles are saved for the next boot. -binary-artifacts saves fresh
-// compiles in the flat binary container format instead of gzip+JSON;
-// loads auto-detect whichever format is present. -binary-checkpoint
-// does the same for the periodic state snapshot: writes use the binary
-// container, restore accepts either format (DESIGN.md §13).
+// interpreter, per case. -automata-dir (implies -compiled) is a
+// content-addressed cache of gzip+JSON artifacts: matching artifacts
+// load instead of recompiling, fresh compiles are saved for the next
+// boot. Checkpoints are JSON (DESIGN.md §13 records why there is one
+// format of each).
 //
 // -ledger (requires -wal-dir) seals every WAL-appended entry into a
 // tamper-evident Merkle ledger (DESIGN.md §15): batches of -ledger-batch
@@ -115,10 +109,9 @@ type options struct {
 	flightDir    string
 	flightEvents int
 
-	checkpoint       string
-	checkpointEvery  time.Duration
-	binaryCheckpoint bool
-	drainTimeout     time.Duration
+	checkpoint      string
+	checkpointEvery time.Duration
+	drainTimeout    time.Duration
 
 	walDir          string
 	walFsync        string
@@ -129,10 +122,8 @@ type options struct {
 	builtin    string
 	procs      []string
 
-	compiled        bool
-	automataDir     string
-	minimize        bool
-	binaryArtifacts bool
+	compiled    bool
+	automataDir string
 
 	ledger      bool
 	ledgerKey   string
@@ -160,9 +151,6 @@ func main() {
 	flag.StringVar(&o.builtin, "builtin", "", "use a built-in scenario: 'hospital' (Figures 1-4)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max wait for queues to drain on shutdown (expired: partial checkpoint, stragglers stay in the WAL)")
 	flag.StringVar(&o.automataDir, "automata-dir", "", "artifact cache for compiled automata: load matching artifacts at boot, save fresh compiles (implies -compiled)")
-	flag.BoolVar(&o.minimize, "minimize", false, "minimize compiled automata (Hopcroft + alphabet compaction; implies -compiled, changes artifact fingerprints)")
-	flag.BoolVar(&o.binaryArtifacts, "binary-artifacts", false, "save fresh compiles in the flat binary artifact format (loads auto-detect either format)")
-	flag.BoolVar(&o.binaryCheckpoint, "binary-checkpoint", false, "write checkpoints in the flat binary container format (restore auto-detects either format)")
 	flag.BoolVar(&o.ledger, "ledger", false, "seal WAL-appended entries into a signed Merkle ledger (requires -wal-dir; serves /v1/proofs and /v1/roots)")
 	flag.StringVar(&o.ledgerKey, "ledger-key", "", "ed25519 seed file for root signing (hex; created if absent, public key written alongside as <file>.pub)")
 	flag.IntVar(&o.ledgerBatch, "ledger-batch", 0, "seal a ledger batch at this many entries (0 = default 64; 1 = a signed root per entry)")
@@ -181,7 +169,7 @@ func main() {
 	}
 	o.procs = procs
 	o.walSegmentBytes = *segBytes
-	o.compiled = *comp || o.automataDir != "" || o.minimize
+	o.compiled = *comp || o.automataDir != ""
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(log)
@@ -234,7 +222,7 @@ func buildRegistry(builtin, polFile string, procs []string) (*core.Registry, *po
 // a hit, compiles (and saves) on a miss, and leaves non-compilable
 // purposes on the interpreter with the cause logged. Boot never fails
 // because of the automata — the interpreter is always a valid engine.
-func setupCompiled(log *slog.Logger, c *core.Checker, reg *core.Registry, dir string, binary bool) {
+func setupCompiled(log *slog.Logger, c *core.Checker, reg *core.Registry, dir string) {
 	c.UseCompiled = true
 	for _, name := range reg.Purposes() {
 		if dir != "" {
@@ -259,11 +247,7 @@ func setupCompiled(log *slog.Logger, c *core.Checker, reg *core.Registry, dir st
 		}
 		log.Info("automaton compiled", "purpose", name, "fingerprint", d.Fingerprint[:12], "states", len(d.States))
 		if dir != "" {
-			save := encode.SaveAutomaton
-			if binary {
-				save = encode.SaveAutomatonBinary
-			}
-			if path, err := save(dir, d); err != nil {
+			if path, err := encode.SaveAutomaton(dir, d); err != nil {
 				log.Warn("automaton artifact not saved", "purpose", name, "err", err)
 			} else {
 				log.Info("automaton saved", "purpose", name, "path", path)
@@ -301,9 +285,8 @@ func run(log *slog.Logger, o options) error {
 		return err
 	}
 	checker := core.NewChecker(reg, roles)
-	checker.MinimizeAutomata = o.minimize
 	if o.compiled {
-		setupCompiled(log, checker, reg, o.automataDir, o.binaryArtifacts)
+		setupCompiled(log, checker, reg, o.automataDir)
 	}
 
 	var ledgerKey ed25519.PrivateKey
@@ -318,23 +301,22 @@ func run(log *slog.Logger, o options) error {
 	}
 
 	srv := server.New(reg, checker, server.Config{
-		Shards:           o.shards,
-		QueueDepth:       o.queue,
-		CheckpointPath:   o.checkpoint,
-		CheckpointEvery:  o.checkpointEvery,
-		BinaryCheckpoint: o.binaryCheckpoint,
-		WALDir:           o.walDir,
-		WALFsync:         o.walFsync,
-		WALSegmentBytes:  o.walSegmentBytes,
-		WALFailure:       o.walFailure,
-		TraceBuffer:      o.traceBuffer,
-		StageSample:      o.stageSample,
-		FlightDir:        o.flightDir,
-		FlightEvents:     o.flightEvents,
-		LedgerKey:        ledgerKey,
-		LedgerBatch:      o.ledgerBatch,
-		LedgerWait:       o.ledgerWait,
-		Logger:           log,
+		Shards:          o.shards,
+		QueueDepth:      o.queue,
+		CheckpointPath:  o.checkpoint,
+		CheckpointEvery: o.checkpointEvery,
+		WALDir:          o.walDir,
+		WALFsync:        o.walFsync,
+		WALSegmentBytes: o.walSegmentBytes,
+		WALFailure:      o.walFailure,
+		TraceBuffer:     o.traceBuffer,
+		StageSample:     o.stageSample,
+		FlightDir:       o.flightDir,
+		FlightEvents:    o.flightEvents,
+		LedgerKey:       ledgerKey,
+		LedgerBatch:     o.ledgerBatch,
+		LedgerWait:      o.ledgerWait,
+		Logger:          log,
 	})
 	if err := srv.Start(); err != nil {
 		return err

@@ -109,7 +109,7 @@ func main() {
 		{"P3", expP3, "parallel case checking"},
 		{"P4", expP4, "Algorithm 1 vs naive enumeration; compiled automaton vs interpreter"},
 		{"P5", expP5, "detection & cost vs token replay; observer overhead"},
-		{"P6", expP6, "OR fan-out growth; raw-speed tier (decode, dispatch, minimize, binary boot)"},
+		{"P6", expP6, "OR fan-out growth; raw-speed tier (decode, dispatch, replay, boot, restore)"},
 		{"P7", expP7, "well-foundedness detection; WAL ingest overhead"},
 		{"P8", expP8, "mimicry requires collusion"},
 		{"P10", expP10, "stage-timer sampling overhead"},
@@ -1006,10 +1006,10 @@ func expP6() error {
 		fmt.Printf("%-10d %-13d %-12v\n", branches, rep.PeakConfigurations, d)
 	}
 
-	// Raw-speed tier (DESIGN.md §13): the PR 6 performance story,
-	// measured end to end — zero-allocation NDJSON decode, batched
-	// shard dispatch, minimized-automaton replay, and binary
-	// artifact/checkpoint boot. These rows feed BENCH_pr6.json.
+	// Raw-speed tier (DESIGN.md §13), measured end to end —
+	// zero-allocation NDJSON decode, batched shard dispatch, dense
+	// compiled replay, and artifact/checkpoint boot. These rows feed
+	// BENCH_pr6.json.
 	trail, doc, err := p6Doc()
 	if err != nil {
 		return err
@@ -1252,9 +1252,8 @@ func expP6dispatch(trail *audit.Trail) error {
 	return nil
 }
 
-// expP6replay compares table-driven replay on the dense vs the
-// Hopcroft-minimized automaton (same purpose, same trail; reports are
-// proven byte-identical by the core differential tests).
+// expP6replay times table-driven replay on the dense compiled
+// automaton over a long compliant trail.
 func expP6replay() error {
 	reg := core.NewRegistry()
 	if _, err := reg.Register(loopedProcess(), "LP"); err != nil {
@@ -1262,67 +1261,41 @@ func expP6replay() error {
 	}
 	dense := core.NewChecker(reg, nil)
 	dense.UseCompiled = true
-	min := core.NewChecker(reg, nil)
-	min.UseCompiled = true
-	min.MinimizeAutomata = true
 	dd, err := dense.EnsureCompiled("Loop")
 	if err != nil {
 		return err
 	}
-	dm, err := min.EnsureCompiled("Loop")
-	if err != nil {
-		return err
-	}
-	if !dm.Minimized {
-		return fmt.Errorf("MinimizeAutomata checker compiled an unminimized table")
-	}
-	fmt.Printf("\nminimized replay: dense %d states x %d symbols, minimized %d states x %d columns\n",
-		dd.NumStates(), dd.NumSymbols(), dm.NumStates(), dm.Stats().Columns)
+	fmt.Printf("\ndense replay: %d states x %d symbols\n", dd.NumStates(), dd.NumSymbols())
 	trail := longTrail(5000)
 	caseID := trail.Cases()[0]
-	check := func(c *core.Checker) func() error {
-		return func() error {
-			rep, err := c.CheckCase(trail, caseID)
-			if err != nil {
-				return err
-			}
-			if !rep.Compliant {
-				return fmt.Errorf("rejected at %d", rep.StepsReplayed)
-			}
-			return nil
+	check := func() error {
+		rep, err := dense.CheckCase(trail, caseID)
+		if err != nil {
+			return err
 		}
+		if !rep.Compliant {
+			return fmt.Errorf("rejected at %d", rep.StepsReplayed)
+		}
+		return nil
 	}
-	if err := check(min)(); err != nil { // warm both engines
+	if err := check(); err != nil { // warm the engine
 		return err
 	}
-	if err := check(dense)(); err != nil {
-		return err
-	}
-	dDense, err := bench(check(dense))
-	if err != nil {
-		return err
-	}
-	dMin, err := bench(check(min))
+	dDense, err := bench(check)
 	if err != nil {
 		return err
 	}
 	n := float64(trail.Len())
 	fmt.Printf("%-16s %-12s %s\n", "table", "time/check", "ns/entry")
 	fmt.Printf("%-16s %-12v %.1f\n", "dense", dDense, float64(dDense.Nanoseconds())/n)
-	fmt.Printf("%-16s %-12v %.1f\n", "minimized", dMin, float64(dMin.Nanoseconds())/n)
 	record(benchRow{
 		Exp: "P6", Name: "replay/dense", Entries: trail.Len(), NsPerOp: dDense.Nanoseconds(),
 		NsPerEntry: float64(dDense.Nanoseconds()) / n,
 	})
-	record(benchRow{
-		Exp: "P6", Name: "replay/minimized", Entries: trail.Len(), NsPerOp: dMin.Nanoseconds(),
-		NsPerEntry: float64(dMin.Nanoseconds()) / n,
-	})
 	return nil
 }
 
-// expP6boot compares automaton artifact load time: the gzip+JSON
-// envelope vs the flat binary container, same DFA.
+// expP6boot times loading the gzip+JSON automaton artifact.
 func expP6boot() error {
 	p, err := hospital.Treatment()
 	if err != nil {
@@ -1341,64 +1314,36 @@ func expP6boot() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	jsonPath, err := encode.SaveAutomaton(dir, d)
+	path, err := encode.SaveAutomaton(dir, d)
 	if err != nil {
-		return err
-	}
-	binPath, err := encode.SaveAutomatonBinary(dir, d)
-	if err != nil {
-		return err
-	}
-	// LoadAutomaton prefers the binary artifact when both exist, so
-	// time the envelope from its own directory.
-	jsonDir := filepath.Join(dir, "json-only")
-	if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-		return err
-	}
-	if err := os.Rename(jsonPath, encode.ArtifactPath(jsonDir, d.Fingerprint)); err != nil {
 		return err
 	}
 	const loads = 25
-	timeLoads := func(dir string) (time.Duration, error) {
-		return minTimed(func() (time.Duration, error) {
-			t0 := time.Now()
-			for i := 0; i < loads; i++ {
-				if _, err := encode.LoadAutomaton(dir, d.Fingerprint); err != nil {
-					return 0, err
-				}
+	dJSON, err := minTimed(func() (time.Duration, error) {
+		t0 := time.Now()
+		for i := 0; i < loads; i++ {
+			if _, err := encode.LoadAutomaton(dir, d.Fingerprint); err != nil {
+				return 0, err
 			}
-			return time.Since(t0) / loads, nil
-		})
-	}
-	dJSON, err := timeLoads(jsonDir)
+		}
+		return time.Since(t0) / loads, nil
+	})
 	if err != nil {
 		return err
 	}
-	dBin, err := timeLoads(dir)
-	if err != nil {
-		return err
-	}
-	jsonSize := fileSize(encode.ArtifactPath(jsonDir, d.Fingerprint))
-	binSize := fileSize(binPath)
 	fmt.Printf("\nartifact boot (%d states, %d symbols):\n", d.NumStates(), d.NumSymbols())
 	fmt.Printf("%-16s %-12s %s\n", "format", "time/load", "bytes")
-	fmt.Printf("%-16s %-12v %d\n", "gzip+json", dJSON, jsonSize)
-	fmt.Printf("%-16s %-12v %d   (%.1fx faster)\n", "binary", dBin, binSize, float64(dJSON)/float64(dBin))
+	fmt.Printf("%-16s %-12v %d\n", "gzip+json", dJSON, fileSize(path))
 	record(benchRow{
 		Exp: "P6", Name: "boot/artifact-json", Entries: d.NumStates(), NsPerOp: dJSON.Nanoseconds(),
 		NsPerEntry: float64(dJSON.Nanoseconds()) / float64(d.NumStates()),
 	})
-	record(benchRow{
-		Exp: "P6", Name: "boot/artifact-binary", Entries: d.NumStates(), NsPerOp: dBin.Nanoseconds(),
-		NsPerEntry: float64(dBin.Nanoseconds()) / float64(d.NumStates()),
-	})
 	return nil
 }
 
-// expP6restore compares server boot from a JSON vs a binary
-// checkpoint holding the same hospital-day state. The timed section
-// is New+Start (restore runs inside Start); shutdown is off the
-// clock.
+// expP6restore times server boot from a JSON checkpoint holding a
+// hospital-day state. The timed section is New+Start (restore runs
+// inside Start); shutdown is off the clock.
 func expP6restore(trail *audit.Trail) error {
 	sc, err := hospital.NewScenario()
 	if err != nil {
@@ -1413,62 +1358,40 @@ func expP6restore(trail *audit.Trail) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	cfg := func(path string, binary bool) server.Config {
-		return server.Config{
-			Shards: 4, QueueDepth: 1 << 18, CheckpointPath: path,
-			BinaryCheckpoint: binary, CheckpointEvery: time.Hour, Logger: quiet,
-		}
+	path := filepath.Join(dir, "ckpt.json")
+	cfg := server.Config{
+		Shards: 4, QueueDepth: 1 << 18, CheckpointPath: path,
+		CheckpointEvery: time.Hour, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
-	write := func(path string, binary bool) error {
-		srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg(path, binary))
+	srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
+	if err := srv.Start(); err != nil {
+		return err
+	}
+	if n, ok := srv.IngestEntries(trail.Entries()); !ok {
+		return fmt.Errorf("checkpoint ingest rejected after %d entries", n)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		return err
+	}
+	dJSON, err := minTimed(func() (time.Duration, error) {
+		t0 := time.Now()
+		srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
 		if err := srv.Start(); err != nil {
-			return err
+			return 0, err
 		}
-		if n, ok := srv.IngestEntries(trail.Entries()); !ok {
-			return fmt.Errorf("checkpoint ingest rejected after %d entries", n)
-		}
-		return srv.Shutdown(context.Background())
-	}
-	jsonPath := filepath.Join(dir, "ckpt.json")
-	binPath := filepath.Join(dir, "ckpt.bin")
-	if err := write(jsonPath, false); err != nil {
-		return err
-	}
-	if err := write(binPath, true); err != nil {
-		return err
-	}
-	timeRestore := func(path string, binary bool) (time.Duration, error) {
-		return minTimed(func() (time.Duration, error) {
-			t0 := time.Now()
-			srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg(path, binary))
-			if err := srv.Start(); err != nil {
-				return 0, err
-			}
-			d := time.Since(t0)
-			return d, srv.Shutdown(context.Background())
-		})
-	}
-	dJSON, err := timeRestore(jsonPath, false)
-	if err != nil {
-		return err
-	}
-	dBin, err := timeRestore(binPath, true)
+		d := time.Since(t0)
+		return d, srv.Shutdown(context.Background())
+	})
 	if err != nil {
 		return err
 	}
 	n := float64(trail.Len())
 	fmt.Printf("\ncheckpoint restore (%d-entry day):\n", trail.Len())
 	fmt.Printf("%-16s %-12s %s\n", "format", "time/boot", "bytes")
-	fmt.Printf("%-16s %-12v %d\n", "json", dJSON, fileSize(jsonPath))
-	fmt.Printf("%-16s %-12v %d   (%.1fx faster)\n", "binary", dBin, fileSize(binPath), float64(dJSON)/float64(dBin))
+	fmt.Printf("%-16s %-12v %d\n", "json", dJSON, fileSize(path))
 	record(benchRow{
 		Exp: "P6", Name: "restore/checkpoint-json", Entries: trail.Len(), NsPerOp: dJSON.Nanoseconds(),
 		NsPerEntry: float64(dJSON.Nanoseconds()) / n,
-	})
-	record(benchRow{
-		Exp: "P6", Name: "restore/checkpoint-binary", Entries: trail.Len(), NsPerOp: dBin.Nanoseconds(),
-		NsPerEntry: float64(dBin.Nanoseconds()) / n,
 	})
 	return nil
 }

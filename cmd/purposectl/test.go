@@ -1,9 +1,9 @@
 package main
 
 // test: the declarative purpose-test runner. It discovers
-// *.scenario.json fixtures, replays every trail through the interpreter,
-// the compiled automaton and the minimized automaton, requires the three
-// reports to be byte-identical, checks each trail's declared verdict and
+// *.scenario.json fixtures, replays every trail through the interpreter
+// and the dense compiled automaton, requires the two reports to be
+// byte-identical, checks each trail's declared verdict and
 // first-deviation, and reports DFA state/edge coverage per purpose.
 //
 // Usage:
@@ -115,7 +115,7 @@ func runScenarios(w io.Writer, paths []string, opts scenario.Options, verbose bo
 		return cli.ExitProblem, md.String()
 	}
 	fmt.Fprintln(w, ", all passing")
-	fmt.Fprintf(&md, "\nAll %d fixtures (%d trails) passing; three engines byte-identical.\n", fixtures, trails)
+	fmt.Fprintf(&md, "\nAll %d fixtures (%d trails) passing; interpreter and compiled engines byte-identical.\n", fixtures, trails)
 	return cli.ExitClean, md.String()
 }
 

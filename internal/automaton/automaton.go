@@ -175,28 +175,13 @@ type DFA struct {
 
 	// States are the determinized configuration sets; Start is the
 	// initial state; Delta is the dense transition table, row-major
-	// (state*width + column), with Reject marking deviations. The row
-	// width is the full symbol count, unless the automaton is
-	// minimized, in which case it is Columns.
+	// (state*NumSymbols + symbol), with Reject marking deviations.
 	States []State `json:"states"`
 	Start  int32   `json:"start"`
 	Delta  []int32 `json:"delta"`
 
-	// Minimized records that language-equivalent states were merged
-	// and the alphabet compacted at compile time (see minimize.go).
-	Minimized bool `json:"minimized,omitempty"`
-	// SymMap, set iff Minimized, maps each raw symbol (the SymbolFor
-	// classification space) to its compacted delta column; -1 marks
-	// symbols that reject in every state.
-	SymMap []int32 `json:"sym_map,omitempty"`
-	// Columns is the compacted delta row width (set iff Minimized).
-	Columns int32 `json:"columns,omitempty"`
-
 	taskIndex  map[string]int32
 	numSymbols int32
-	// width is the delta row width: Columns when minimized, else
-	// numSymbols.
-	width int32
 
 	lookupOnce sync.Once
 	configIdx  map[string]int32 // term\x00activeKey -> config id
@@ -230,27 +215,8 @@ func (d *DFA) Finish() error {
 	for i, t := range d.Tasks {
 		d.taskIndex[t] = int32(i)
 	}
-	d.width = d.numSymbols
-	if d.Minimized != (d.SymMap != nil) || d.Minimized != (d.Columns > 0) {
-		return fmt.Errorf("automaton: inconsistent minimization fields (minimized=%v, %d sym map entries, %d columns)",
-			d.Minimized, len(d.SymMap), d.Columns)
-	}
-	if d.Minimized {
-		if len(d.SymMap) != int(d.numSymbols) {
-			return fmt.Errorf("automaton: sym map has %d entries, want %d symbols", len(d.SymMap), d.numSymbols)
-		}
-		if d.Columns > d.numSymbols {
-			return fmt.Errorf("automaton: %d columns exceed %d symbols", d.Columns, d.numSymbols)
-		}
-		for i, m := range d.SymMap {
-			if m < -1 || m >= d.Columns {
-				return fmt.Errorf("automaton: sym map[%d]=%d out of range", i, m)
-			}
-		}
-		d.width = d.Columns
-	}
-	if len(d.Delta) != len(d.States)*int(d.width) {
-		return fmt.Errorf("automaton: delta has %d entries, want %d states × %d symbols", len(d.Delta), len(d.States), d.width)
+	if len(d.Delta) != len(d.States)*int(d.numSymbols) {
+		return fmt.Errorf("automaton: delta has %d entries, want %d states × %d symbols", len(d.Delta), len(d.States), d.numSymbols)
 	}
 	if d.Start < 0 || int(d.Start) >= len(d.States) {
 		return fmt.Errorf("automaton: start state %d out of range", d.Start)
@@ -301,43 +267,30 @@ func (d *DFA) ClassOf(role string) int32 {
 }
 
 // SymbolFor classifies one audit entry. ok=false means the entry has no
-// symbol at all — its task is outside the alphabet, or (minimized
-// automata) the symbol rejects in every state — and therefore maps to
-// the reject verdict directly.
+// symbol at all — its task is outside the alphabet — and therefore maps
+// to the reject verdict directly.
 func (d *DFA) SymbolFor(task, role string, failure bool) (sym int32, ok bool) {
 	if failure {
 		if !d.Strict {
-			return d.mapSym(d.failBase())
+			return d.failBase(), true
 		}
 		ti, ok := d.taskIndex[task]
 		if !ok {
 			return 0, false
 		}
-		return d.mapSym(d.failBase() + ti)
+		return d.failBase() + ti, true
 	}
 	ti, ok := d.taskIndex[task]
 	if !ok {
 		return 0, false
 	}
-	return d.mapSym(ti*int32(len(d.Classes)) + d.ClassOf(role))
-}
-
-// mapSym folds the alphabet compaction into symbol classification, so
-// Step stays a single unconditional array lookup.
-func (d *DFA) mapSym(sym int32) (int32, bool) {
-	if d.SymMap == nil {
-		return sym, true
-	}
-	if m := d.SymMap[sym]; m >= 0 {
-		return m, true
-	}
-	return 0, false
+	return ti*int32(len(d.Classes)) + d.ClassOf(role), true
 }
 
 // Step performs one replay step: the single array lookup. state must be
 // a valid state id and sym a valid symbol (from SymbolFor).
 func (d *DFA) Step(state, sym int32) int32 {
-	return d.Delta[state*d.width+sym]
+	return d.Delta[state*d.numSymbols+sym]
 }
 
 // MemberConfig materializes one member configuration of a state: the
@@ -409,10 +362,6 @@ type Stats struct {
 	Classes    int
 	DeltaBytes int
 	Start      int32
-	// Minimized/Columns report the minimization pass: Columns is the
-	// compacted delta width (0 when not minimized).
-	Minimized bool
-	Columns   int
 }
 
 // Stats reports table sizes.
@@ -427,19 +376,13 @@ func (d *DFA) Stats() Stats {
 		Classes:    len(d.Classes),
 		DeltaBytes: 4 * len(d.Delta),
 		Start:      d.Start,
-		Minimized:  d.Minimized,
-		Columns:    int(d.Columns),
 	}
 }
 
 // String renders a one-line summary.
 func (s Stats) String() string {
-	out := fmt.Sprintf("automaton %s: %d states × %d symbols (%d configs over %d terms, %d role classes over %d pools, delta %d bytes)",
+	return fmt.Sprintf("automaton %s: %d states × %d symbols (%d configs over %d terms, %d role classes over %d pools, delta %d bytes)",
 		s.Purpose, s.States, s.Symbols, s.Configs, s.Terms, s.Classes, s.PoolRoles, s.DeltaBytes)
-	if s.Minimized {
-		out += fmt.Sprintf(", minimized to %d columns", s.Columns)
-	}
-	return out
 }
 
 func sortOffers(offers []Offer) {

@@ -48,11 +48,6 @@ type CompileInput struct {
 	// MaxStates bounds subset construction (0 = DefaultMaxStates).
 	MaxStates int
 
-	// Minimize runs Hopcroft minimization and alphabet compaction
-	// after subset construction (see minimize.go). It changes the
-	// fingerprint: minimized and dense artifacts never alias.
-	Minimize bool
-
 	// System, when non-nil, is the warm shared LTS to compile against
 	// (its observability must be the purpose's own).
 	System *lts.System
@@ -80,11 +75,6 @@ func Fingerprint(in CompileInput) string {
 	write(fmt.Sprintf("strict=%v", in.StrictFailureTask),
 		fmt.Sprintf("absorb=%v", !in.DisableAbsorption),
 		fmt.Sprintf("maxconf=%d", maxConfigs))
-	if in.Minimize {
-		// Only minimized artifacts take the extra component, so every
-		// fingerprint ever produced without the flag is unchanged.
-		write("minimize=hopcroft/1")
-	}
 	tasks := append([]TaskSpec(nil), in.Tasks...)
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
 	for _, t := range tasks {
@@ -229,9 +219,6 @@ func Compile(in CompileInput) (*DFA, error) {
 	d, err := c.construct()
 	if err != nil {
 		return nil, err
-	}
-	if in.Minimize {
-		d.minimize()
 	}
 	d.Fingerprint = Fingerprint(in)
 	if err := d.Finish(); err != nil {

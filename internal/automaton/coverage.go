@@ -52,9 +52,9 @@ func (c *Coverage) VisitState(state int32) {
 }
 
 // VisitEdge marks the (state, symbol) transition as taken. sym must be
-// the compacted symbol replay used for the Step lookup.
+// the symbol replay used for the Step lookup.
 func (c *Coverage) VisitEdge(state, sym int32) {
-	idx := int(state)*int(c.dfa.width) + int(sym)
+	idx := int(state)*int(c.dfa.numSymbols) + int(sym)
 	if state >= 0 && sym >= 0 && idx < len(c.edges) {
 		c.edges[idx] = true
 	}
@@ -67,7 +67,6 @@ func (c *Coverage) Report() CoverageReport {
 		Fingerprint: c.dfa.Fingerprint,
 		StatesTotal: len(c.states),
 		EdgesTotal:  c.total,
-		Minimized:   c.dfa.Minimized,
 	}
 	for _, v := range c.states {
 		if v {
@@ -90,7 +89,6 @@ type CoverageReport struct {
 	StatesTotal int    `json:"states_total"`
 	Edges       int    `json:"edges"`
 	EdgesTotal  int    `json:"edges_total"`
-	Minimized   bool   `json:"minimized,omitempty"`
 }
 
 // StatePct is the visited-state percentage (100 when the DFA has no

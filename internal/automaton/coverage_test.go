@@ -85,14 +85,14 @@ func TestCoverageSetPerDFA(t *testing.T) {
 		t.Fatal(err)
 	}
 	dense := compileProcess(t, p, nil)
-	min := compileProcess(t, p, func(in *automaton.CompileInput) { in.Minimize = true })
+	strict := compileProcess(t, p, func(in *automaton.CompileInput) { in.StrictFailureTask = true })
 
 	set := automaton.NewCoverageSet()
 	if set.For(dense) != set.For(dense) {
 		t.Fatal("For not stable for the same DFA")
 	}
 	set.For(dense).VisitState(dense.Start)
-	set.For(min).VisitState(min.Start)
+	set.For(strict).VisitState(strict.Start)
 
 	reports := set.Reports()
 	if len(reports) != 2 {
@@ -103,7 +103,7 @@ func TestCoverageSetPerDFA(t *testing.T) {
 			t.Fatalf("start-only coverage shows %d states: %+v", r.States, r)
 		}
 	}
-	if !reports[0].Minimized && !reports[1].Minimized {
-		t.Fatal("minimized automaton not flagged in any report")
+	if reports[0].Fingerprint == reports[1].Fingerprint {
+		t.Fatal("dense and strict automata share a coverage report")
 	}
 }

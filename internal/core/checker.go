@@ -261,13 +261,6 @@ type Checker struct {
 	// fall back to the interpreter; it never affects verdicts.
 	MaxAutomatonStates int
 
-	// MinimizeAutomata runs Hopcroft minimization and alphabet
-	// compaction after compiling (automaton.CompileInput.Minimize):
-	// smaller tables, identical reports. It participates in the
-	// artifact fingerprint, so minimized and dense artifacts never
-	// alias in a cache.
-	MinimizeAutomata bool
-
 	// Observer, when set, receives per-entry replay events from
 	// whichever engine decides the case (see Observer). Unlike TraceFn
 	// it does not disable the compiled fast path, and like TraceFn it
@@ -319,7 +312,6 @@ func (c *Checker) Clone() *Checker {
 		MaxSilentDepth:     c.MaxSilentDepth,
 		UseCompiled:        c.UseCompiled,
 		MaxAutomatonStates: c.MaxAutomatonStates,
-		MinimizeAutomata:   c.MinimizeAutomata,
 		rt:                 c.rt,
 	}
 }

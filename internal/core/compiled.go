@@ -36,7 +36,6 @@ type compiledResult struct {
 	strict       bool
 	noAbsorption bool
 	maxConfigs   int
-	minimize     bool
 }
 
 func (c *Checker) effectiveMaxConfigurations() int {
@@ -59,7 +58,6 @@ func (c *Checker) automatonInput(pur *Purpose, rt *purposeRT) automaton.CompileI
 		MaxConfigurations: c.MaxConfigurations,
 		MaxSilentDepth:    c.MaxSilentDepth,
 		MaxStates:         c.MaxAutomatonStates,
-		Minimize:          c.MinimizeAutomata,
 		System:            rt.sys,
 	}
 	for _, task := range pur.Process.Tasks() {
@@ -132,7 +130,6 @@ func (c *Checker) SetCompiled(purpose string, d *automaton.DFA) error {
 		strict:       c.StrictFailureTask,
 		noAbsorption: c.DisableAbsorption,
 		maxConfigs:   c.effectiveMaxConfigurations(),
-		minimize:     c.MinimizeAutomata,
 	})
 	return nil
 }
@@ -159,8 +156,7 @@ func (c *Checker) CompiledStatus(purpose string) (automaton.Stats, error) {
 func (c *Checker) flagsMatch(r *compiledResult) bool {
 	return r.strict == c.StrictFailureTask &&
 		r.noAbsorption == c.DisableAbsorption &&
-		r.maxConfigs == c.effectiveMaxConfigurations() &&
-		r.minimize == c.MinimizeAutomata
+		r.maxConfigs == c.effectiveMaxConfigurations()
 }
 
 // compileLocked compiles and records the result; rt.compiledMu held.
@@ -172,7 +168,6 @@ func (c *Checker) compileLocked(pur *Purpose, rt *purposeRT) (*automaton.DFA, er
 		strict:       c.StrictFailureTask,
 		noAbsorption: c.DisableAbsorption,
 		maxConfigs:   c.effectiveMaxConfigurations(),
-		minimize:     c.MinimizeAutomata,
 	}
 	rt.compiled.Store(r)
 	return d, err

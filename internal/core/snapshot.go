@@ -17,14 +17,12 @@ import (
 // sets; the weak-next components are recomputed on restore, so a
 // restored monitor behaves identically to the one snapshotted.
 //
-// Wire format. Version 2 (current) deduplicates state terms into a
-// shared table: interning (PR 1) makes configurations across cases of
-// one purpose share a handful of canonical states, so the table
-// shrinks large-population snapshots by orders of magnitude. Version 1
-// (inline state text per configuration) is still read. Version 2 also
-// carries the Indeterminacy cause of dead-indeterminate cases, which
-// version 1 lost — a v1 restore of such a case degrades to a generic
-// "already deviated" verdict.
+// Wire format. Version 2 deduplicates state terms into a shared table:
+// interning makes configurations across cases of one purpose share a
+// handful of canonical states, so the table shrinks large-population
+// snapshots by orders of magnitude. It also carries the Indeterminacy
+// cause of dead-indeterminate cases. Version 2 is the only version
+// read; the version-1 inline-term format is refused.
 
 // MonitorState is the exported, serializable form of a monitor's live
 // state. It is the unit the auditd server checkpoints: shards export
@@ -49,21 +47,17 @@ type CaseSnapshot struct {
 	Cause *Indeterminacy `json:"cause,omitempty"`
 	// Explanation carries a dead case's auditor-facing narrative, so a
 	// restored monitor keeps re-surfacing it on further feeds. Absent
-	// in snapshots written before version 2 gained the field; restore
-	// tolerates nil.
+	// in snapshots written before the field existed; restore tolerates
+	// nil.
 	Explanation *Explanation     `json:"explanation,omitempty"`
 	Configs     []ConfigSnapshot `json:"configs,omitempty"`
 }
 
-// ConfigSnapshot is one live configuration: a state (by table index in
-// version 2, inline text in version 1) plus its active-task set.
+// ConfigSnapshot is one live configuration: a state (by index into
+// MonitorState.States) plus its active-task set.
 type ConfigSnapshot struct {
-	// StateRef indexes MonitorState.States (version 2).
-	StateRef int `json:"state_ref,omitempty"`
-	// State is the inline canonical term (version 1; ignored when the
-	// snapshot has a state table).
-	State  string       `json:"state,omitempty"`
-	Active []ActiveTask `json:"active,omitempty"`
+	StateRef int          `json:"state_ref,omitempty"`
+	Active   []ActiveTask `json:"active,omitempty"`
 }
 
 // snapshotVersion is the version State emits.
@@ -123,17 +117,8 @@ func (m *Monitor) State() *MonitorState {
 // recomputed, so a restored monitor behaves identically to the exported
 // one. A case id already present in the monitor is an error.
 func (m *Monitor) LoadState(st *MonitorState) error {
-	if st.Version < 1 || st.Version > snapshotVersion {
+	if st.Version != snapshotVersion {
 		return fmt.Errorf("core: unsupported snapshot version %d", st.Version)
-	}
-	stateFor := func(cfg ConfigSnapshot) (string, error) {
-		if len(st.States) > 0 {
-			if cfg.StateRef < 0 || cfg.StateRef >= len(st.States) {
-				return "", fmt.Errorf("state ref %d out of table range %d", cfg.StateRef, len(st.States))
-			}
-			return st.States[cfg.StateRef], nil
-		}
-		return cfg.State, nil
 	}
 	for id, cs := range st.Cases {
 		if _, dup := m.cases[id]; dup {
@@ -154,11 +139,10 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 		}
 		rt := m.checker.runtime(pur)
 		for _, cfg := range cs.Configs {
-			term, err := stateFor(cfg)
-			if err != nil {
-				return fmt.Errorf("core: snapshot of case %s: %w", id, err)
+			if cfg.StateRef < 0 || cfg.StateRef >= len(st.States) {
+				return fmt.Errorf("core: snapshot of case %s: state ref %d out of table range %d", id, cfg.StateRef, len(st.States))
 			}
-			state, err := cows.Parse(term)
+			state, err := cows.Parse(st.States[cfg.StateRef])
 			if err != nil {
 				return fmt.Errorf("core: snapshot state of case %s: %w", id, err)
 			}
@@ -231,7 +215,7 @@ func (m *Monitor) Snapshot(w io.Writer) error {
 }
 
 // RestoreMonitor rebuilds a monitor from a snapshot over the given
-// checker. Both snapshot versions are accepted.
+// checker.
 func RestoreMonitor(c *Checker, r io.Reader) (*Monitor, error) {
 	var st MonitorState
 	dec := json.NewDecoder(r)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -133,47 +134,15 @@ func TestSnapshotMidTrailResume(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Compat: a version-1 snapshot (inline state terms, no
-// table, no cause) still restores; live cases resume exactly, dead
-// cases stay dead.
-func TestSnapshotV1Compat(t *testing.T) {
-	ln1 := trailOf("LN-1", "P:T1", "P:T2", "P:T3").Entries()
-	ln2bad := trailOf("LN-2", "P:T2").Entries()
-
-	m1 := NewMonitor(snapshotChecker(t))
-	for _, e := range ln1[:2] {
-		if _, err := m1.Feed(e); err != nil {
-			t.Fatal(err)
+// TestSnapshotRejectsOtherVersions: only version 2 restores; a
+// version-1 (inline-term) snapshot or a future version is refused
+// rather than half-loaded.
+func TestSnapshotRejectsOtherVersions(t *testing.T) {
+	for _, v := range []int{0, 1, 3} {
+		raw := fmt.Sprintf(`{"version":%d,"cases":{}}`, v)
+		if _, err := RestoreMonitor(snapshotChecker(t), strings.NewReader(raw)); err == nil {
+			t.Errorf("version %d snapshot accepted", v)
 		}
-	}
-	if v, err := m1.Feed(ln2bad[0]); err != nil || v.OK {
-		t.Fatalf("LN-2 should deviate: %+v %v", v, err)
-	}
-
-	// Downgrade the v2 state to the v1 wire shape by hand.
-	v2 := m1.State()
-	v1 := MonitorState{Version: 1, Cases: map[string]CaseSnapshot{}}
-	for id, cs := range v2.Cases {
-		configs := make([]ConfigSnapshot, len(cs.Configs))
-		for i, cfg := range cs.Configs {
-			configs[i] = ConfigSnapshot{State: v2.States[cfg.StateRef], Active: cfg.Active}
-		}
-		v1.Cases[id] = CaseSnapshot{Purpose: cs.Purpose, Entries: cs.Entries, Dead: cs.Dead, Configs: configs}
-	}
-	raw, err := json.Marshal(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m2, err := RestoreMonitor(snapshotChecker(t), strings.NewReader(string(raw)))
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if v, err := m2.Feed(ln1[2]); err != nil || !v.OK {
-		t.Fatalf("LN-1 did not resume from v1 snapshot: %+v %v", v, err)
-	}
-	if v, err := m2.Feed(ln2bad[0]); err != nil || v.OK {
-		t.Fatalf("LN-2 revived by v1 restore: %+v %v", v, err)
 	}
 }
 

@@ -128,16 +128,9 @@ func SaveAutomaton(dir string, d *automaton.DFA) (string, error) {
 }
 
 // LoadAutomaton loads the artifact with the given fingerprint from
-// dir: the flat binary artifact if present (binary.go), else the
-// gzip+JSON envelope as the compatibility reader. A missing file
-// returns os.ErrNotExist; a file whose content does not carry that
-// fingerprint returns ErrArtifactMismatch. A present-but-corrupt
-// binary fails loudly rather than silently falling back — the two
-// files are written by different flags, not redundant copies.
+// dir. A missing file returns os.ErrNotExist; a file whose content does
+// not carry that fingerprint returns ErrArtifactMismatch.
 func LoadAutomaton(dir, fingerprint string) (*automaton.DFA, error) {
-	if bin := BinaryArtifactPath(dir, fingerprint); fileExists(bin) {
-		return loadAutomatonBinary(bin, fingerprint)
-	}
 	f, err := os.Open(ArtifactPath(dir, fingerprint))
 	if err != nil {
 		return nil, err
@@ -152,13 +145,6 @@ func LoadAutomaton(dir, fingerprint string) (*automaton.DFA, error) {
 			ErrArtifactMismatch, d.Fingerprint, fingerprint)
 	}
 	return d, nil
-}
-
-// fileExists reports whether path exists (any stat error counts as
-// absent; the subsequent open surfaces real problems).
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // CompileInput assembles the automaton compiler input for a process:

@@ -2,10 +2,10 @@
 // JSON fixtures pairing a BPMN process, a policy fragment, and annotated
 // audit trails that declare both the expected verdict and the expected
 // first deviation. The runner (Run) replays every trail through the
-// interpreter, the compiled automaton, and the minimized automaton,
-// requires byte-identical reports across all three, and accumulates DFA
-// state/edge coverage so CI can gate on how much of each purpose's
-// behaviour space the corpus actually visits.
+// interpreter and the dense compiled automaton, requires byte-identical
+// reports from both, and accumulates DFA state/edge coverage so CI can
+// gate on how much of each purpose's behaviour space the corpus
+// actually visits.
 //
 // The paper validates purpose control against a single hospital process
 // (Figure 4); this package is how the repo grows "as many scenarios as

@@ -78,8 +78,8 @@ var (
 
 // FuzzScenario co-mutates the seed fixture's process and trail from the
 // fuzz data and asserts the engines still agree: whatever verdict a
-// mutant produces, interpreter, compiled and minimized replay must
-// render byte-identical reports. Mutants whose process no longer
+// mutant produces, interpreter and compiled replay must render
+// byte-identical reports. Mutants whose process no longer
 // validates (or whose trail no longer parses) are skipped — authoring
 // errors are the parser's department, tested elsewhere.
 func FuzzScenario(f *testing.F) {

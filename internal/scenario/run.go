@@ -13,8 +13,8 @@ import (
 // Options tunes a corpus run.
 type Options struct {
 	// CoverMin, when positive, is the minimum DFA state-coverage
-	// percentage each fixture's trails must reach (over the dense,
-	// non-minimized automaton — the stable state space). Fixtures whose
+	// percentage each fixture's trails must reach (over the dense
+	// compiled automaton). Fixtures whose
 	// purpose legitimately fell back to the interpreter (AllowFallback)
 	// are exempt: there is no table to cover.
 	CoverMin float64
@@ -51,20 +51,18 @@ type TrailResult struct {
 // OK reports whether every assertion in the fixture held.
 func (r *Result) OK() bool { return len(r.Failures) == 0 }
 
-// engines are the three replay configurations every trail runs through.
-var engines = []struct {
+// engines are the two replay configurations every trail runs through.
+var engines = [...]struct {
 	name     string
 	compiled bool
-	minimize bool
 }{
-	{"interpreted", false, false},
-	{"compiled", true, false},
-	{"minimized", true, true},
+	{"interpreted", false},
+	{"compiled", true},
 }
 
-// Run replays every trail of the fixture through the interpreter, the
-// compiled automaton and the minimized automaton, byte-compares the
-// three reports, and checks the trail's declared expectations against
+// Run replays every trail of the fixture through the interpreter and
+// the dense compiled automaton, byte-compares the two reports, and
+// checks the trail's declared expectations against
 // the result. Setup problems (unparsable process, bad policy, bad
 // timestamps) return an error; assertion failures land in
 // Result.Failures so a corpus runner can keep going and report all of
@@ -83,19 +81,15 @@ func Run(fx *Fixture, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("fixture %q: register: %w", fx.Name, err)
 	}
 
-	// Three independent checkers: the compiled slot is keyed by flag
-	// set, so dense and minimized runs must not share a runtime — a
-	// shared one would silently fall back for whichever asked second.
-	checkers := make([]*core.Checker, len(engines))
+	var checkers [len(engines)]*core.Checker
 	for i, eng := range engines {
 		c := core.NewChecker(reg, rolesOf(pol))
 		fx.applyChecker(c)
 		c.UseCompiled = eng.compiled
-		c.MinimizeAutomata = eng.minimize
 		checkers[i] = c
 	}
 	cov := automaton.NewCoverageSet()
-	checkers[1].Coverage = cov // dense compiled: the stable state space
+	checkers[1].Coverage = cov
 
 	res := &Result{Fixture: fx}
 	for ti := range fx.Trails {
@@ -104,8 +98,8 @@ func Run(fx *Fixture, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fixture %q: %w", fx.Name, err)
 		}
-		var reports [3]*core.Report
-		var renders [3]string
+		var reports [len(engines)]*core.Report
+		var renders [len(engines)]string
 		for i, c := range checkers {
 			rep, err := c.CheckCase(trail, tr.Case)
 			if err != nil {

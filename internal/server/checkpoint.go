@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/encode"
 	"repro/internal/ledger"
 )
 
@@ -205,14 +205,9 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 		return fmt.Errorf("server: checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if s.cfg.BinaryCheckpoint {
-		err = writeCheckpointBinary(tmp, &file)
-	} else if err = json.NewEncoder(tmp).Encode(&file); err != nil {
-		err = fmt.Errorf("server: encoding checkpoint: %w", err)
-	}
-	if err != nil {
+	if err := json.NewEncoder(tmp).Encode(&file); err != nil {
 		tmp.Close()
-		return err
+		return fmt.Errorf("server: encoding checkpoint: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -270,8 +265,10 @@ func mergeStates(dumps []shardDump) *core.MonitorState {
 	return merged
 }
 
-// readCheckpointFile reads and decodes the checkpoint file, in either
-// format. A missing file is (nil, nil).
+// readCheckpointFile reads and decodes the checkpoint file. A missing
+// file is (nil, nil); a file that is not a complete JSON checkpoint —
+// truncated, or the flat binary container older builds could write —
+// is an error, so boot refuses it instead of starting empty.
 func (s *Server) readCheckpointFile() (*checkpointFile, error) {
 	data, err := os.ReadFile(s.cfg.CheckpointPath)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -280,20 +277,16 @@ func (s *Server) readCheckpointFile() (*checkpointFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: opening checkpoint: %w", err)
 	}
+	if bytes.HasPrefix(data, []byte("\x89PCB")) {
+		return nil, fmt.Errorf("server: checkpoint %s is in the retired binary format; "+
+			"stop the previous build once without -binary-checkpoint to rewrite it as JSON", s.cfg.CheckpointPath)
+	}
 	var file checkpointFile
-	if encode.IsBinaryContainer(data) {
-		bf, err := readCheckpointBinary(data)
-		if err != nil {
-			return nil, fmt.Errorf("server: decoding checkpoint %s: %w", s.cfg.CheckpointPath, err)
-		}
-		file = *bf
-	} else {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return nil, fmt.Errorf("server: decoding checkpoint %s: %w", s.cfg.CheckpointPath, err)
-		}
-		if file.Version != checkpointVersion {
-			return nil, fmt.Errorf("server: unsupported checkpoint version %d", file.Version)
-		}
+	if err := json.Unmarshal(data, &file); err != nil {
+		return nil, fmt.Errorf("server: decoding checkpoint %s: %w", s.cfg.CheckpointPath, err)
+	}
+	if file.Version != checkpointVersion {
+		return nil, fmt.Errorf("server: unsupported checkpoint version %d", file.Version)
 	}
 	return &file, nil
 }

@@ -216,7 +216,6 @@ func TestLedgerCrashRebuildMatchesControl(t *testing.T) {
 func TestLedgerCheckpointRoundTrip(t *testing.T) {
 	sc := hospitalScenario(t)
 	cfg := ledgerConfig(t, 2, 4)
-	cfg.BinaryCheckpoint = true
 
 	srv1, ts1 := startServer(t, sc, cfg)
 	if resp, _ := post(t, ts1.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, sc.Trail)); resp.StatusCode != http.StatusAccepted {

@@ -45,10 +45,6 @@ type Config struct {
 	// CheckpointEvery is the periodic snapshot interval (default 30s;
 	// only meaningful with CheckpointPath).
 	CheckpointEvery time.Duration
-	// BinaryCheckpoint writes checkpoints in the flat binary container
-	// format (checkpoint_binary.go) instead of JSON. Restore
-	// auto-detects either format regardless of this flag.
-	BinaryCheckpoint bool
 	// MaxBodyBytes bounds one POST /v1/events body (default 32 MiB).
 	MaxBodyBytes int64
 	// QuarantineKeep bounds the held quarantine records (default 1024).

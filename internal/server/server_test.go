@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -314,6 +315,52 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	if err := srv2.Shutdown(ctx); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestCheckpointRejectsCorruption requires Start to fail loudly, never
+// boot empty, when the checkpoint file is not a complete JSON
+// checkpoint: a truncated write, or the flat binary container
+// ("\x89PCB" magic) that older builds wrote under -binary-checkpoint.
+func TestCheckpointRejectsCorruption(t *testing.T) {
+	sc := hospitalScenario(t)
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+
+	srv1, ts1 := startServer(t, sc, Config{Shards: 2, CheckpointPath: path})
+	if resp, _ := post(t, ts1.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, sc.Trail)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: %s", resp.Status)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, data, wantErr string
+	}{
+		{"truncated", string(img[:len(img)/2]), "decoding checkpoint"},
+		{"binary-container", "\x89PCB\r\n\x1a\n\x01\x00\x00\x00\x02\x00\x00\x00" + string(img), "retired binary format"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2, CheckpointPath: path})
+			err := srv.Start()
+			if err == nil {
+				srv.Shutdown(ctx)
+				t.Fatal("corrupt checkpoint restored without error")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Start error %q, want it to mention %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
