@@ -649,7 +649,7 @@ echo "== chaos test -race =="
 go test -race -run TestChaosPipeline ./internal/faultinject/
 
 echo "== fuzz smoke =="
-for target in FuzzReadCSV FuzzReadJSONL FuzzParsePaperTime; do
+for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime; do
 	go test ./internal/audit/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime 5s

@@ -2,9 +2,13 @@ package audit
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/policy"
 )
 
 // Fuzz targets for the ingestion surface: the decoders must never
@@ -100,6 +104,72 @@ func FuzzParsePaperTime(f *testing.F) {
 		}
 		if strings.ContainsAny(s, "\n\r") {
 			t.Fatalf("timestamp with newline parsed: %q", s)
+		}
+	})
+}
+
+// canonicalEntryRef is the original fmt.Sprintf rendering of
+// CanonicalEntry, kept as the oracle for the in-place appender.
+func canonicalEntryRef(e Entry) []byte {
+	fields := []string{
+		e.User, e.Role, e.Action, e.Object.String(), e.Task, e.Case,
+		e.Time.UTC().Format("20060102150405.000000000"), e.Status.String(),
+	}
+	var out []byte
+	for _, f := range fields {
+		out = append(out, []byte(fmt.Sprintf("%d:", len(f)))...)
+		out = append(out, f...)
+	}
+	return out
+}
+
+// FuzzCanonicalEntry requires AppendCanonicalEntry (and the chain step
+// built on it) to produce the reference bytes for any entry. path
+// splits on NUL into object path components ("" is no path at all).
+func FuzzCanonicalEntry(f *testing.F) {
+	at := func(t time.Time) (int64, int64) { return t.Unix(), int64(t.Nanosecond()) }
+	add := func(user, role, action, subject, path, task, caseID string, t time.Time, zone int, status int8) {
+		sec, nsec := at(t)
+		f.Add(user, role, action, subject, path, task, caseID, sec, nsec, zone, status)
+	}
+	utc := time.Date(2010, 3, 12, 12, 10, 0, 0, time.UTC)
+	add("John", "GP", "read", "Jane", "EPR\x00Clinical", "T01", "HT-1", utc, 0, 0)
+	add("", "", "", "", "", "", "", time.Time{}, 0, 1)
+	add("Zoë", "Médecin", "lire", "Émilie", "Dossier\x00Résumé", "T✓", "案件-1", utc, 0, 0)
+	add("u", "r", "a", "Jane", "", "T", "C", utc, 0, 0)
+	add("u", "r", "a", "", "EPR", "T", "C", utc, 0, 1)
+	add("u", "r", "a", "s", "\x00", "T", "C", utc, 0, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Date(2026, 4, 1, 23, 59, 59, 123456789, time.UTC), 5*3600+1800, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Date(2026, 1, 1, 0, 30, 0, 1, time.UTC), -8*3600, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Date(12345, 6, 7, 8, 9, 10, 11, time.UTC), 0, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Date(-42, 1, 1, 0, 0, 0, 0, time.UTC), 3600, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Date(0, 1, 1, 0, 0, 0, 999999999, time.UTC), 0, 0)
+	f.Fuzz(func(t *testing.T, user, role, action, subject, path, task, caseID string, sec, nsec int64, zone int, status int8) {
+		e := Entry{
+			User: user, Role: role, Action: action,
+			Object: policy.Object{Subject: subject},
+			Task:   task, Case: caseID,
+			Time:   time.Unix(sec, nsec).In(time.FixedZone("fuzz", zone)),
+			Status: Status(status),
+		}
+		if path != "" {
+			e.Object.Path = strings.Split(path, "\x00")
+		}
+		want := canonicalEntryRef(e)
+		if got := CanonicalEntry(e); !bytes.Equal(got, want) {
+			t.Fatalf("CanonicalEntry(%+v)\n got %q\nwant %q", e, got, want)
+		}
+		prefix := []byte("prefix")
+		if got := AppendCanonicalEntry(prefix, e); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("AppendCanonicalEntry dropped or mangled the prefix: %q", got)
+		}
+		seed := ChainSeed()
+		wantChain := sha256.Sum256(append(seed[:], want...))
+		if got, _ := ChainStep([]byte("stale scratch"), seed, e); got != wantChain {
+			t.Fatalf("ChainStep = %x, want %x", got, wantChain)
+		}
+		if got := ChainNext(seed, e); got != wantChain {
+			t.Fatalf("ChainNext = %x, want %x", got, wantChain)
 		}
 	})
 }

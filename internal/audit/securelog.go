@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
+
+	"repro/internal/policy"
 )
 
 // The paper assumes audit trails are integrity-protected and cites
@@ -33,8 +36,9 @@ type SealedEntry struct {
 // SecureLog is an append-only, hash-chained, HMAC-sealed log.
 type SecureLog struct {
 	entries []SealedEntry
-	chain   []byte // last chain hash
-	key     []byte // current (evolved) key
+	chain   [32]byte // last chain hash
+	key     []byte   // current (evolved) key
+	scratch []byte   // ChainStep buffer
 }
 
 // NewSecureLog initializes a log with the given secret key. The caller
@@ -49,35 +53,88 @@ func NewSecureLog(key []byte) *SecureLog {
 
 // ChainSeed returns the fixed chain starting point shared by every
 // sealed trail (and by the ledger's leaf chain).
-func ChainSeed() []byte {
-	h := sha256.Sum256([]byte("purpose-control-secure-log-v1"))
-	return h[:]
+func ChainSeed() [32]byte {
+	return sha256.Sum256([]byte("purpose-control-secure-log-v1"))
 }
+
+// canonicalTimeLayout renders the time field of CanonicalEntry.
+const canonicalTimeLayout = "20060102150405.000000000"
 
 // CanonicalEntry serializes the entry for hashing; every field is
-// length prefixed so field boundaries cannot be confused. This is the
-// byte string an entry commits to — in SecureLog seals and in ledger
-// Merkle leaves alike.
+// length prefixed ("<byte length>:<bytes>") so field boundaries cannot
+// be confused. This is the byte string an entry commits to — in
+// SecureLog seals and in ledger Merkle leaves alike — so its bytes are
+// a frozen wire contract: changing them invalidates every signed root.
 func CanonicalEntry(e Entry) []byte {
-	fields := []string{
-		e.User, e.Role, e.Action, e.Object.String(), e.Task, e.Case,
-		e.Time.UTC().Format("20060102150405.000000000"), e.Status.String(),
-	}
-	var out []byte
-	for _, f := range fields {
-		out = append(out, []byte(fmt.Sprintf("%d:", len(f)))...)
-		out = append(out, f...)
-	}
-	return out
+	return AppendCanonicalEntry(nil, e)
 }
 
-// ChainNext advances the hash chain over one entry:
-// SHA-256(prev || CanonicalEntry(e)).
-func ChainNext(prev []byte, e Entry) []byte {
-	h := sha256.New()
-	h.Write(prev)
-	h.Write(CanonicalEntry(e))
-	return h.Sum(nil)
+// AppendCanonicalEntry appends CanonicalEntry(e) to dst without
+// intermediate strings: fields are written in place and the time is
+// formatted through a stack buffer.
+func AppendCanonicalEntry(dst []byte, e Entry) []byte {
+	dst = appendField(dst, e.User)
+	dst = appendField(dst, e.Role)
+	dst = appendField(dst, e.Action)
+	dst = appendObjectField(dst, e.Object)
+	dst = appendField(dst, e.Task)
+	dst = appendField(dst, e.Case)
+	var tb [64]byte
+	dst = appendField(dst, e.Time.UTC().AppendFormat(tb[:0], canonicalTimeLayout))
+	return appendField(dst, e.Status.String())
+}
+
+func appendField[T string | []byte](dst []byte, f T) []byte {
+	dst = strconv.AppendInt(dst, int64(len(f)), 10)
+	dst = append(dst, ':')
+	return append(dst, f...)
+}
+
+// appendObjectField writes the field for Object.String(): an optional
+// "[subject]" followed by the "/"-joined path.
+func appendObjectField(dst []byte, o policy.Object) []byte {
+	n := 0
+	if o.Subject != "" {
+		n = len(o.Subject) + 2
+	}
+	for i, p := range o.Path {
+		if i > 0 {
+			n++
+		}
+		n += len(p)
+	}
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, ':')
+	if o.Subject != "" {
+		dst = append(dst, '[')
+		dst = append(dst, o.Subject...)
+		dst = append(dst, ']')
+	}
+	for i, p := range o.Path {
+		if i > 0 {
+			dst = append(dst, '/')
+		}
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// ChainStep advances the hash chain over one entry,
+// SHA-256(prev || CanonicalEntry(e)), building the hashed bytes in
+// buf. It returns the new chain hash and buf (possibly grown) for the
+// caller to pass back next time; with a buffer that has grown to fit
+// the entry it allocates nothing.
+func ChainStep(buf []byte, prev [32]byte, e Entry) ([32]byte, []byte) {
+	buf = append(buf[:0], prev[:]...)
+	buf = AppendCanonicalEntry(buf, e)
+	return sha256.Sum256(buf), buf
+}
+
+// ChainNext is ChainStep with a buffer of its own.
+func ChainNext(prev [32]byte, e Entry) [32]byte {
+	var b [256]byte
+	h, _ := ChainStep(b[:0], prev, e)
+	return h
 }
 
 // SealChain computes the HMAC seal of a chain hash under the current
@@ -99,9 +156,10 @@ func EvolveKey(key []byte) []byte {
 
 // Append seals and stores an entry.
 func (l *SecureLog) Append(e Entry) SealedEntry {
-	chain := ChainNext(l.chain, e)
-	seal := SealChain(l.key, chain)
-	se := SealedEntry{Entry: e, Chain: hex.EncodeToString(chain), Seal: hex.EncodeToString(seal)}
+	var chain [32]byte
+	chain, l.scratch = ChainStep(l.scratch, l.chain, e)
+	seal := SealChain(l.key, chain[:])
+	se := SealedEntry{Entry: e, Chain: hex.EncodeToString(chain[:]), Seal: hex.EncodeToString(seal)}
 	l.entries = append(l.entries, se)
 	l.chain = chain
 	l.key = EvolveKey(l.key)
@@ -135,12 +193,13 @@ func Verify(initialKey []byte, entries []SealedEntry, expectLen int) error {
 	}
 	chain := ChainSeed()
 	key := append([]byte(nil), initialKey...)
+	var buf []byte
 	for i, se := range entries {
-		chain = ChainNext(chain, se.Entry)
-		if hex.EncodeToString(chain) != se.Chain {
+		chain, buf = ChainStep(buf, chain, se.Entry)
+		if hex.EncodeToString(chain[:]) != se.Chain {
 			return fmt.Errorf("%w: chain mismatch at entry %d", ErrIntegrity, i)
 		}
-		if !hmac.Equal(SealChain(key, chain), mustHex(se.Seal)) {
+		if !hmac.Equal(SealChain(key, chain[:]), mustHex(se.Seal)) {
 			return fmt.Errorf("%w: seal mismatch at entry %d", ErrIntegrity, i)
 		}
 		key = EvolveKey(key)

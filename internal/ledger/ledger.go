@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -66,17 +67,14 @@ type Options struct {
 type leaf struct {
 	entry audit.Entry
 	lsn   uint64
-	chain []byte
+	chain [32]byte
 	seal  []byte
 }
 
-// sealedBatch is a closed batch: its leaves, its signed root, and the
-// chain tips needed to link neighbours.
+// sealedBatch is a closed batch: its leaves and its signed root.
 type sealedBatch struct {
-	root      SignedRoot
-	chainHash []byte // decoded root.ChainHash
-	endChain  []byte // leaf chain after the last leaf
-	leaves    []leaf
+	root   SignedRoot
+	leaves []leaf
 }
 
 // Ledger is the batched Merkle audit ledger. Safe for concurrent use.
@@ -85,11 +83,16 @@ type Ledger struct {
 	opts Options
 	pub  ed25519.PublicKey
 
-	chain         []byte // live leaf-chain tip (open leaves included)
-	hmacKey       []byte // evolving seal key (nil = seals disabled)
-	prevRootChain []byte // chain hash of the last sealed root
+	chain         [32]byte // live leaf-chain tip (open leaves included)
+	hmacKey       []byte   // evolving seal key (nil = seals disabled)
+	prevRootChain [32]byte // chain hash of the last sealed root
 
-	batches []*sealedBatch
+	// Scratch reused across appends and seals: the bytes each chain
+	// step hashes and a batch's leaf hashes.
+	scratch []byte
+	hashes  [][32]byte
+
+	batches []*sealedBatch // batches[i].root.Seq == i+1
 	open    []leaf
 	lastLSN uint64
 	byCase  map[string][]uint64 // case → leaf LSNs, ascending
@@ -148,16 +151,8 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 		return fmt.Errorf("ledger: leaf sequence gap: append at LSN %d, want %d", firstLSN, l.lastLSN+1)
 	}
 	for i := range entries {
-		l.chain = audit.ChainNext(l.chain, entries[i])
-		lf := leaf{entry: entries[i], lsn: firstLSN + uint64(i), chain: l.chain}
-		if l.hmacKey != nil {
-			lf.seal = audit.SealChain(l.hmacKey, l.chain)
-			l.hmacKey = audit.EvolveKey(l.hmacKey)
-		}
 		wasEmpty := len(l.open) == 0
-		l.open = append(l.open, lf)
-		l.byCase[lf.entry.Case] = append(l.byCase[lf.entry.Case], lf.lsn)
-		l.lastLSN = lf.lsn
+		l.open = append(l.open, l.chainLeafLocked(entries[i], firstLSN+uint64(i)))
 		if len(l.open) >= l.opts.Batch {
 			l.sealLocked()
 		} else if wasEmpty && l.opts.Wait > 0 {
@@ -165,6 +160,28 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 		}
 	}
 	return nil
+}
+
+// chainLeafLocked advances the leaf chain over e, records it as leaf
+// lsn in the case index and returns the leaf.
+func (l *Ledger) chainLeafLocked(e audit.Entry, lsn uint64) leaf {
+	l.chain, l.scratch = audit.ChainStep(l.scratch, l.chain, e)
+	lf := leaf{entry: e, lsn: lsn, chain: l.chain}
+	if l.hmacKey != nil {
+		lf.seal = audit.SealChain(l.hmacKey, l.chain[:])
+		l.hmacKey = audit.EvolveKey(l.hmacKey)
+	}
+	l.byCase[e.Case] = append(l.byCase[e.Case], lsn)
+	l.lastLSN = lsn
+	return lf
+}
+
+// leafHashes appends the Merkle leaf hash of every leaf to dst.
+func leafHashes(dst [][32]byte, leaves []leaf) [][32]byte {
+	for i := range leaves {
+		dst = append(dst, leafHash(&leaves[i].chain))
+	}
+	return dst
 }
 
 // armTimerLocked schedules a wait-ms cut for the batch that just
@@ -185,35 +202,29 @@ func (l *Ledger) armTimerLocked() {
 // sealLocked closes the open batch: Merkle root, chain link, signature.
 func (l *Ledger) sealLocked() {
 	start := time.Now()
-	leaves := l.open
-	l.open = nil
+	// The batch keeps an exact-size copy; the open slice's array is
+	// reused by the next batch.
+	leaves := slices.Clone(l.open)
+	l.open = l.open[:0]
 	l.timerGen++
 	if l.timer != nil {
 		l.timer.Stop()
 		l.timer = nil
 	}
-	hashes := make([][32]byte, len(leaves))
-	for i := range leaves {
-		hashes[i] = leafHash(leaves[i].chain)
-	}
-	root := merkleRoot(hashes)
+	l.hashes = leafHashes(l.hashes[:0], leaves)
+	root := merkleRoot(l.hashes)
 	seq := uint64(len(l.batches)) + 1
-	ch := rootChainHash(l.prevRootChain, seq, leaves[0].lsn, len(leaves), root[:])
+	ch := rootChainHash(&l.prevRootChain, seq, leaves[0].lsn, len(leaves), &root)
 	sr := SignedRoot{
 		Seq:       seq,
 		FirstLSN:  leaves[0].lsn,
 		Leaves:    len(leaves),
 		Root:      hex.EncodeToString(root[:]),
-		PrevChain: hex.EncodeToString(l.prevRootChain),
-		ChainHash: hex.EncodeToString(ch),
-		Sig:       hex.EncodeToString(ed25519.Sign(l.opts.Key, ch)),
+		PrevChain: hex.EncodeToString(l.prevRootChain[:]),
+		ChainHash: hex.EncodeToString(ch[:]),
+		Sig:       hex.EncodeToString(ed25519.Sign(l.opts.Key, ch[:])),
 	}
-	l.batches = append(l.batches, &sealedBatch{
-		root:      sr,
-		chainHash: ch,
-		endChain:  leaves[len(leaves)-1].chain,
-		leaves:    leaves,
-	})
+	l.batches = append(l.batches, &sealedBatch{root: sr, leaves: leaves})
 	l.prevRootChain = ch
 	l.sealedLeaves += uint64(len(leaves))
 	if l.opts.OnSeal != nil {
@@ -256,11 +267,17 @@ func (l *Ledger) Head() (SignedRoot, bool) {
 func (l *Ledger) Roots(since uint64) []SignedRoot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []SignedRoot
-	for _, b := range l.batches {
-		if b.root.Seq > since {
-			out = append(out, b.root)
-		}
+	if since >= uint64(len(l.batches)) {
+		return nil
+	}
+	return l.rootsFromLocked(int(since))
+}
+
+// rootsFromLocked returns the roots of batches[i:] (Seq > i).
+func (l *Ledger) rootsFromLocked(i int) []SignedRoot {
+	out := make([]SignedRoot, 0, len(l.batches)-i)
+	for _, b := range l.batches[i:] {
+		out = append(out, b.root)
 	}
 	return out
 }
@@ -304,7 +321,7 @@ func (l *Ledger) SealedEntries() []audit.SealedEntry {
 	emit := func(lf leaf) {
 		out = append(out, audit.SealedEntry{
 			Entry: lf.entry,
-			Chain: hex.EncodeToString(lf.chain),
+			Chain: hex.EncodeToString(lf.chain[:]),
 			Seal:  hex.EncodeToString(lf.seal),
 		})
 	}
@@ -334,49 +351,48 @@ func (l *Ledger) ProveCase(caseID string) (*CaseProof, error) {
 		l.sealLocked()
 	}
 	p := &CaseProof{Case: caseID, PublicKey: hex.EncodeToString(l.pub)}
-	firstSeq := uint64(0)
+	// LSNs ascend, so their batches do too: each referenced batch's
+	// tree is built once, when its first leaf comes up.
+	firstBatch, treeBatch := -1, -1
+	var tree merkleTree
 	for _, lsn := range lsns {
 		bi := l.batchForLocked(lsn)
 		if bi < 0 {
 			return nil, fmt.Errorf("ledger: no sealed batch covers LSN %d", lsn)
 		}
+		if firstBatch < 0 {
+			firstBatch = bi
+		}
 		b := l.batches[bi]
+		if bi != treeBatch {
+			tree, treeBatch = buildTree(leafHashes(nil, b.leaves)), bi
+		}
 		idx := int(lsn - b.root.FirstLSN)
 		prev := audit.ChainSeed()
 		switch {
 		case idx > 0:
 			prev = b.leaves[idx-1].chain
 		case bi > 0:
-			prev = l.batches[bi-1].endChain
+			before := l.batches[bi-1].leaves
+			prev = before[len(before)-1].chain
 		}
 		raw, err := encodeEntryJSON(b.leaves[idx].entry)
 		if err != nil {
 			return nil, err
-		}
-		hashes := make([][32]byte, len(b.leaves))
-		for i := range b.leaves {
-			hashes[i] = leafHash(b.leaves[i].chain)
 		}
 		p.Entries = append(p.Entries, EntryProof{
 			Entry:     raw,
 			LSN:       lsn,
 			Batch:     b.root.Seq,
 			Index:     idx,
-			PrevChain: hex.EncodeToString(prev),
-			Path:      merklePath(hashes, idx),
+			PrevChain: hex.EncodeToString(prev[:]),
+			Path:      tree.path(idx),
 		})
-		if firstSeq == 0 || b.root.Seq < firstSeq {
-			firstSeq = b.root.Seq
-		}
 	}
 	// Every root from the earliest referenced batch through the head:
 	// their chain doubles as the consistency proof tying old evidence
 	// into the current tree.
-	for _, b := range l.batches {
-		if b.root.Seq >= firstSeq {
-			p.Roots = append(p.Roots, b.root)
-		}
-	}
+	p.Roots = l.rootsFromLocked(firstBatch)
 	return p, nil
 }
 

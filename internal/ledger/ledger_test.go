@@ -13,7 +13,7 @@ import (
 	"repro/internal/policy"
 )
 
-func testKey(t *testing.T) ed25519.PrivateKey {
+func testKey(t testing.TB) ed25519.PrivateKey {
 	t.Helper()
 	seed := make([]byte, ed25519.SeedSize)
 	copy(seed, "ledger-test-seed")

@@ -19,89 +19,88 @@ const (
 )
 
 // leafHash wraps a leaf's audit chain hash into the tree's leaf domain.
-func leafHash(chain []byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{domainLeaf})
-	h.Write(chain)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+func leafHash(chain *[32]byte) [32]byte {
+	var b [1 + 32]byte
+	b[0] = domainLeaf
+	copy(b[1:], chain[:])
+	return sha256.Sum256(b[:])
 }
 
 // nodeHash combines two child hashes into their parent.
-func nodeHash(left, right []byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{domainInterior})
-	h.Write(left)
-	h.Write(right)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+func nodeHash(left, right *[32]byte) [32]byte {
+	var b [1 + 2*32]byte
+	b[0] = domainInterior
+	copy(b[1:], left[:])
+	copy(b[1+32:], right[:])
+	return sha256.Sum256(b[:])
 }
 
 // rootChainSeed anchors the signed-root chain, like audit.ChainSeed
 // anchors the leaf chain.
-func rootChainSeed() []byte {
-	h := sha256.Sum256([]byte("purpose-control-ledger-root-v1"))
-	return h[:]
+func rootChainSeed() [32]byte {
+	return sha256.Sum256([]byte("purpose-control-ledger-root-v1"))
 }
 
 // rootChainHash binds a batch root to its predecessor and position:
 // the bytes each signature actually covers. Everything in it is
 // deterministic, so a crash rebuild re-signs byte-identical material.
-func rootChainHash(prev []byte, seq, firstLSN uint64, leaves int, root []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte{domainRoot})
-	h.Write(prev)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seq)
-	h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], firstLSN)
-	h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(leaves))
-	h.Write(b[:])
-	h.Write(root)
-	return h.Sum(nil)
+func rootChainHash(prev *[32]byte, seq, firstLSN uint64, leaves int, root *[32]byte) [32]byte {
+	var b [1 + 32 + 3*8 + 32]byte
+	b[0] = domainRoot
+	copy(b[1:], prev[:])
+	binary.BigEndian.PutUint64(b[33:], seq)
+	binary.BigEndian.PutUint64(b[41:], firstLSN)
+	binary.BigEndian.PutUint64(b[49:], uint64(leaves))
+	copy(b[57:], root[:])
+	return sha256.Sum256(b[:])
 }
 
-// merkleRoot folds leaf hashes into the batch root.
-func merkleRoot(leaves [][32]byte) [32]byte {
-	level := append([][32]byte(nil), leaves...)
-	for len(level) > 1 {
-		next := level[: 0 : (len(level)+1)/2]
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, nodeHash(level[i][:], level[i+1][:]))
-			} else {
-				next = append(next, level[i])
-			}
+// foldLevel appends the parent level of level to dst. dst may alias
+// level: parent i is written only after children 2i and 2i+1 are read.
+func foldLevel(dst, level [][32]byte) [][32]byte {
+	for i := 0; i < len(level); i += 2 {
+		if i+1 < len(level) {
+			dst = append(dst, nodeHash(&level[i], &level[i+1]))
+		} else {
+			dst = append(dst, level[i])
 		}
-		level = next
 	}
-	return level[0]
+	return dst
 }
 
-// merklePath returns the sibling path from leaf idx to the root. Left
-// marks siblings that sit left of the running hash when folding.
-func merklePath(leaves [][32]byte, idx int) []ProofStep {
+// merkleRoot folds leaf hashes into the batch root, in place: leaves
+// is clobbered.
+func merkleRoot(leaves [][32]byte) [32]byte {
+	for len(leaves) > 1 {
+		leaves = foldLevel(leaves[:0], leaves)
+	}
+	return leaves[0]
+}
+
+// merkleTree keeps every level of one batch's tree, leaves first, so
+// the paths of several leaves of a batch share one build.
+type merkleTree [][][32]byte
+
+func buildTree(leaves [][32]byte) merkleTree {
+	t := merkleTree{leaves}
+	for level := leaves; len(level) > 1; {
+		level = foldLevel(make([][32]byte, 0, (len(level)+1)/2), level)
+		t = append(t, level)
+	}
+	return t
+}
+
+// path returns the sibling path from leaf idx to the root. Left marks
+// siblings that sit left of the running hash when folding.
+func (t merkleTree) path(idx int) []ProofStep {
 	path := []ProofStep{}
-	level := append([][32]byte(nil), leaves...)
-	for len(level) > 1 {
+	for _, level := range t[:len(t)-1] {
 		if sib := idx ^ 1; sib < len(level) {
 			path = append(path, ProofStep{
 				Hash: hex.EncodeToString(level[sib][:]),
 				Left: sib < idx,
 			})
 		}
-		next := level[: 0 : (len(level)+1)/2]
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, nodeHash(level[i][:], level[i+1][:]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
 		idx /= 2
 	}
 	return path

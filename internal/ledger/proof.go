@@ -9,7 +9,6 @@ package ledger
 // to a regulator stays checkable after the daemon is gone.
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"encoding/hex"
 	"encoding/json"
@@ -79,7 +78,7 @@ func VerifyRoots(pub ed25519.PublicKey, roots []SignedRoot) error {
 	if len(roots) == 0 {
 		return fmt.Errorf("%w: no signed roots", ErrProof)
 	}
-	var prevChain []byte
+	var prevChain [32]byte
 	for i, r := range roots {
 		if r.Leaves <= 0 || r.FirstLSN == 0 {
 			return fmt.Errorf("%w: root seq %d has an empty leaf range", ErrProof, r.Seq)
@@ -101,20 +100,20 @@ func VerifyRoots(pub ed25519.PublicKey, roots []SignedRoot) error {
 			return fmt.Errorf("%w: root seq %d prev chain: %v", ErrProof, r.Seq, err)
 		}
 		switch {
-		case r.Seq == 1 && !bytes.Equal(prevB, rootChainSeed()):
+		case r.Seq == 1 && prevB != rootChainSeed():
 			return fmt.Errorf("%w: first root not anchored at the chain seed", ErrProof)
-		case i > 0 && !bytes.Equal(prevB, prevChain):
+		case i > 0 && prevB != prevChain:
 			return fmt.Errorf("%w: root chain broken at seq %d", ErrProof, r.Seq)
 		}
-		ch := rootChainHash(prevB, r.Seq, r.FirstLSN, r.Leaves, rootB)
-		if hex.EncodeToString(ch) != r.ChainHash {
+		ch := rootChainHash(&prevB, r.Seq, r.FirstLSN, r.Leaves, &rootB)
+		if hex.EncodeToString(ch[:]) != r.ChainHash {
 			return fmt.Errorf("%w: chain hash mismatch at root seq %d", ErrProof, r.Seq)
 		}
 		sig, err := hex.DecodeString(r.Sig)
 		if err != nil || len(sig) != ed25519.SignatureSize {
 			return fmt.Errorf("%w: malformed signature on root seq %d", ErrProof, r.Seq)
 		}
-		if !ed25519.Verify(pub, ch, sig) {
+		if !ed25519.Verify(pub, ch[:], sig) {
 			return fmt.Errorf("%w: bad signature on root seq %d", ErrProof, r.Seq)
 		}
 		prevChain = ch
@@ -176,7 +175,7 @@ func VerifyCaseProof(pub ed25519.PublicKey, p *CaseProof) error {
 			return fmt.Errorf("%w: leaf chain broken between LSN %d and %d", ErrProof, prevLSN, ep.LSN)
 		}
 		chain := audit.ChainNext(prev, e)
-		cur := leafHash(chain)
+		cur := leafHash(&chain)
 		if len(ep.Path) > maxPathLen {
 			return fmt.Errorf("%w: entry %d path too long", ErrProof, i)
 		}
@@ -186,27 +185,29 @@ func VerifyCaseProof(pub ed25519.PublicKey, p *CaseProof) error {
 				return fmt.Errorf("%w: entry %d path: %v", ErrProof, i, err)
 			}
 			if step.Left {
-				cur = nodeHash(sib, cur[:])
+				cur = nodeHash(&sib, &cur)
 			} else {
-				cur = nodeHash(cur[:], sib)
+				cur = nodeHash(&cur, &sib)
 			}
 		}
 		if hex.EncodeToString(cur[:]) != r.Root {
 			return fmt.Errorf("%w: entry at LSN %d does not prove into root seq %d", ErrProof, ep.LSN, ep.Batch)
 		}
 		prevLSN = ep.LSN
-		prevChainHex = hex.EncodeToString(chain)
+		prevChainHex = hex.EncodeToString(chain[:])
 	}
 	return nil
 }
 
-func decodeHash(s string) ([]byte, error) {
+func decodeHash(s string) ([32]byte, error) {
+	var h [32]byte
 	b, err := hex.DecodeString(s)
 	if err != nil {
-		return nil, err
+		return h, err
 	}
-	if len(b) != 32 {
-		return nil, fmt.Errorf("hash is %d bytes, want 32", len(b))
+	if len(b) != len(h) {
+		return h, fmt.Errorf("hash is %d bytes, want 32", len(b))
 	}
-	return b, nil
+	copy(h[:], b)
+	return h, nil
 }

@@ -88,45 +88,31 @@ func (l *Ledger) LoadState(st *State) error {
 		if r.FirstLSN != l.lastLSN+1 {
 			return fmt.Errorf("ledger: state batch seq %d starts at LSN %d, want %d", r.Seq, r.FirstLSN, l.lastLSN+1)
 		}
-		if r.PrevChain != hex.EncodeToString(l.prevRootChain) {
+		if r.PrevChain != hex.EncodeToString(l.prevRootChain[:]) {
 			return fmt.Errorf("ledger: state batch seq %d breaks the root chain", r.Seq)
 		}
 		leaves := make([]leaf, len(bs.Entries))
-		hashes := make([][32]byte, len(bs.Entries))
 		for i, raw := range bs.Entries {
 			e, err := audit.DecodeEntryJSON(raw)
 			if err != nil {
 				return fmt.Errorf("ledger: state batch seq %d entry %d: %w", r.Seq, i, err)
 			}
-			l.chain = audit.ChainNext(l.chain, e)
-			lf := leaf{entry: e, lsn: r.FirstLSN + uint64(i), chain: l.chain}
-			if l.hmacKey != nil {
-				lf.seal = audit.SealChain(l.hmacKey, l.chain)
-				l.hmacKey = audit.EvolveKey(l.hmacKey)
-			}
-			leaves[i] = lf
-			hashes[i] = leafHash(l.chain)
-			l.byCase[e.Case] = append(l.byCase[e.Case], lf.lsn)
-			l.lastLSN = lf.lsn
+			leaves[i] = l.chainLeafLocked(e, r.FirstLSN+uint64(i))
 		}
-		root := merkleRoot(hashes)
+		l.hashes = leafHashes(l.hashes[:0], leaves)
+		root := merkleRoot(l.hashes)
 		if hex.EncodeToString(root[:]) != r.Root {
 			return fmt.Errorf("ledger: state batch seq %d root mismatch (checkpoint tampered?)", r.Seq)
 		}
-		ch := rootChainHash(l.prevRootChain, r.Seq, r.FirstLSN, r.Leaves, root[:])
-		if hex.EncodeToString(ch) != r.ChainHash {
+		ch := rootChainHash(&l.prevRootChain, r.Seq, r.FirstLSN, r.Leaves, &root)
+		if hex.EncodeToString(ch[:]) != r.ChainHash {
 			return fmt.Errorf("ledger: state batch seq %d chain hash mismatch", r.Seq)
 		}
 		sig, err := hex.DecodeString(r.Sig)
-		if err != nil || len(sig) != ed25519.SignatureSize || !ed25519.Verify(l.pub, ch, sig) {
+		if err != nil || len(sig) != ed25519.SignatureSize || !ed25519.Verify(l.pub, ch[:], sig) {
 			return fmt.Errorf("ledger: state batch seq %d signature invalid under the configured key", r.Seq)
 		}
-		l.batches = append(l.batches, &sealedBatch{
-			root:      r,
-			chainHash: ch,
-			endChain:  l.chain,
-			leaves:    leaves,
-		})
+		l.batches = append(l.batches, &sealedBatch{root: r, leaves: leaves})
 		l.prevRootChain = ch
 		l.sealedLeaves += uint64(len(leaves))
 	}
