@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: lint (gofmt, go vet, staticcheck when available), full
 # build, race-enabled tests (the chaos suite in internal/faultinject
-# runs under -race here), a fuzz smoke over the ingestion surface plus
-# the compiled-vs-interpreted differential target, a coverage ratchet
+# runs under -race here), a fuzz smoke over the ingestion surface and
+# the COWS parser (each fast decoder held to its reference) plus the
+# compiled-vs-interpreted differential target, a coverage ratchet
 # on the replay engines and the observability layer, the declarative
 # purpose-test corpus (every scenario fixture replayed through both
 # engines with byte-identical reports and a DFA state-coverage floor),
@@ -649,8 +650,11 @@ echo "== chaos test -race =="
 go test -race -run TestChaosPipeline ./internal/faultinject/
 
 echo "== fuzz smoke =="
-for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime; do
+for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry; do
 	go test ./internal/audit/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
+done
+for target in FuzzParse FuzzLexerDifferential; do
+	go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime 5s
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -170,6 +171,51 @@ func FuzzCanonicalEntry(f *testing.F) {
 		}
 		if got := ChainNext(seed, e); got != wantChain {
 			t.Fatalf("ChainNext = %x, want %x", got, wantChain)
+		}
+	})
+}
+
+// FuzzDecodeEntry requires the scanner's single-entry Decode to equal
+// DecodeEntryJSON on every input: the same Entry (deeply) or an error
+// from both. The scanner first decodes a clean entry, so its intern
+// tables and timestamp memo are warm when the input arrives.
+func FuzzDecodeEntry(f *testing.F) {
+	var b bytes.Buffer
+	if err := WriteJSONL(&b, fuzzSeedTrail()); err != nil {
+		f.Fatal(err)
+	}
+	warm := bytes.SplitN(b.Bytes(), []byte("\n"), 2)[0]
+	for _, line := range bytes.Split(b.Bytes(), []byte("\n")) {
+		f.Add(line)
+	}
+	for _, s := range []string{
+		`{"status":"success"}`,
+		`{"status":"Success"}`,
+		`{"user":"a","User":"b","status":"success"}`,
+		`{"CASE":"c-1","status":"failure"}`,
+		`{"user":"é","status":"success"}`,
+		`{"object":"[bad","status":"success"}`,
+		`{"time":"2026-04-01T10:00:00+02:00","status":"success"}`,
+		`{"time":"2026-04-01T10:00:00Z","time":"nope","status":"success"}`,
+		`{"extra":1,"status":"success"}`,
+		` {"status":"success"} `,
+		`{"status":"success"} x`,
+		`null`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		want, wantErr := DecodeEntryJSON(raw)
+		sc := NewEntryScanner(nil, DecodeOptions{})
+		if _, err := sc.Decode(warm); err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := sc.Decode(raw)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%q: Decode error %v, DecodeEntryJSON error %v", raw, gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: Decode = %+v, DecodeEntryJSON = %+v", raw, got, want)
 		}
 	})
 }

@@ -74,9 +74,6 @@ func NewEntryScanner(r io.Reader, opts DecodeOptions) *EntryScanner {
 // and the quarantine are cleared.
 func (s *EntryScanner) Reset(r io.Reader) {
 	s.r = r
-	if s.buf == nil {
-		s.buf = make([]byte, 64<<10)
-	}
 	s.start, s.end = 0, 0
 	s.readErr = nil
 	s.line = 0
@@ -152,6 +149,22 @@ func (s *EntryScanner) Scan() bool {
 	}
 }
 
+// Decode decodes one JSON entry — DecodeEntryJSON on the fast path:
+// the fast parser claims what it can prove identical, and anything else
+// goes to the exact slow decoder, so the result (entry or error) is
+// always DecodeEntryJSON's. It shares the scanner's intern tables and
+// timestamp memo, so one scanner decoding many entries of a trail pays
+// for each distinct string and timestamp once. Decode leaves the
+// scanner's reader and position alone but overwrites the entry that
+// Entry returns.
+func (s *EntryScanner) Decode(raw []byte) (Entry, error) {
+	if s.parseFast(bytes.TrimSpace(raw)) {
+		return s.entry, nil
+	}
+	s.fallbacks++
+	return entryFromJSON(raw)
+}
+
 // nextLine returns the next input line (newline stripped, one trailing
 // \r dropped — bufio.ScanLines semantics) as a view into the buffer,
 // valid until the next call.
@@ -180,7 +193,9 @@ func (s *EntryScanner) nextLine() ([]byte, bool) {
 				s.err = fmt.Errorf("audit: reading JSONL line %d: %w", s.line+1, bufio.ErrTooLong)
 				return nil, false
 			}
-			size := 2 * len(s.buf)
+			// The read buffer is allocated on first read, so a scanner
+			// used only for Decode never allocates one.
+			size := max(2*len(s.buf), 64<<10)
 			if size > maxJSONLLine {
 				size = maxJSONLLine
 			}
@@ -286,8 +301,13 @@ func (s *EntryScanner) parseFast(b []byte) bool {
 				}
 				seenStatus = true
 			default:
-				// Unknown string-valued key: ignored, as encoding/json
+				// encoding/json matches keys case-insensitively, so a
+				// known field under another case is the slow path's to
+				// decode; any other key is ignored, as encoding/json
 				// ignores unmapped fields.
+				if knownKeyFold(key) {
+					return false
+				}
 			}
 			p.ws()
 			if p.eat(',') {
@@ -308,6 +328,16 @@ func (s *EntryScanner) parseFast(b []byte) bool {
 	}
 	s.entry = e
 	return true
+}
+
+// knownKeyFold reports whether key names a wire field in another case.
+func knownKeyFold(key []byte) bool {
+	for _, k := range [...]string{"user", "role", "action", "object", "task", "case", "time", "status"} {
+		if len(key) == len(k) && bytes.EqualFold(key, []byte(k)) {
+			return true
+		}
+	}
+	return false
 }
 
 var (

@@ -85,6 +85,7 @@ var scannerInputs = []struct {
 	{"non-ascii", `{"user":"üser","role":"R","action":"a","task":"T","case":"C","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},
 	{"unknown string key", `{"user":"u","extra":"x","role":"R","action":"a","task":"T","case":"C","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},
 	{"unknown number key", `{"user":"u","extra":7,"role":"R","action":"a","task":"T","case":"C","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},
+	{"known key in another case", `{"user":"u","User":"v","CASE":"C","role":"R","action":"a","task":"T","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},
 	{"duplicate key", `{"user":"first","user":"second","role":"R","action":"a","task":"T","case":"C","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},
 	{"null object", `{"user":"u","object":null,"role":"R","action":"a","task":"T","case":"C","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},
 	{"empty object literal", `{"user":"u","object":"","role":"R","action":"a","task":"T","case":"C","time":"2026-07-05T09:00:00Z","status":"success"}` + "\n"},

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/automaton"
 	"repro/internal/cows"
+	"repro/internal/lts"
 )
 
 // Monitor snapshots: the online analysis must survive auditor restarts
@@ -15,7 +16,11 @@ import (
 // snapshot serializes each monitored case's configuration set — the
 // COWS states in their canonical textual syntax plus the active-task
 // sets; the weak-next components are recomputed on restore, so a
-// restored monitor behaves identically to the one snapshotted.
+// restored monitor behaves identically to the one snapshotted. Restore
+// resolves each table term once per purpose — one parse, interned to
+// the purpose system's representative — and every configuration that
+// references the term shares it, so restore cost follows the number of
+// distinct states, not the number of configurations.
 //
 // Wire format. Version 2 deduplicates state terms into a shared table:
 // interning makes configurations across cases of one purpose share a
@@ -120,6 +125,10 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 	if st.Version != snapshotVersion {
 		return fmt.Errorf("core: unsupported snapshot version %d", st.Version)
 	}
+	// Table terms resolve once per purpose, not once per configuration
+	// that references them. Interning is per purpose system, so the memo
+	// is keyed by runtime: a term two purposes share resolves in each.
+	resolved := map[*purposeRT][]tableState{}
 	for id, cs := range st.Cases {
 		if _, dup := m.cases[id]; dup {
 			return fmt.Errorf("core: snapshot case %s already monitored", id)
@@ -138,13 +147,23 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 			ns.expl = &x
 		}
 		rt := m.checker.runtime(pur)
+		terms := resolved[rt]
+		if terms == nil {
+			terms = make([]tableState, len(st.States))
+			resolved[rt] = terms
+		}
 		for _, cfg := range cs.Configs {
 			if cfg.StateRef < 0 || cfg.StateRef >= len(st.States) {
 				return fmt.Errorf("core: snapshot of case %s: state ref %d out of table range %d", id, cfg.StateRef, len(st.States))
 			}
-			state, err := cows.Parse(st.States[cfg.StateRef])
-			if err != nil {
-				return fmt.Errorf("core: snapshot state of case %s: %w", id, err)
+			ts := &terms[cfg.StateRef]
+			if ts.state == nil {
+				parsed, err := cows.Parse(st.States[cfg.StateRef])
+				if err != nil {
+					return fmt.Errorf("core: snapshot state of case %s: %w", id, err)
+				}
+				ts.state = rt.sys.Representative(parsed)
+				ts.id = rt.sys.Intern(ts.state)
 			}
 			tasks := append([]ActiveTask(nil), cfg.Active...)
 			sort.Slice(tasks, func(i, j int) bool { return activeLess(tasks[i], tasks[j]) })
@@ -154,7 +173,7 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 					dedup = append(dedup, t)
 				}
 			}
-			conf, err := m.checker.newConfiguration(rt, pur, state, rt.sys.Intern(state), rt.active.intern(dedup))
+			conf, err := m.checker.newConfiguration(rt, pur, ts.state, ts.id, rt.active.intern(dedup))
 			if err != nil {
 				return fmt.Errorf("core: rebuilding case %s: %w", id, err)
 			}
@@ -171,6 +190,13 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 		m.cases[id] = ns
 	}
 	return nil
+}
+
+// tableState is one state-table term resolved in one purpose's system:
+// its interned representative and StateID.
+type tableState struct {
+	state cows.Service
+	id    lts.StateID
 }
 
 // promoteCase maps an interpreter configuration set onto the DFA state

@@ -7,6 +7,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/audit"
+	"repro/internal/bpmn"
 )
 
 // snapshotFixture is a monitor over a two-purpose registry holding, at
@@ -154,4 +157,169 @@ func statusOf(t *testing.T, m *Monitor) []CaseStatus {
 	}
 	sort.Slice(st, func(i, j int) bool { return st[i].Case < st[j].Case })
 	return st
+}
+
+// sharedTableChecker registers two purposes whose processes encode to
+// the same COWS terms, so their cases share state-table entries.
+func sharedTableChecker(t *testing.T, compiled bool) *Checker {
+	t.Helper()
+	reg := NewRegistry()
+	for _, p := range []struct{ name, code string }{{"LinearA", "LA"}, {"LinearB", "LB"}} {
+		proc := bpmn.NewBuilder(p.name).Pool("P").
+			Start("S", "P").Task("T1", "P", "").Task("T2", "P", "").Task("T3", "P", "").End("E", "P").
+			Seq("S", "T1", "T2", "T3", "E").MustBuild()
+		if _, err := reg.Register(proc, p.code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewChecker(reg, nil)
+	c.UseCompiled = compiled
+	return c
+}
+
+// TestLoadStateSharedTableTwoPurposes restores a snapshot whose table
+// entries are each referenced by many cases of two purposes. Restore
+// resolves a term once per purpose, so every restored configuration
+// must hold its own purpose system's representative and StateID, and
+// every case must keep feeding exactly as on the monitor that wrote
+// the snapshot.
+func TestLoadStateSharedTableTwoPurposes(t *testing.T) {
+	steps := []string{"P:T1", "P:T2", "P:T3"}
+	type run struct {
+		id         string
+		head, tail []audit.Entry
+	}
+	var runs []run
+	for _, code := range []string{"LA", "LB"} {
+		for i := 0; i < 9; i++ {
+			id := fmt.Sprintf("%s-%d", code, i)
+			all := trailOf(id, steps...).Entries()
+			cut := 1 + i%3
+			runs = append(runs, run{id, all[:cut], all[cut:]})
+		}
+		bad := fmt.Sprintf("%s-bad", code)
+		e := trailOf(bad, "P:T2").Entries()
+		runs = append(runs, run{bad, e, e})
+	}
+
+	for _, compiled := range []bool{false, true} {
+		writer := NewMonitor(sharedTableChecker(t, compiled))
+		for _, r := range runs {
+			for _, e := range r.head {
+				if _, err := writer.Feed(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st := writer.State()
+		purposesOf := map[int]map[string]bool{}
+		for _, cs := range st.Cases {
+			for _, cfg := range cs.Configs {
+				if purposesOf[cfg.StateRef] == nil {
+					purposesOf[cfg.StateRef] = map[string]bool{}
+				}
+				purposesOf[cfg.StateRef][cs.Purpose] = true
+			}
+		}
+		shared := 0
+		for _, ps := range purposesOf {
+			if len(ps) == 2 {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("compiled=%v: no table entry is shared by both purposes (table %d terms)", compiled, len(st.States))
+		}
+
+		// The restoring monitor first runs a full case of each purpose,
+		// so each system has already interned every state of the run
+		// with trees of its own: a configuration holding the other
+		// purpose's tree is caught by pointer identity below.
+		m := NewMonitor(sharedTableChecker(t, compiled))
+		for _, code := range []string{"LA", "LB"} {
+			for _, e := range trailOf(code+"-warm", steps...).Entries() {
+				if _, err := m.Feed(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := m.LoadState(st); err != nil {
+			t.Fatalf("compiled=%v: %v", compiled, err)
+		}
+		for id, cs := range m.cases {
+			rt := m.checker.runtime(cs.purpose)
+			for _, conf := range cs.configs {
+				if rt.sys.Representative(conf.state) != conf.state || rt.sys.Intern(conf.state) != conf.id {
+					t.Fatalf("compiled=%v: case %s holds a state not interned by purpose %s", compiled, id, cs.purpose.Name)
+				}
+			}
+		}
+
+		for _, r := range runs {
+			for _, e := range r.tail {
+				want, err := writer.Feed(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.Feed(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Dead cases resume on the interpreter under either
+				// engine, so the engine marker is not compared.
+				got.Engine, want.Engine = "", ""
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("compiled=%v: case %s verdict diverges after restore:\n got %+v\nwant %+v", compiled, r.id, got, want)
+				}
+			}
+		}
+		var gotSt []CaseStatus
+		for _, cs := range statusOf(t, m) {
+			if !strings.HasSuffix(cs.Case, "-warm") {
+				cs.Engine = ""
+				gotSt = append(gotSt, cs)
+			}
+		}
+		want := statusOf(t, writer)
+		for i := range want {
+			want[i].Engine = ""
+		}
+		if !reflect.DeepEqual(gotSt, want) {
+			t.Fatalf("compiled=%v: status diverges after restore:\n got %+v\nwant %+v", compiled, gotSt, want)
+		}
+	}
+}
+
+// TestLoadStateBadTableTerm: a table term that does not parse fails the
+// restore, naming a case that references it.
+func TestLoadStateBadTableTerm(t *testing.T) {
+	m := NewMonitor(sharedTableChecker(t, false))
+	for _, id := range []string{"LA-1", "LB-1", "LA-2"} {
+		if _, err := m.Feed(trailOf(id, "P:T1").Entries()[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := m.State()
+	bad := st.Cases["LA-2"].Configs[0].StateRef
+	st.States[bad] = "P.T!<é>"
+	var users []string
+	for id, cs := range st.Cases {
+		for _, cfg := range cs.Configs {
+			if cfg.StateRef == bad {
+				users = append(users, id)
+				break
+			}
+		}
+	}
+	err := NewMonitor(sharedTableChecker(t, false)).LoadState(st)
+	if err == nil {
+		t.Fatal("snapshot with an unparsable table term restored")
+	}
+	named := false
+	for _, id := range users {
+		named = named || strings.Contains(err.Error(), "case "+id+":")
+	}
+	if !named || !strings.Contains(err.Error(), `"é"`) {
+		t.Fatalf("error %q names neither a referencing case of %v nor the bad character", err, users)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse reads a COWS service from its textual syntax:
@@ -25,8 +26,10 @@ import (
 // When a scope omits its kind annotation it is inferred: kill if the body
 // contains kill(ident); var if ident occurs as a '$'-variable in the body;
 // name otherwise. Whitespace and //-to-end-of-line comments are ignored.
-func Parse(src string) (Service, error) {
-	p := &parser{lex: newLexer(src)}
+func Parse(src string) (Service, error) { return parseFrom(&lexer{src: src}) }
+
+func parseFrom(l *lexer) (Service, error) {
+	p := &parser{lex: l}
 	s, err := p.parsePar()
 	if err != nil {
 		return nil, err
@@ -69,6 +72,10 @@ const (
 	tokDollar // $
 	tokLProt  // {|
 	tokRProt  // |}
+	// tokInvalid is a byte >= 0x80 outside a quoted atom or comment;
+	// its text is the offending rune, so every error naming it is
+	// precise. No grammar production accepts it.
+	tokInvalid
 )
 
 type token struct {
@@ -77,25 +84,43 @@ type token struct {
 	pos  int
 }
 
+// singleTok maps each one-character punctuation byte to its token kind;
+// tokEOF means "not punctuation".
+var singleTok = [256]tokKind{
+	'*': tokStar, '|': tokPipe, '+': tokPlus, '.': tokDot, '!': tokBang,
+	'?': tokQuest, '<': tokLT, '>': tokGT, '[': tokLBrak, ']': tokRBrak,
+	'(': tokLParen, ')': tokRParen, ',': tokComma, ':': tokColon, '$': tokDollar,
+}
+
+// lexer is allocation-free: token text is always a slice of src, and
+// the one-token lookahead is held by value.
 type lexer struct {
 	src    string
 	pos    int
-	peeked *token
+	peeked token
+	has    bool
+	// scanWith, when set, replaces scan with a lexer that reads src
+	// from pos and returns the token and the new position: the
+	// differential fuzz test drives the parser with the reference lexer
+	// through it. It takes no *lexer so the lexer never escapes.
+	scanWith func(src string, pos int) (token, int)
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src} }
-
 func (l *lexer) peek() token {
-	if l.peeked == nil {
-		t := l.scan()
-		l.peeked = &t
+	if !l.has {
+		if l.scanWith != nil {
+			l.peeked, l.pos = l.scanWith(l.src, l.pos)
+		} else {
+			l.peeked = l.scan()
+		}
+		l.has = true
 	}
-	return *l.peeked
+	return l.peeked
 }
 
 func (l *lexer) next() token {
 	t := l.peek()
-	l.peeked = nil
+	l.has = false
 	return t
 }
 
@@ -119,26 +144,19 @@ func (l *lexer) scan() token {
 	}
 	start := l.pos
 	c := l.src[l.pos]
-	two := ""
 	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
+		switch l.src[l.pos : l.pos+2] {
+		case "{|":
+			l.pos += 2
+			return token{kind: tokLProt, text: l.src[start:l.pos], pos: start}
+		case "|}":
+			l.pos += 2
+			return token{kind: tokRProt, text: l.src[start:l.pos], pos: start}
+		}
 	}
-	switch {
-	case two == "{|":
-		l.pos += 2
-		return token{kind: tokLProt, text: two, pos: start}
-	case two == "|}":
-		l.pos += 2
-		return token{kind: tokRProt, text: two, pos: start}
-	}
-	single := map[byte]tokKind{
-		'*': tokStar, '|': tokPipe, '+': tokPlus, '.': tokDot, '!': tokBang,
-		'?': tokQuest, '<': tokLT, '>': tokGT, '[': tokLBrak, ']': tokRBrak,
-		'(': tokLParen, ')': tokRParen, ',': tokComma, ':': tokColon, '$': tokDollar,
-	}
-	if k, ok := single[c]; ok {
+	if k := singleTok[c]; k != tokEOF {
 		l.pos++
-		return token{kind: k, text: string(c), pos: start}
+		return token{kind: k, text: l.src[start:l.pos], pos: start}
 	}
 	if c == '\'' {
 		// Quoted atom: a literal value that is not identifier-shaped
@@ -154,18 +172,25 @@ func (l *lexer) scan() token {
 		l.pos = end + 1
 		return token{kind: tokIdent, text: text, pos: start}
 	}
+	if c >= utf8.RuneSelf {
+		_, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		l.pos += size
+		return token{kind: tokInvalid, text: l.src[start:l.pos], pos: start}
+	}
 	if c == '0' && (l.pos+1 >= len(l.src) || !isIdentByte(l.src[l.pos+1])) {
 		l.pos++
-		return token{kind: tokZero, text: "0", pos: start}
+		return token{kind: tokZero, text: l.src[start:l.pos], pos: start}
 	}
-	if isIdentStart(rune(c)) || (c >= '0' && c <= '9') {
+	if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') {
 		for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
 			l.pos++
 		}
 		return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 	}
+	// Any other ASCII byte ends the token stream: the parser reports it
+	// where a token is required.
 	l.pos++
-	return token{kind: tokEOF, text: string(c), pos: start}
+	return token{kind: tokEOF, text: l.src[start:l.pos], pos: start}
 }
 
 func isIdentStart(r rune) bool {

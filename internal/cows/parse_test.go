@@ -215,3 +215,48 @@ func TestQuotedAtoms(t *testing.T) {
 		t.Fatalf("unterminated quote accepted")
 	}
 }
+
+func TestParseNonASCIIErrors(t *testing.T) {
+	// A byte >= 0x80 outside a quoted atom or comment is an invalid
+	// token whose text is the whole offending rune; the error names it
+	// and its offset.
+	cases := []struct{ src, want string }{
+		{"P.T!<é>", `expected argument at offset 5, found "é"`},
+		{"P.é!<>", `expected identifier at offset 2, found "é"`},
+		{"é", `unexpected "é" at offset 0`},
+		{"P.T!<> | Ω.a!<>", `unexpected "Ω" at offset 9`},
+		{"P.T?<$é>.0", `expected identifier at offset 6, found "é"`},
+		{"P.T!<> é", `unexpected "é" at offset 7`},
+		{"P.T!<> \xd7\x90", `unexpected "א" at offset 7`},
+		{"P.T!<> \x80", `unexpected "\x80" at offset 7`},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", c.src)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %q, want it to contain %q", c.src, err, c.want)
+		}
+	}
+	// Non-ASCII inside comments and quoted atoms stays legal.
+	if _, err := Parse("P.T!<'é'> // ünïcode"); err != nil {
+		t.Errorf("quoted/commented non-ASCII rejected: %v", err)
+	}
+}
+
+// TestLexerZeroAlloc: lexing a term to EOF allocates nothing, every
+// token kind included.
+func TestLexerZeroAlloc(t *testing.T) {
+	src := "*[x:var] GP.S2?<$x>.[k:kill][sys](sys.T02!<> | sys.T02?<>.(kill(k) | {|GP.T02!<$x>|}))" +
+		" | GP.J!<u(T1,'T1+T2')> // comment\n | P.a?<0>.0 + P.b?<x0_y-z~>.0 @"
+	allocs := testing.AllocsPerRun(100, func() {
+		l := lexer{src: src}
+		for l.next().kind != tokEOF {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lexing allocated %.1f times per run, want 0", allocs)
+	}
+}

@@ -145,8 +145,9 @@ func VerifyCaseProof(pub ed25519.PublicKey, p *CaseProof) error {
 	}
 	var prevLSN uint64
 	var prevChainHex string
+	dec := audit.NewEntryScanner(nil, audit.DecodeOptions{})
 	for i, ep := range p.Entries {
-		e, err := audit.DecodeEntryJSON(ep.Entry)
+		e, err := dec.Decode(ep.Entry)
 		if err != nil {
 			return fmt.Errorf("%w: entry %d undecodable: %v", ErrProof, i, err)
 		}

@@ -77,6 +77,9 @@ func (l *Ledger) LoadState(st *State) error {
 	if l.lastLSN != 0 || len(l.batches) > 0 {
 		return errors.New("ledger: state must load into an empty ledger")
 	}
+	// One scanner decodes every checkpointed entry: its fast path and
+	// warm intern tables give the same entries as audit.DecodeEntryJSON.
+	dec := audit.NewEntryScanner(nil, audit.DecodeOptions{})
 	for bi, bs := range st.Batches {
 		r := bs.Root
 		if r.Seq != uint64(bi)+1 {
@@ -93,7 +96,7 @@ func (l *Ledger) LoadState(st *State) error {
 		}
 		leaves := make([]leaf, len(bs.Entries))
 		for i, raw := range bs.Entries {
-			e, err := audit.DecodeEntryJSON(raw)
+			e, err := dec.Decode(raw)
 			if err != nil {
 				return fmt.Errorf("ledger: state batch seq %d entry %d: %w", r.Seq, i, err)
 			}

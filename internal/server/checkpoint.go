@@ -330,8 +330,16 @@ func (s *Server) restore() error {
 			}
 		}
 	}
+	views := make([]map[string]*CaseView, len(s.shards))
 	for id, v := range file.Views {
-		s.shardFor(id).loadViews(map[string]*CaseView{id: v})
+		i := core.ShardCase(id, len(s.shards))
+		if views[i] == nil {
+			views[i] = map[string]*CaseView{}
+		}
+		views[i][id] = v
+	}
+	for i, vs := range views {
+		s.shards[i].loadViews(vs)
 	}
 	s.quar.load(file.QuarantineTotal, file.Quarantine)
 	if s.ledger != nil && file.Ledger != nil {
