@@ -195,6 +195,41 @@ func BenchmarkCheckTrailParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckTrailCases: Checker.CheckTrail on hospital trails of
+// 300, 1,200 and 4,800 cases on a warm checker. The trail is indexed by
+// case once, so ns/entry stays flat as the case count grows; a per-case
+// rescan of the trail would make it grow linearly with it.
+func BenchmarkCheckTrailCases(b *testing.B) {
+	sc, err := hospital.NewScenario()
+	if err != nil {
+		b.Fatal(err)
+	}
+	roles, err := hospital.Roles()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cases := range []int{300, 1200, 4800} {
+		b.Run(fmt.Sprintf("cases=%d", cases), func(b *testing.B) {
+			trail, err := workload.ManyCases(sc.Registry, hospital.TreatmentCode, cases, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			checker := core.NewChecker(sc.Registry, roles)
+			if _, err := checker.CheckTrail(trail); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := checker.CheckTrail(trail); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(trail.Len()), "entries")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(trail.Len()), "ns/entry")
+		})
+	}
+}
+
 // BenchmarkNaiveVsAlg1 (P4): the Section 1 comparison. The naive
 // checker materializes the trace set (exponential in loop iterations ×
 // branching); Algorithm 1 replays in time linear in the trail.

@@ -20,7 +20,7 @@
 # Stages run standalone too:
 #   sh ci.sh            # everything
 #   sh ci.sh lint       # gofmt + vet + staticcheck
-#   sh ci.sh cover      # coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario)
+#   sh ci.sh cover      # coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario) + one CheckTrailCases run
 #   sh ci.sh scenarios  # declarative purpose-test corpus (purposectl test ./scenarios/...)
 #   sh ci.sh benchguard # quick P1/P3/P4/P5/P6/P7/P8/P10 run vs BENCH_pr*.json
 #   sh ci.sh smoke      # auditd server smoke (also `make smoke`)
@@ -539,7 +539,9 @@ lint() {
 # trust), the tamper-evidence layer (internal/ledger — it signs what
 # auditors rely on) and the scenario framework (internal/scenario — it
 # decides what the corpus asserts). The combined figure must stay
-# >= COVER_MIN.
+# >= COVER_MIN. One iteration of BenchmarkCheckTrailCases rides along
+# so the audit-scaling benchmark keeps compiling and running; its
+# deterministic gate is TestAuditVisitsLinear in internal/core.
 cover() {
 	echo "== coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario; min ${COVER_MIN}%) =="
 	go test -coverprofile=cover.out ./internal/core/ ./internal/automaton/ ./internal/obs/ ./internal/encode/ ./internal/ledger/ ./internal/scenario/
@@ -552,6 +554,9 @@ cover() {
 		echo "coverage ${total}% fell below the ${COVER_MIN}% floor" >&2
 		exit 1
 	}
+
+	echo "== audit scaling (BenchmarkCheckTrailCases, one iteration) =="
+	go test -run '^$' -bench CheckTrailCases -benchtime 1x .
 }
 
 # scenarios runs the declarative purpose-test corpus: every

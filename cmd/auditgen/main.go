@@ -163,8 +163,9 @@ func buildTrail(tasks, pools int, seed int64, cases int, code string, actions in
 		}
 		inj := workload.NewInjector(seed + 2)
 		var entries []audit.Entry
-		for _, caseID := range trail.Cases() {
-			slice := trail.ByCase(caseID).Entries()
+		idx := trail.IndexByCase()
+		for _, caseID := range idx.Cases() {
+			slice := idx.AppendCase(nil, caseID)
 			if mut, ok := inj.Inject(kind, slice); ok {
 				entries = append(entries, mut...)
 			} else {

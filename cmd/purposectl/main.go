@@ -304,7 +304,7 @@ func run(w io.Writer, o options) (summary, error) {
 		}()
 	}
 
-	check := func(caseID string) (*core.Report, error) {
+	check := func(trail *audit.Trail, caseID string) (*core.Report, error) {
 		if o.skips > 0 {
 			srep, err := fw.Checker.CheckCaseWithSkips(trail, caseID, o.skips)
 			if err != nil {
@@ -323,7 +323,7 @@ func run(w io.Writer, o options) (summary, error) {
 	var findings []core.EntryFinding
 	switch {
 	case o.caseID != "":
-		rep, err := check(o.caseID)
+		rep, err := check(trail, o.caseID)
 		if err != nil {
 			return s, err
 		}
@@ -349,12 +349,14 @@ func run(w io.Writer, o options) (summary, error) {
 		// Re-examine infringements with the skip budget; gaps that a
 		// few unlogged executions explain are downgraded in place.
 		// Indeterminate cases are left alone: the skip search runs under
-		// the same budgets that already failed.
+		// the same budgets that already failed. The trail is indexed
+		// once so each re-check reads only its own case.
+		idx := trail.IndexByCase()
 		for i, rep := range reports {
 			if rep.Compliant || rep.Outcome == core.OutcomeIndeterminate {
 				continue
 			}
-			re, err := check(rep.Case)
+			re, err := check(idx.Case(rep.Case), rep.Case)
 			if err != nil {
 				return s, err
 			}

@@ -9,8 +9,10 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/policy"
@@ -86,17 +88,40 @@ func ParsePaperTime(s string) (time.Time, error) {
 // order through Append.
 type Trail struct {
 	entries []Entry
+	// scans, when set by CountScans, accumulates the entries that
+	// whole-trail scans and case-index lookups visit.
+	scans *atomic.Int64
 }
 
 // NewTrail builds a trail from entries, sorting them chronologically
 // (stable, so same-timestamp entries keep their given order — the paper
-// itself logs two same-minute entries in Figure 4).
+// itself logs two same-minute entries in Figure 4). Input that is
+// already chronological, as decoded logs are, is only checked.
 func NewTrail(entries []Entry) *Trail {
 	t := &Trail{entries: append([]Entry(nil), entries...)}
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		return t.entries[i].Time.Before(t.entries[j].Time)
-	})
+	for i := 1; i < len(t.entries); i++ {
+		if t.entries[i].Time.Before(t.entries[i-1].Time) {
+			sort.SliceStable(t.entries, func(i, j int) bool {
+				return t.entries[i].Time.Before(t.entries[j].Time)
+			})
+			break
+		}
+	}
 	return t
+}
+
+// CountScans makes every later whole-trail scan of t (Cases, ByCase,
+// TouchingObject, ByUser, Window, IndexByCase) and every case fetched
+// through t's CaseIndex add the number of entries it visits to n. It
+// is a deterministic work counter for tests that bound how often an
+// audit visits each entry; it must not be called concurrently with
+// scans.
+func (t *Trail) CountScans(n *atomic.Int64) { t.scans = n }
+
+func (t *Trail) scanned(n int) {
+	if t.scans != nil {
+		t.scans.Add(int64(n))
+	}
 }
 
 // Append adds an entry, which must not be earlier than the last one.
@@ -127,6 +152,7 @@ func (t *Trail) View() []Entry { return t.entries }
 // Cases returns the distinct case identifiers in order of first
 // appearance.
 func (t *Trail) Cases() []string {
+	t.scanned(len(t.entries))
 	seen := map[string]bool{}
 	var out []string
 	for _, e := range t.entries {
@@ -142,8 +168,10 @@ func (t *Trail) Cases() []string {
 // order. This is the slice Algorithm 1 replays: "for each case in which
 // the object under investigation was accessed, we determine if the
 // portion of the audit trail related to that case is a valid execution"
-// (Section 4).
+// (Section 4). It scans the whole trail; callers fetching many cases
+// use IndexByCase.
 func (t *Trail) ByCase(caseID string) *Trail {
+	t.scanned(len(t.entries))
 	n := 0
 	for _, e := range t.entries {
 		if e.Case == caseID {
@@ -156,6 +184,7 @@ func (t *Trail) ByCase(caseID string) *Trail {
 	if n == len(t.entries) {
 		return t
 	}
+	t.scanned(len(t.entries))
 	out := make([]Entry, 0, n)
 	for _, e := range t.entries {
 		if e.Case == caseID {
@@ -169,6 +198,7 @@ func (t *Trail) ByCase(caseID string) *Trail {
 // object (or a sub-resource of it) was accessed — the starting point of
 // a per-object investigation.
 func (t *Trail) TouchingObject(o policy.Object) []string {
+	t.scanned(len(t.entries))
 	seen := map[string]bool{}
 	var out []string
 	for _, e := range t.entries {
@@ -182,6 +212,7 @@ func (t *Trail) TouchingObject(o policy.Object) []string {
 
 // ByUser returns the sub-trail of one user's actions.
 func (t *Trail) ByUser(user string) *Trail {
+	t.scanned(len(t.entries))
 	var out []Entry
 	for _, e := range t.entries {
 		if e.User == user {
@@ -193,6 +224,7 @@ func (t *Trail) ByUser(user string) *Trail {
 
 // Window returns the sub-trail with from ≤ time < to.
 func (t *Trail) Window(from, to time.Time) *Trail {
+	t.scanned(len(t.entries))
 	var out []Entry
 	for _, e := range t.entries {
 		if !e.Time.Before(from) && e.Time.Before(to) {
@@ -200,4 +232,78 @@ func (t *Trail) Window(from, to time.Time) *Trail {
 		}
 	}
 	return &Trail{entries: out}
+}
+
+// CaseIndex groups a trail's entries by case, built in one pass by
+// IndexByCase. It holds positions into the trail, not entry copies, so
+// fetching a case costs O(its own entries) where ByCase rescans the
+// whole trail. It is read-only and safe for concurrent use; Append on
+// the trail invalidates it.
+type CaseIndex struct {
+	trail *Trail
+	cases []string         // first-appearance order, as Trail.Cases
+	slot  map[string]int32 // case id -> its position in cases
+	start []int32          // case s occupies pos[start[s]:start[s+1]]
+	pos   []int32          // trail positions grouped by case, chronological within one
+}
+
+// IndexByCase indexes the trail by case in one pass. Positions are
+// int32: a trail of 2^31 entries would hold over 300 GB of entries.
+func (t *Trail) IndexByCase() *CaseIndex {
+	t.scanned(len(t.entries))
+	x := &CaseIndex{trail: t, slot: map[string]int32{}}
+	caseOf := make([]int32, len(t.entries))
+	var count []int32
+	for i := range t.entries {
+		id := t.entries[i].Case
+		s, ok := x.slot[id]
+		if !ok {
+			s = int32(len(x.cases))
+			x.slot[id] = s
+			x.cases = append(x.cases, id)
+			count = append(count, 0)
+		}
+		caseOf[i] = s
+		count[s]++
+	}
+	x.start = make([]int32, len(x.cases)+1)
+	for s, n := range count {
+		x.start[s+1] = x.start[s] + n
+	}
+	// count becomes each case's fill cursor.
+	copy(count, x.start)
+	x.pos = make([]int32, len(t.entries))
+	for i, s := range caseOf {
+		x.pos[count[s]] = int32(i)
+		count[s]++
+	}
+	return x
+}
+
+// Cases returns the distinct case identifiers in order of first
+// appearance, as Trail.Cases does. The slice is shared: treat it as
+// read-only.
+func (x *CaseIndex) Cases() []string { return x.cases }
+
+// AppendCase appends caseID's entries, in chronological order, to dst
+// and returns the extended slice; an unknown case appends nothing.
+// Passing the previous result[:0] back reuses one buffer across cases.
+func (x *CaseIndex) AppendCase(dst []Entry, caseID string) []Entry {
+	s, ok := x.slot[caseID]
+	if !ok {
+		return dst
+	}
+	pos := x.pos[x.start[s]:x.start[s+1]]
+	x.trail.scanned(len(pos))
+	dst = slices.Grow(dst, len(pos))
+	for _, p := range pos {
+		dst = append(dst, x.trail.entries[p])
+	}
+	return dst
+}
+
+// Case returns caseID's sub-trail, the same as the trail's ByCase, in
+// O(its own entries).
+func (x *CaseIndex) Case(caseID string) *Trail {
+	return &Trail{entries: x.AppendCase(nil, caseID)}
 }

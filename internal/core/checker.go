@@ -460,8 +460,17 @@ func (c *Checker) CheckCase(trail *audit.Trail, caseID string) (*Report, error) 
 // be reused after a cancellation. A panic during the case's analysis is
 // recovered and isolated into an OutcomeIndeterminate report instead of
 // taking down the whole run.
-func (c *Checker) CheckCaseContext(ctx context.Context, trail *audit.Trail, caseID string) (rep *Report, err error) {
+func (c *Checker) CheckCaseContext(ctx context.Context, trail *audit.Trail, caseID string) (*Report, error) {
 	pur := c.registry.ForCase(caseID)
+	if pur == nil {
+		return c.checkEntries(ctx, nil, caseID, nil)
+	}
+	return c.checkEntries(ctx, pur, caseID, trail.ByCase(caseID).View())
+}
+
+// checkEntries is CheckCaseContext's body over the case's chronological
+// entries, given the purpose its case code names (nil when none does).
+func (c *Checker) checkEntries(ctx context.Context, pur *Purpose, caseID string, entries []audit.Entry) (rep *Report, err error) {
 	if pur == nil {
 		v := &Violation{
 			Kind:   ViolationUnknownPurpose,
@@ -475,7 +484,6 @@ func (c *Checker) CheckCaseContext(ctx context.Context, trail *audit.Trail, case
 			Explanation: explainUnknownPurpose(caseID, v),
 		}, nil
 	}
-	entries := trail.ByCase(caseID).View()
 	defer func() {
 		if r := recover(); r != nil {
 			rep = indeterminateReport(caseID, pur.Name, len(entries), 0, &Indeterminacy{
@@ -741,7 +749,8 @@ func (c *Checker) describeViolation(pur *Purpose, configs []*Configuration, idx 
 }
 
 // CheckTrail replays every case occurring in the trail and returns one
-// report per case, ordered by first appearance.
+// report per case, ordered by first appearance. The trail is indexed by
+// case once, so an audit costs O(entries) plus each case's replay.
 func (c *Checker) CheckTrail(trail *audit.Trail) ([]*Report, error) {
 	return c.CheckTrailContext(context.Background(), trail)
 }
@@ -749,15 +758,7 @@ func (c *Checker) CheckTrail(trail *audit.Trail) ([]*Report, error) {
 // CheckTrailContext is CheckTrail honoring ctx between and within case
 // replays.
 func (c *Checker) CheckTrailContext(ctx context.Context, trail *audit.Trail) ([]*Report, error) {
-	var out []*Report
-	for _, caseID := range trail.Cases() {
-		rep, err := c.CheckCaseContext(ctx, trail, caseID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
+	return c.CheckTrailParallelContext(ctx, trail, 1)
 }
 
 // CheckTrailParallel is CheckTrail fanned out over a pool of workers
@@ -775,41 +776,8 @@ func (c *Checker) CheckTrailParallel(trail *audit.Trail, workers int) ([]*Report
 // stop claiming cases once the context is done, and the first context
 // error is returned.
 func (c *Checker) CheckTrailParallelContext(ctx context.Context, trail *audit.Trail, workers int) ([]*Report, error) {
-	cases := trail.Cases()
-	if workers <= 1 || len(cases) <= 1 {
-		return c.CheckTrailContext(ctx, trail)
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	reports := make([]*Report, len(cases))
-	errs := make([]error, len(cases))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cases) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				reports[i], errs[i] = c.CheckCaseContext(ctx, trail, cases[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return reports, nil
+	idx := trail.IndexByCase()
+	return c.checkCases(ctx, idx.Cases(), workers, indexedEntries(trail, idx))
 }
 
 // CheckObject investigates one object per Section 4: for each case in
@@ -820,13 +788,81 @@ func (c *Checker) CheckObject(trail *audit.Trail, obj policy.Object) ([]*Report,
 
 // CheckObjectContext is CheckObject honoring ctx.
 func (c *Checker) CheckObjectContext(ctx context.Context, trail *audit.Trail, obj policy.Object) ([]*Report, error) {
-	var out []*Report
-	for _, caseID := range trail.TouchingObject(obj) {
-		rep, err := c.CheckCaseContext(ctx, trail, caseID)
+	cases := trail.TouchingObject(obj)
+	if len(cases) == 0 {
+		return nil, nil
+	}
+	return c.checkCases(ctx, cases, 1, indexedEntries(trail, trail.IndexByCase()))
+}
+
+// indexedEntries fetches a case's entries through idx, gathering them
+// into the calling worker's buffer, so the trail's entries are copied
+// once in total. A single-case trail is replayed in place, as ByCase
+// would return it.
+func indexedEntries(trail *audit.Trail, idx *audit.CaseIndex) func(string, *[]audit.Entry) []audit.Entry {
+	if len(idx.Cases()) == 1 {
+		return func(string, *[]audit.Entry) []audit.Entry { return trail.View() }
+	}
+	return func(caseID string, buf *[]audit.Entry) []audit.Entry {
+		*buf = idx.AppendCase((*buf)[:0], caseID)
+		return *buf
+	}
+}
+
+// checkCases decides every case on up to workers goroutines sharing
+// this checker's warm caches, and returns the reports in cases order.
+// Dispatch is a lock-free work counter over the case list: per-case
+// checks on a warm checker are microseconds, so channel coordination
+// would dominate. fetch returns one case's chronological entries; buf
+// is the calling worker's scratch, which fetch may fill and which the
+// worker keeps from case to case. Workers stop claiming cases once ctx
+// is done or their own case failed; the error of the earliest failed
+// case is returned.
+func (c *Checker) checkCases(ctx context.Context, cases []string, workers int, fetch func(caseID string, buf *[]audit.Entry) []audit.Entry) ([]*Report, error) {
+	if len(cases) == 0 {
+		return nil, nil
+	}
+	workers = min(max(workers, 1), len(cases))
+	reports := make([]*Report, len(cases))
+	errs := make([]error, len(cases))
+	var next atomic.Int64
+	work := func() {
+		var buf []audit.Entry
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(cases) {
+				return
+			}
+			if errs[i] = ctx.Err(); errs[i] != nil {
+				return
+			}
+			var entries []audit.Entry
+			pur := c.registry.ForCase(cases[i])
+			if pur != nil {
+				entries = fetch(cases[i], &buf)
+			}
+			if reports[i], errs[i] = c.checkEntries(ctx, pur, cases[i], entries); errs[i] != nil {
+				return
+			}
+		}
+	}
+	if workers == 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rep)
 	}
-	return out, nil
+	return reports, nil
 }

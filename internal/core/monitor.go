@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/audit"
@@ -461,10 +460,7 @@ func (m *Monitor) Forget(caseID string) { delete(m.cases, caseID) }
 // nWorkers goroutines — the "massive parallelization" the paper notes is
 // possible because case analyses are independent (Section 7). Workers
 // share the checker (and thus its warm LTS and configuration caches; the
-// caches are concurrency-safe). Dispatch is a lock-free work counter
-// over the case list — per-case checks on a warm checker are
-// microseconds, so channel coordination would dominate. Reports come
-// back keyed by case.
+// caches are concurrency-safe). Reports come back keyed by case.
 func CheckStoreParallel(c *Checker, store *audit.Store, nWorkers int) (map[string]*Report, error) {
 	return CheckStoreParallelContext(context.Background(), c, store, nWorkers)
 }
@@ -474,41 +470,15 @@ func CheckStoreParallel(c *Checker, store *audit.Store, nWorkers int) (map[strin
 // error is returned.
 func CheckStoreParallelContext(ctx context.Context, c *Checker, store *audit.Store, nWorkers int) (map[string]*Report, error) {
 	cases := store.Cases()
-	if nWorkers <= 0 {
-		nWorkers = 1
+	reports, err := c.checkCases(ctx, cases, nWorkers, func(caseID string, _ *[]audit.Entry) []audit.Entry {
+		return store.Case(caseID).View()
+	})
+	if err != nil {
+		return nil, err
 	}
-	if nWorkers > len(cases) && len(cases) > 0 {
-		nWorkers = len(cases)
-	}
-	reports := make([]*Report, len(cases))
-	errs := make([]error, len(cases))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cases) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				reports[i], errs[i] = c.CheckCaseContext(ctx, store.Case(cases[i]), cases[i])
-			}
-		}()
-	}
-	wg.Wait()
-
 	out := make(map[string]*Report, len(cases))
-	for i := range cases {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out[reports[i].Case] = reports[i]
+	for _, rep := range reports {
+		out[rep.Case] = rep
 	}
 	return out, nil
 }

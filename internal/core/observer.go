@@ -24,7 +24,8 @@ type Observer interface {
 	// EngineCompiled; entries is the case-slice length.
 	ReplayBegin(caseID, purpose, engine string, entries int)
 	// EntryAccepted fires after entry step was consumed and the
-	// configuration set advanced.
+	// configuration set advanced. e is valid only during the call:
+	// trail audits replay from a buffer reused across cases.
 	EntryAccepted(step int, e *audit.Entry, st StepStats)
 	// EntryRejected fires when entry step diverges from every live
 	// configuration; expl carries the expected observable set at that

@@ -129,8 +129,9 @@ func (s *SeverityScorer) sectionSensitivity(o policy.Object) float64 {
 // most-severe first — the §7 investigation queue.
 func (s *SeverityScorer) Rank(res *AuditResult, trail *audit.Trail) []ScoredReport {
 	var out []ScoredReport
+	idx := trail.IndexByCase()
 	for _, rep := range res.Infringements() {
-		out = append(out, s.Score(rep, trail.ByCase(rep.Case)))
+		out = append(out, s.Score(rep, idx.Case(rep.Case)))
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
@@ -149,11 +150,12 @@ const ViolationExpired ViolationKind = 100
 // ExpirePending rewrites pending reports whose case has been idle
 // longer than maxIdle at time now.
 func ExpirePending(reports []*Report, trail *audit.Trail, maxIdle time.Duration, now time.Time) {
+	idx := trail.IndexByCase()
 	for _, rep := range reports {
 		if !rep.Compliant || !rep.Pending {
 			continue
 		}
-		slice := trail.ByCase(rep.Case)
+		slice := idx.Case(rep.Case)
 		if slice.Len() == 0 {
 			continue
 		}

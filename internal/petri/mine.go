@@ -32,10 +32,13 @@ type Log struct {
 // failure entries (the Alpha algorithm has no error-event notion).
 func LogFromTrail(trail *audit.Trail) *Log {
 	l := &Log{}
-	for _, caseID := range trail.Cases() {
+	idx := trail.IndexByCase()
+	var buf []audit.Entry
+	for _, caseID := range idx.Cases() {
 		var seq []string
 		prev := ""
-		for _, e := range trail.ByCase(caseID).Entries() {
+		buf = idx.AppendCase(buf[:0], caseID)
+		for _, e := range buf {
 			if e.Status == audit.Failure {
 				prev = ""
 				continue

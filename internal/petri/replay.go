@@ -327,8 +327,9 @@ func (r *Replayer) drain(m Marking) Marking {
 // ReplayTrail replays every case of a trail.
 func (r *Replayer) ReplayTrail(trail *audit.Trail) ([]*ReplayResult, error) {
 	var out []*ReplayResult
-	for _, caseID := range trail.Cases() {
-		res, err := r.ReplayCase(trail, caseID)
+	idx := trail.IndexByCase()
+	for _, caseID := range idx.Cases() {
+		res, err := r.ReplayEvents(caseID, EventsOf(idx.AppendCase(nil, caseID)))
 		if err != nil {
 			return nil, fmt.Errorf("petri: replaying case %s: %w", caseID, err)
 		}
