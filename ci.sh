@@ -3,7 +3,8 @@
 # build, race-enabled tests (the chaos suite in internal/faultinject
 # runs under -race here), a fuzz smoke over the ingestion surface and
 # the COWS parser (each fast decoder held to its reference) plus the
-# compiled-vs-interpreted differential target, a coverage ratchet
+# compiled-vs-interpreted differential target and the ledger's batch
+# multiproofs held to per-entry paths, a coverage ratchet
 # on the replay engines and the observability layer, the declarative
 # purpose-test corpus (every scenario fixture replayed through both
 # engines with byte-identical reports and a DFA state-coverage floor),
@@ -39,6 +40,9 @@ BENCH_SLACK=0.25
 SCENARIO_COVER_MIN=60
 # Pinned staticcheck build (must match GitHub Actions; see ci.yml).
 STATICCHECK_VERSION=2025.1.1
+# Public key of internal/ledger's golden test ledger, which signed the
+# checked-in version 1 proof bundles.
+GOLDEN_LEDGER_PUB=56bd71634c567736373d8f5c6e13941685af26b89f1ab22fac9b504ff1498897
 
 SMOKE_TMP=""
 SMOKE_PID=""
@@ -223,14 +227,30 @@ server_smoke() {
 # auditd with sealing enabled, stream the Figure 4 trail, fetch the
 # proof bundle for every case, and verify each offline with only the
 # mirrored public key — then flip bytes in an infringing case's bundle
-# (an entry field, a root's leaf count, its signature) and require the
-# verifier to fail loudly on all three.
+# (an entry field, a referenced root's leaf count, the signatures, a
+# tree-path hash) and require the verifier to fail loudly on all four.
+# The version 1 bundles checked in as internal/ledger's golden fixture
+# (evidence handed out before the batch tree) must verify first.
 proofs_smoke() {
 	echo "== ledger proofs smoke (fetch, verify offline, tamper) =="
 	SMOKE_TMP=$(mktemp -d)
 	go build -o "$SMOKE_TMP/auditd" ./cmd/auditd
 	go build -o "$SMOKE_TMP/auditgen" ./cmd/auditgen
 	go build -o "$SMOKE_TMP/purposectl" ./cmd/purposectl
+
+	# One compact bundle per line of the fixture; the key is the golden
+	# ledger's, pinned here rather than read from the bundles.
+	grep '^{' internal/ledger/testdata/golden_proofs_v1.json | sed 's/,$//' |
+		while IFS= read -r doc; do
+			printf '%s\n' "$doc" >"$SMOKE_TMP/v1.json"
+			"$SMOKE_TMP/purposectl" verify-proof -bundle "$SMOKE_TMP/v1.json" \
+				-pubkey "$GOLDEN_LEDGER_PUB" >/dev/null || {
+				echo "checked-in v1 proof bundle does not verify:" >&2
+				head -c 300 "$SMOKE_TMP/v1.json" >&2
+				exit 1
+			}
+		done
+	v1=$(grep -c '^{' internal/ledger/testdata/golden_proofs_v1.json)
 
 	"$SMOKE_TMP/auditd" -builtin hospital -addr 127.0.0.1:0 \
 		-addr-file "$SMOKE_TMP/addr" -checkpoint "$SMOKE_TMP/ckpt.json" \
@@ -277,14 +297,23 @@ proofs_smoke() {
 		exit 1
 	}
 
-	# Tampering must fail loudly: an entry field, a root's leaf count,
-	# and a root signature (halves swapped keeps it well-formed hex).
+	# Tampering must fail loudly: an entry field, the referenced roots'
+	# leaf counts, the signatures of the roots and the tree head (halves
+	# swapped keeps them well-formed hex), and the first hash of each
+	# inclusion path into the head (digits rotated, still hex).
 	bundle="$SMOKE_TMP/proof-HT-11.json"
+	grep -q '"head": {' "$bundle" || {
+		echo "proof bundle carries no signed tree head:" >&2
+		cat "$bundle" >&2
+		exit 1
+	}
 	sed 's/"Bob"/"Eve"/' "$bundle" >"$SMOKE_TMP/tampered-entry.json"
 	sed 's/"leaves": 4/"leaves": 3/' "$bundle" >"$SMOKE_TMP/tampered-root.json"
 	sed -E 's/"sig": "([0-9a-f]{64})([0-9a-f]{64})"/"sig": "\2\1"/' \
 		"$bundle" >"$SMOKE_TMP/tampered-sig.json"
-	for mut in entry root sig; do
+	sed '/"inclusion": \[/{n;y/0123456789abcdef/123456789abcdef0/;}' \
+		"$bundle" >"$SMOKE_TMP/tampered-path.json"
+	for mut in entry root sig path; do
 		if cmp -s "$bundle" "$SMOKE_TMP/tampered-$mut.json"; then
 			echo "tamper '$mut' mutated nothing in the bundle" >&2
 			exit 1
@@ -308,7 +337,7 @@ proofs_smoke() {
 	}
 	SMOKE_PID=""
 	nc=$(echo "$cases" | wc -w)
-	echo "proofs smoke OK ($nc cases verified offline, 3 tampers rejected)"
+	echo "proofs smoke OK ($v1 v1 bundles and $nc cases verified offline, 4 tampers rejected)"
 	rm -rf "$SMOKE_TMP"
 	SMOKE_TMP=""
 }
@@ -447,6 +476,13 @@ crash_smoke() {
 	fi
 	curl -sf "http://$addr/v1/cases" >"$SMOKE_TMP/crash-cases.json"
 	curl -sf "http://$addr/v1/roots" >"$SMOKE_TMP/crash-roots.json"
+	# The roots listing carries the signed tree head, so the byte diff
+	# against the control run below covers the head too.
+	grep -q '"head": {' "$SMOKE_TMP/crash-roots.json" || {
+		echo "/v1/roots carries no signed tree head:" >&2
+		cat "$SMOKE_TMP/crash-roots.json" >&2
+		exit 1
+	}
 	curl -sf "http://$addr/v1/proofs/HT-11" >"$SMOKE_TMP/crash-proof.json"
 	kill -TERM "$SMOKE_PID"
 	wait "$SMOKE_PID" || {
@@ -480,8 +516,8 @@ crash_smoke() {
 	wait "$SMOKE_PID" || true
 	SMOKE_PID=""
 
-	# A signed root commits to nothing run-dependent: the kill -9 run's
-	# chain must be byte-identical to the uninterrupted control's.
+	# A signed root or head commits to nothing run-dependent: the kill -9
+	# run's chain and head must be byte-identical to the control's.
 	diff -u "$SMOKE_TMP/control-roots.json" "$SMOKE_TMP/crash-roots.json" || {
 		echo "root chain after kill -9 rebuild diverges from the uninterrupted run" >&2
 		exit 1
@@ -662,6 +698,7 @@ for target in FuzzParse FuzzLexerDifferential; do
 	go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime 5s
+go test ./internal/ledger/ -run '^$' -fuzz '^FuzzMultiProof$' -fuzztime 5s
 
 cover
 

@@ -53,7 +53,8 @@
 // GET /v1/quarantine, GET /v1/status (deep operational view; what
 // purposectl top renders), GET /v1/watch (SSE verdict transitions),
 // GET /v1/proofs/{case} (verdict + Merkle inclusion proof),
-// GET /v1/roots (signed root chain), /debug/flightrecorder (live
+// GET /v1/roots (signed root chain and tree head; ?since=N adds the
+// consistency proof from tree size N), /debug/flightrecorder (live
 // flight-recorder ring), /metrics (Prometheus text), /healthz, /readyz.
 //
 // -stage-sample times the pipeline stages (decode, WAL append/fsync,

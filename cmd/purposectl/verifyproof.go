@@ -2,10 +2,12 @@ package main
 
 // verify-proof: the offline half of the tamper-evident ledger
 // (DESIGN.md §15). It checks a proof bundle fetched from auditd's
-// GET /v1/proofs/{case} — entry inclusion proofs, the signed root
-// chain, and the verdict they anchor — with nothing but the bundle and
-// the signer's public key. No server, no WAL, no trust in the bundle's
-// own embedded key unless the caller accepts it explicitly.
+// GET /v1/proofs/{case} — entry multiproofs, the signed roots, their
+// inclusion in the signed tree head, and the verdict they anchor (or a
+// version 1 bundle's per-entry paths and root chain) — with nothing
+// but the bundle and the signer's public key. No server, no WAL, no
+// trust in the bundle's own embedded key unless the caller accepts it
+// explicitly.
 //
 // Usage:
 //
@@ -90,9 +92,15 @@ func verifyProofMain(args []string) int {
 		fmt.Printf("INVALID  case %s: %v\n", proof.Case, err)
 		return cli.ExitProblem
 	}
-	head := proof.Roots[len(proof.Roots)-1]
-	fmt.Printf("OK  case %s: %d entries proven against %d signed roots (head seq %d, %d leaves sealed)\n",
-		proof.Case, len(proof.Entries), len(proof.Roots), head.Seq, head.FirstLSN+uint64(head.Leaves)-1)
+	if proof.Head != nil {
+		fmt.Printf("OK  case %s: %d entries proven against %d signed roots under the signed tree head of size %d\n",
+			proof.Case, len(proof.Entries), len(proof.Roots), proof.Head.Size)
+	} else {
+		// A version 1 bundle: its roots run through the head.
+		head := proof.Roots[len(proof.Roots)-1]
+		fmt.Printf("OK  case %s: %d entries proven against %d signed roots (head seq %d, %d leaves sealed)\n",
+			proof.Case, len(proof.Entries), len(proof.Roots), head.Seq, head.FirstLSN+uint64(head.Leaves)-1)
+	}
 	if doc.Outcome != "" {
 		fmt.Printf("    verdict in bundle: %s\n", doc.Outcome)
 	}

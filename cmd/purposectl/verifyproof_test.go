@@ -99,6 +99,43 @@ func TestVerifyProofRejectsTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyProofAcceptsV1Bundles: version 1 bundles, which carry no
+// tree head, still verify offline — every one of the golden fixture's —
+// and still fail when a root is edited.
+func TestVerifyProofAcceptsV1Bundles(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "ledger", "testdata", "golden_proofs_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []json.RawMessage
+	if err := json.Unmarshal(raw, &docs); err != nil {
+		t.Fatal(err)
+	}
+	seed := make([]byte, ed25519.SeedSize)
+	copy(seed, "ledger-golden-seed")
+	pub := hex.EncodeToString(ed25519.NewKeyFromSeed(seed).Public().(ed25519.PublicKey))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "v1.json")
+	for i, d := range docs {
+		if err := os.WriteFile(path, d, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := verifyProofMain([]string{"-bundle", path, "-pubkey", pub}); code != cli.ExitClean {
+			t.Fatalf("v1 bundle %d: exit %d, want %d", i, code, cli.ExitClean)
+		}
+	}
+	tampered := strings.Replace(string(docs[0]), `"leaves":64`, `"leaves":63`, 1)
+	if tampered == string(docs[0]) {
+		t.Fatal("tamper target not in the v1 bundle")
+	}
+	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := verifyProofMain([]string{"-bundle", path, "-pubkey", pub}); code != cli.ExitProblem {
+		t.Errorf("tampered v1 bundle: exit %d, want %d", code, cli.ExitProblem)
+	}
+}
+
 func TestVerifyProofRejectsWrongKey(t *testing.T) {
 	dir := t.TempDir()
 	bundle, _ := proofFixture(t, dir)

@@ -83,6 +83,33 @@ func TestCheckCaseWithSkipsStillRejectsImpossible(t *testing.T) {
 	}
 }
 
+// TestCheckCaseWithSkipsExplains: an infringement the skip search
+// still rejects carries the same auditor-facing explanation anchor as
+// plain Algorithm 1 (purposectl -skips N -explain prints it).
+func TestCheckCaseWithSkipsExplains(t *testing.T) {
+	c := newChecker(t, linearProc(t), "LN", nil)
+	trail := trailOf("LN-1", "P:T1", "P:T9")
+	plain, err := c.CheckCase(trail, "LN-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.CheckCaseWithSkips(trail, "LN-1", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Compliant || plain.Explanation == nil {
+		t.Fatalf("want a violation from both checks: skips %+v, plain %+v", rep, plain)
+	}
+	x := rep.Explanation
+	if x == nil {
+		t.Fatal("skip-search violation carries no explanation")
+	}
+	if x.EntryIndex != plain.Explanation.EntryIndex || x.Task != plain.Explanation.Task || x.Case != "LN-1" {
+		t.Fatalf("skip explanation at entry %d (task %q), CheckCase's at entry %d (task %q)",
+			x.EntryIndex, x.Task, plain.Explanation.EntryIndex, plain.Explanation.Task)
+	}
+}
+
 func TestCheckCaseWithSkipsOnBranches(t *testing.T) {
 	p := bpmn.NewBuilder("Branch").Pool("P").
 		Start("S", "P").Task("T0", "P", "").XOR("G", "P").

@@ -163,6 +163,7 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 			}
 			rep.Violation = c.describeViolation(pur, confs, i, e)
 			rep.StepsReplayed = i
+			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(confs))
 			return rep, nil
 		}
 		if len(next) > rep.PeakConfigurations {

@@ -3,16 +3,20 @@
 // batched Merkle tree over the same canonical entry serializations
 // that audit.SecureLog seals. Leaves accumulate into batches closed by
 // size or by a wait timer; each batch's Merkle root is chained to its
-// predecessor and ed25519-signed, so a verdict can ship with an
-// inclusion proof (entry → signed root) and a consistency proof (the
-// presented roots form one unbroken chain) that a regulator checks
-// offline with nothing but the public key.
+// predecessor and ed25519-signed. The chain hashes of the sealed
+// batches are in turn the leaves of an append-only RFC 6962 tree whose
+// head is signed on demand, so a verdict ships with a proof of
+// logarithmic size — entries → batch root by one multiproof, batch
+// root → signed head by an inclusion path — and two heads are tied by
+// an RFC 9162 consistency proof; a regulator checks both offline with
+// nothing but the public key.
 //
 // Leaf identity is the WAL LSN: the server appends to the ledger under
 // the same lock that assigns LSNs, so the leaf sequence is dense and
 // the ledger rebuilds deterministically from WAL replay after a crash
-// — the rebuilt roots are byte-identical to an uninterrupted run's.
-// Nothing wall-clock enters the signed material for the same reason.
+// — the rebuilt roots and heads are byte-identical to an uninterrupted
+// run's (ed25519 signatures are deterministic). Nothing wall-clock
+// enters the signed material for the same reason.
 //
 // The per-leaf hash chain is audit.ChainNext — SecureLog's chain —
 // which makes SecureLog a single-entry view of the same construction:
@@ -93,6 +97,8 @@ type Ledger struct {
 	hashes  [][32]byte
 
 	batches []*sealedBatch // batches[i].root.Seq == i+1
+	tree    batchTree      // over the batches' chain hashes, in Seq order
+	head    SignedHead     // last signed tree head (Size 0 = none yet)
 	open    []leaf
 	lastLSN uint64
 	byCase  map[string][]uint64 // case → leaf LSNs, ascending
@@ -225,6 +231,7 @@ func (l *Ledger) sealLocked() {
 		Sig:       hex.EncodeToString(ed25519.Sign(l.opts.Key, ch[:])),
 	}
 	l.batches = append(l.batches, &sealedBatch{root: sr, leaves: leaves})
+	l.tree.append(&ch)
 	l.prevRootChain = ch
 	l.sealedLeaves += uint64(len(leaves))
 	if l.opts.OnSeal != nil {
@@ -267,19 +274,53 @@ func (l *Ledger) Head() (SignedRoot, bool) {
 func (l *Ledger) Roots(since uint64) []SignedRoot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.rootsLocked(since)
+}
+
+func (l *Ledger) rootsLocked(since uint64) []SignedRoot {
 	if since >= uint64(len(l.batches)) {
 		return nil
 	}
-	return l.rootsFromLocked(int(since))
-}
-
-// rootsFromLocked returns the roots of batches[i:] (Seq > i).
-func (l *Ledger) rootsFromLocked(i int) []SignedRoot {
-	out := make([]SignedRoot, 0, len(l.batches)-i)
-	for _, b := range l.batches[i:] {
+	out := make([]SignedRoot, 0, len(l.batches)-int(since))
+	for _, b := range l.batches[since:] {
 		out = append(out, b.root)
 	}
 	return out
+}
+
+// TreeHead returns the signed head over every sealed batch, the signed
+// roots with Seq > since and, when 0 < since < the head's size, the
+// RFC 9162 consistency proof from the tree of size since. All three are
+// read under one lock, so the last root listed is the head's newest
+// batch and a follower polling from since=head.Size misses no root
+// sealed in between. ok is false before the first seal.
+func (l *Ledger) TreeHead(since uint64) (head SignedHead, consistency []string, roots []SignedRoot, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.batches) == 0 {
+		return SignedHead{}, nil, nil, false
+	}
+	head = l.headLocked()
+	if since > 0 && since < head.Size {
+		consistency = hexHashes(l.tree.consistency(since, head.Size))
+	}
+	return head, consistency, l.rootsLocked(since), true
+}
+
+// headLocked signs the tree head at the current size, once per size: a
+// seal costs no signature, and ed25519 being deterministic, a crash
+// rebuild signs the same head bytes.
+func (l *Ledger) headLocked() SignedHead {
+	if n := l.tree.size(); l.head.Size != n {
+		root := l.tree.root(n)
+		msg := headHash(n, &root)
+		l.head = SignedHead{
+			Size: n,
+			Root: hex.EncodeToString(root[:]),
+			Sig:  hex.EncodeToString(ed25519.Sign(l.opts.Key, msg[:])),
+		}
+	}
+	return l.head
 }
 
 // LastLSN returns the LSN of the last appended leaf (sealed or open).
@@ -350,50 +391,53 @@ func (l *Ledger) ProveCase(caseID string) (*CaseProof, error) {
 		l.forcedCuts++
 		l.sealLocked()
 	}
-	p := &CaseProof{Case: caseID, PublicKey: hex.EncodeToString(l.pub)}
-	// LSNs ascend, so their batches do too: each referenced batch's
-	// tree is built once, when its first leaf comes up.
-	firstBatch, treeBatch := -1, -1
-	var tree merkleTree
-	for _, lsn := range lsns {
-		bi := l.batchForLocked(lsn)
+	head := l.headLocked()
+	p := &CaseProof{Case: caseID, Version: proofVersion, Head: &head, PublicKey: hex.EncodeToString(l.pub)}
+	// LSNs ascend, so their batches do too: each referenced batch is
+	// visited once, for the run of the case's leaves it holds.
+	var idx []int
+	for i := 0; i < len(lsns); {
+		bi := l.batchForLocked(lsns[i])
 		if bi < 0 {
-			return nil, fmt.Errorf("ledger: no sealed batch covers LSN %d", lsn)
-		}
-		if firstBatch < 0 {
-			firstBatch = bi
+			return nil, fmt.Errorf("ledger: no sealed batch covers LSN %d", lsns[i])
 		}
 		b := l.batches[bi]
-		if bi != treeBatch {
-			tree, treeBatch = buildTree(leafHashes(nil, b.leaves)), bi
+		end := b.root.FirstLSN + uint64(b.root.Leaves)
+		idx = idx[:0]
+		for ; i < len(lsns) && lsns[i] < end; i++ {
+			lsn := lsns[i]
+			k := int(lsn - b.root.FirstLSN)
+			raw, err := encodeEntryJSON(b.leaves[k].entry)
+			if err != nil {
+				return nil, err
+			}
+			ep := EntryProof{Entry: raw, LSN: lsn, Batch: b.root.Seq, Index: k}
+			if n := len(p.Entries); n == 0 || p.Entries[n-1].LSN+1 != lsn {
+				prev := l.prevChainLocked(bi, k)
+				ep.PrevChain = hex.EncodeToString(prev[:])
+			}
+			p.Entries = append(p.Entries, ep)
+			idx = append(idx, k)
 		}
-		idx := int(lsn - b.root.FirstLSN)
-		prev := audit.ChainSeed()
-		switch {
-		case idx > 0:
-			prev = b.leaves[idx-1].chain
-		case bi > 0:
-			before := l.batches[bi-1].leaves
-			prev = before[len(before)-1].chain
-		}
-		raw, err := encodeEntryJSON(b.leaves[idx].entry)
-		if err != nil {
-			return nil, err
-		}
-		p.Entries = append(p.Entries, EntryProof{
-			Entry:     raw,
-			LSN:       lsn,
-			Batch:     b.root.Seq,
-			Index:     idx,
-			PrevChain: hex.EncodeToString(prev[:]),
-			Path:      tree.path(idx),
+		p.Roots = append(p.Roots, b.root)
+		p.Batches = append(p.Batches, BatchProof{
+			Inclusion: hexHashes(l.tree.inclusion(uint64(bi), head.Size)),
+			Siblings:  hexHashes(buildTree(leafHashes(nil, b.leaves)).multiproof(idx)),
 		})
 	}
-	// Every root from the earliest referenced batch through the head:
-	// their chain doubles as the consistency proof tying old evidence
-	// into the current tree.
-	p.Roots = l.rootsFromLocked(firstBatch)
 	return p, nil
+}
+
+// prevChainLocked is the leaf chain hash before leaf k of batch bi.
+func (l *Ledger) prevChainLocked(bi, k int) [32]byte {
+	switch {
+	case k > 0:
+		return l.batches[bi].leaves[k-1].chain
+	case bi > 0:
+		before := l.batches[bi-1].leaves
+		return before[len(before)-1].chain
+	}
+	return audit.ChainSeed()
 }
 
 // batchForLocked finds the sealed batch containing lsn (-1 if open or

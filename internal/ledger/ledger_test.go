@@ -134,10 +134,24 @@ func TestProofTamper(t *testing.T) {
 			s := p.Roots[0].Sig
 			p.Roots[0].Sig = s[64:] + s[:64]
 		},
-		"path sibling": func(p *CaseProof) { p.Entries[0].Path[0].Hash = strings.Repeat("22", 32) },
-		"prev chain":   func(p *CaseProof) { p.Entries[1].PrevChain = strings.Repeat("33", 32) },
-		"case swap":    func(p *CaseProof) { p.Case = "HT-2" },
-		"missing root": func(p *CaseProof) { p.Roots = p.Roots[:1] },
+		"multiproof sibling": func(p *CaseProof) { p.Batches[0].Siblings[0] = strings.Repeat("22", 32) },
+		"multiproof dropped": func(p *CaseProof) { p.Batches[0].Siblings = p.Batches[0].Siblings[1:] },
+		"inclusion hash":     func(p *CaseProof) { p.Batches[1].Inclusion[0] = strings.Repeat("44", 32) },
+		"inclusion dropped":  func(p *CaseProof) { p.Batches[1].Inclusion = nil },
+		"batches swapped":    func(p *CaseProof) { p.Batches[0], p.Batches[1] = p.Batches[1], p.Batches[0] },
+		"prev chain":         func(p *CaseProof) { p.Entries[1].PrevChain = strings.Repeat("33", 32) },
+		"prev chain dropped": func(p *CaseProof) { p.Entries[1].PrevChain = "" },
+		"case swap":          func(p *CaseProof) { p.Case = "HT-2" },
+		"missing root":       func(p *CaseProof) { p.Roots, p.Batches = p.Roots[:1], p.Batches[:1] },
+		"head size":          func(p *CaseProof) { p.Head.Size++ },
+		"head root":          func(p *CaseProof) { p.Head.Root = strings.Repeat("55", 32) },
+		"head signature": func(p *CaseProof) {
+			s := p.Head.Sig
+			p.Head.Sig = s[64:] + s[:64]
+		},
+		"no head":        func(p *CaseProof) { p.Head = nil },
+		"version 1 form": func(p *CaseProof) { p.Version = 0 },
+		"version 3":      func(p *CaseProof) { p.Version = 3 },
 	}
 	for name, mutate := range mutations {
 		p := fresh()
@@ -338,9 +352,9 @@ func TestDirectLedgerBatchOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ep := range p.Entries {
-		if len(ep.Path) != 0 {
-			t.Fatalf("entry %d of a single-leaf batch has a path", i)
+	for i, b := range p.Batches {
+		if len(b.Siblings) != 0 {
+			t.Fatalf("batch proof %d of a single-leaf batch has siblings", i)
 		}
 	}
 	if err := VerifyCaseProof(l.PublicKey(), p); err != nil {

@@ -2,7 +2,7 @@ package ledger
 
 // Checkpoint persistence. The exported state carries only the sealed
 // batches — each root plus its entries in wire form; chains, Merkle
-// trees and the case index are recomputed on load and checked against
+// trees, the batch tree and the case index are recomputed on load and checked against
 // the stored roots and signatures, so a tampered checkpoint refuses
 // to restore instead of silently re-serving edited history. Open
 // leaves are deliberately absent: they rebuild from WAL replay (the
@@ -116,6 +116,7 @@ func (l *Ledger) LoadState(st *State) error {
 			return fmt.Errorf("ledger: state batch seq %d signature invalid under the configured key", r.Seq)
 		}
 		l.batches = append(l.batches, &sealedBatch{root: r, leaves: leaves})
+		l.tree.append(&ch)
 		l.prevRootChain = ch
 		l.sealedLeaves += uint64(len(leaves))
 	}

@@ -30,7 +30,8 @@ import (
 //	GET  /v1/purposes            registered purposes
 //	GET  /v1/quarantine          malformed lines set aside by lenient ingestion
 //	GET  /v1/proofs/{id}         verdict + Merkle inclusion proof for one case
-//	GET  /v1/roots               signed ledger root chain; ?since=N
+//	GET  /v1/roots               signed ledger root chain and tree head;
+//	                             ?since=N adds the consistency proof from size N
 //	GET  /v1/status              deep operational state (per-shard queues, WAL,
 //	                             ledger, flight recorder) — purposectl top's feed
 //	GET  /v1/watch               SSE stream of verdict transitions; ?outcome=

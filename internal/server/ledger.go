@@ -82,19 +82,27 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 }
 
 // rootsResponse is the GET /v1/roots body. Everything in it is
-// deterministic for a given entry sequence — no wall clock — so a
-// crash-rebuilt ledger answers byte-identically to an uninterrupted
-// one (asserted by ci.sh crash).
+// deterministic for a given entry sequence — no wall clock, and
+// ed25519 signatures are deterministic — so a crash-rebuilt ledger
+// answers byte-identically to an uninterrupted one, signed tree head
+// included (asserted by ci.sh crash).
 type rootsResponse struct {
-	PublicKey string              `json:"public_key"`
-	Batches   int                 `json:"batches"`
-	Leaves    uint64              `json:"leaves"`
-	Open      int                 `json:"open"`
-	Roots     []ledger.SignedRoot `json:"roots"`
+	PublicKey string `json:"public_key"`
+	Batches   int    `json:"batches"`
+	Leaves    uint64 `json:"leaves"`
+	Open      int    `json:"open"`
+	// Head is the signed tree head over every sealed batch; the last
+	// root listed is its newest batch.
+	Head *ledger.SignedHead `json:"head,omitempty"`
+	// Consistency proves Head extends the tree of size since (RFC
+	// 9162), for 0 < since < Head.Size.
+	Consistency []string            `json:"consistency,omitempty"`
+	Roots       []ledger.SignedRoot `json:"roots"`
 }
 
-// handleRoots lists the signed root chain; ?since=N returns roots with
-// Seq > N (incremental polling for root followers).
+// handleRoots lists the signed root chain and the signed tree head;
+// ?since=N returns roots with Seq > N (incremental polling for root
+// followers) and the consistency proof from the head of size N.
 func (s *Server) handleRoots(w http.ResponseWriter, r *http.Request) {
 	if s.ledger == nil {
 		http.Error(w, "ledger not enabled (start auditd with -ledger)", http.StatusNotFound)
@@ -110,11 +118,16 @@ func (s *Server) handleRoots(w http.ResponseWriter, r *http.Request) {
 		since = n
 	}
 	batches, leaves, open, _ := s.ledger.Stats()
-	writeJSON(w, http.StatusOK, rootsResponse{
+	resp := rootsResponse{
 		PublicKey: fmt.Sprintf("%x", s.ledger.PublicKey()),
 		Batches:   batches,
 		Leaves:    leaves,
 		Open:      open,
-		Roots:     s.ledger.Roots(since),
-	})
+	}
+	// One read of head, proof and roots: a seal between separate reads
+	// would let a follower polling ?since=<head.Size> skip roots.
+	if head, proof, roots, ok := s.ledger.TreeHead(since); ok {
+		resp.Head, resp.Consistency, resp.Roots = &head, proof, roots
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"reflect"
@@ -88,6 +89,11 @@ func TestProofEndpointVerifiesOffline(t *testing.T) {
 	if err := ledger.VerifyRoots(pub, rr.Roots); err != nil {
 		t.Errorf("root chain does not verify: %v", err)
 	}
+	if rr.Head == nil || rr.Head.Size != uint64(len(rr.Roots)) {
+		t.Errorf("/v1/roots head %+v does not cover the %d roots", rr.Head, len(rr.Roots))
+	} else if err := ledger.VerifyConsistency(pub, rr.Head, rr.Head, nil); err != nil {
+		t.Errorf("tree head does not verify: %v", err)
+	}
 
 	if code, _ := getBody(t, ts.URL+"/v1/proofs/NO-SUCH-CASE"); code != http.StatusNotFound {
 		t.Errorf("unknown case: %d, want 404", code)
@@ -97,6 +103,55 @@ func TestProofEndpointVerifiesOffline(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRootsConsistencyProof: a follower that kept the signed head from
+// an earlier /v1/roots checks, with ?since=<its size>, that the later
+// head extends it.
+func TestRootsConsistencyProof(t *testing.T) {
+	sc := hospitalScenario(t)
+	cfg := ledgerConfig(t, 2, 4)
+	_, ts := startServer(t, sc, cfg)
+	pub := cfg.LedgerKey.Public().(ed25519.PublicKey)
+	roots := func(query string) rootsResponse {
+		t.Helper()
+		code, body := getBody(t, ts.URL+"/v1/roots"+query)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/roots%s: %d %s", query, code, body)
+		}
+		var rr rootsResponse
+		if err := json.Unmarshal([]byte(body), &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Head == nil {
+			t.Fatalf("GET /v1/roots%s carries no head", query)
+		}
+		return rr
+	}
+	entries := sc.Trail.Entries()
+	half := len(entries) / 2
+	ingest := func(part []audit.Entry) {
+		t.Helper()
+		if resp, _ := post(t, ts.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, audit.NewTrail(part))); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest: %s", resp.Status)
+		}
+	}
+	ingest(entries[:half])
+	old := roots("")
+	ingest(entries[half:])
+	cur := roots(fmt.Sprintf("?since=%d", old.Head.Size))
+	if cur.Head.Size <= old.Head.Size || len(cur.Consistency) == 0 {
+		t.Fatalf("head grew from %d to %d with a %d-hash proof", old.Head.Size, cur.Head.Size, len(cur.Consistency))
+	}
+	if uint64(len(cur.Roots)) != cur.Head.Size-old.Head.Size {
+		t.Errorf("?since=%d listed %d roots, head grew by %d", old.Head.Size, len(cur.Roots), cur.Head.Size-old.Head.Size)
+	}
+	if err := ledger.VerifyConsistency(pub, old.Head, cur.Head, cur.Consistency); err != nil {
+		t.Fatalf("later head does not extend the earlier one: %v", err)
+	}
+	if same := roots(fmt.Sprintf("?since=%d", cur.Head.Size)); len(same.Consistency) != 0 || *same.Head != *cur.Head {
+		t.Errorf("?since=<head size>: head %+v with %d-hash proof, want the same head and none", same.Head, len(same.Consistency))
 	}
 }
 
