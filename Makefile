@@ -1,4 +1,4 @@
-.PHONY: ci lint cover scenarios benchguard test bench fuzz chaos serve smoke proofs crash
+.PHONY: ci lint cover scenarios benchguard perfbench test bench fuzz chaos serve smoke proofs crash
 
 ci:
 	sh ./ci.sh
@@ -16,9 +16,13 @@ cover:
 scenarios:
 	sh ./ci.sh scenarios
 
-# Quick P1/P3/P4 timing run vs the checked-in BENCH_*.json baselines.
+# Quick P1/P3/P4/P5 timing run vs the checked-in BENCH_baseline.json.
 benchguard:
 	sh ./ci.sh benchguard
+
+# Smoke test of the serving-path benchmark (cd perfbench && go test .).
+perfbench:
+	sh ./ci.sh perfbench
 
 test:
 	go test ./...
@@ -26,13 +30,9 @@ test:
 bench:
 	go test -bench . -benchmem .
 
-# Short fuzz pass over the ingestion surface (decoders must never panic;
-# strict and lenient decoding must agree on clean input).
+# Short fuzz pass over every fuzz target (the list lives in ci.sh).
 fuzz:
-	go test ./internal/audit/ -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s
-	go test ./internal/audit/ -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 5s
-	go test ./internal/audit/ -run '^$$' -fuzz '^FuzzParsePaperTime$$' -fuzztime 5s
-	go test ./internal/core/ -run '^$$' -fuzz '^FuzzCompiledReplay$$' -fuzztime 5s
+	sh ./ci.sh fuzz
 
 # Fault-injection chaos suite under the race detector.
 chaos:

@@ -8,22 +8,25 @@
 # on the replay engines and the observability layer, the declarative
 # purpose-test corpus (every scenario fixture replayed through both
 # engines with byte-identical reports and a DFA state-coverage floor),
-# a benchmark guard
-# failing on ns/entry regressions of the P1/P3/P4/P5/P6/P7 claims vs
-# the checked-in baselines (nil-observer replay rows are held to 5%),
-# an end-to-end smoke of the auditd streaming server including a
-# reboot from its checkpoint, a proofs smoke that verifies ledger
-# inclusion proofs offline (and that tampering fails loudly), and a
-# crash-recovery smoke that kill -9s the daemon mid-trail and requires
-# the write-ahead log to restore every acknowledged entry — with the
-# rebuilt ledger signing roots byte-identical to an uninterrupted run.
+# a benchmark guard failing on ns/entry regressions of the paper's
+# P1/P3/P4/P5 claims vs the checked-in baseline (nil-observer replay
+# rows are held to 5%), the serving-path benchmark's own smoke test
+# (perfbench), an end-to-end smoke of the auditd streaming server
+# including a reboot from its checkpoint, a proofs smoke that verifies
+# ledger inclusion proofs offline (and that tampering fails loudly),
+# and a crash-recovery smoke that kill -9s the daemon mid-trail and
+# requires the write-ahead log to restore every acknowledged entry —
+# with the rebuilt ledger signing roots byte-identical to an
+# uninterrupted run.
 #
 # Stages run standalone too:
 #   sh ci.sh            # everything
 #   sh ci.sh lint       # gofmt + vet + staticcheck
+#   sh ci.sh fuzz       # every fuzz target, FUZZ_TIME each (also `make fuzz`)
 #   sh ci.sh cover      # coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario) + one CheckTrailCases run
 #   sh ci.sh scenarios  # declarative purpose-test corpus (purposectl test ./scenarios/...)
-#   sh ci.sh benchguard # quick P1/P3/P4/P5/P6/P7/P8/P10 run vs BENCH_pr*.json
+#   sh ci.sh benchguard # quick P1/P3/P4/P5/P6 run vs BENCH_baseline.json
+#   sh ci.sh perfbench  # serving-path benchmark smoke test (cd perfbench && go test .)
 #   sh ci.sh smoke      # auditd server smoke (also `make smoke`)
 #   sh ci.sh proofs     # ledger proof smoke: fetch, verify offline, tamper
 #   sh ci.sh crash      # kill -9 crash-recovery smoke over the WAL + ledger
@@ -38,6 +41,8 @@ BENCH_SLACK=0.25
 # (see DESIGN.md §16). Fixtures that legitimately fall back to the
 # interpreter (allow_fallback) are exempt — there is no table to cover.
 SCENARIO_COVER_MIN=60
+# Fuzzing time per target in the fuzz stage.
+FUZZ_TIME=5s
 # Pinned staticcheck build (must match GitHub Actions; see ci.yml).
 STATICCHECK_VERSION=2025.1.1
 # Public key of internal/ledger's golden test ledger, which signed the
@@ -617,30 +622,46 @@ scenarios() {
 }
 
 # benchguard replays the timed P1 (trail length), P3 (parallel cases),
-# P4 (compiled vs interpreted), P5 (observer overhead), P6
-# (raw-speed tier: decode, dispatch, dense replay, artifact boot and
-# checkpoint restore) and P7 (WAL ingest overhead) series in quick mode and
-# fails if any long-trail row's ns/entry regressed more than
-# BENCH_SLACK vs the checked-in baselines (later files override
-# earlier rows). The P1/P4 nil-observer replay rows are held to 5%: a
-# disabled observer must stay free. P6 gets 50%: its replay rows sit
-# around 20 ns/entry where quick-mode scheduler noise dwarfs the 25%
-# band — the tier's hard claims (zero decode allocations, batched
-# dispatch >= 2x) are asserted inside benchtab itself on every full
-# run. P7 also gets 50%: its rows time a full ingest-to-applied drain
-# whose wall clock rides the box's disk and scheduler; the tier's hard
-# claim (interval fsync <= 2x no-WAL) is likewise asserted inside
-# benchtab on every full run. P8 (Merkle ledger sealing) rides the same
-# pipeline and gets the same 50% band, with its hard claim (batch-64
-# sealing <= 2x no-ledger) asserted inside benchtab on full runs. P10
-# (stage-timer sampling) times the same drain and gets 50% too; its
-# hard claim (1-in-64 sampling <= 1.05x untimed) is asserted inside
-# benchtab on full runs.
+# P4 (compiled vs interpreted) and P5 (observer overhead) series in
+# quick mode and fails if any long-trail row's ns/entry regressed more
+# than BENCH_SLACK vs the checked-in baseline. The P1/P4 nil-observer
+# replay rows are held to 5%: a disabled observer must stay free. P6
+# prints its artifact-boot row, which counts 45 states as entries and
+# so falls under the 100-entry cutoff: reported, not compared. The
+# serving path (decode, dispatch, WAL, ledger, stage sampling,
+# restore) is measured by perfbench and its ratio claims are tier-1
+# tests in internal/server.
 benchguard() {
-	echo "== benchguard (P1, P3, P4, P5, P6, P7, P8, P10 vs checked-in baselines) =="
-	go run ./cmd/benchtab -exp P1,P3,P4,P5,P6,P7,P8,P10 -quick \
-		-guard BENCH_pr1.json,BENCH_pr4.json,BENCH_pr5.json,BENCH_pr6.json,BENCH_pr7.json,BENCH_pr8.json,BENCH_pr10.json \
-		-guard-slack "$BENCH_SLACK" -guard-slack-exp P1=0.05,P4=0.05,P6=0.5,P7=0.5,P8=0.5,P10=0.5
+	echo "== benchguard (P1, P3, P4, P5, P6 vs BENCH_baseline.json) =="
+	go run ./cmd/benchtab -exp P1,P3,P4,P5,P6 -quick \
+		-guard BENCH_baseline.json \
+		-guard-slack "$BENCH_SLACK" -guard-slack-exp P1=0.05,P4=0.05
+}
+
+# fuzz runs every fuzz target in the repository except FuzzScenario
+# (the scenarios stage runs it beside the corpus it mutates) for
+# FUZZ_TIME each: the ingestion decoders never panic and agree with
+# their stdlib references, the COWS parser and lexer round-trip, the
+# compiled engine matches the interpreter, and ledger multiproofs
+# match per-entry paths.
+fuzz() {
+	echo "== fuzz smoke (${FUZZ_TIME} per target) =="
+	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry; do
+		go test ./internal/audit/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
+	done
+	for target in FuzzParse FuzzStepTerminates FuzzLexerDifferential; do
+		go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
+	done
+	go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime "$FUZZ_TIME"
+	go test ./internal/ledger/ -run '^$' -fuzz '^FuzzMultiProof$' -fuzztime "$FUZZ_TIME"
+}
+
+# perfbench runs the serving-path benchmark's own smoke test: every
+# workload end to end at a tiny size, so the instrument the serving
+# path is measured with keeps building and running.
+perfbench() {
+	echo "== perfbench smoke test =="
+	(cd perfbench && go test .)
 }
 
 case "${1:-all}" in
@@ -672,9 +693,17 @@ benchguard)
 	benchguard
 	exit 0
 	;;
+fuzz)
+	fuzz
+	exit 0
+	;;
+perfbench)
+	perfbench
+	exit 0
+	;;
 all) ;;
 *)
-	echo "usage: sh ci.sh [all|lint|cover|scenarios|benchguard|smoke|proofs|crash]" >&2
+	echo "usage: sh ci.sh [all|lint|fuzz|cover|scenarios|benchguard|perfbench|smoke|proofs|crash]" >&2
 	exit 2
 	;;
 esac
@@ -690,21 +719,15 @@ go test -race ./...
 echo "== chaos test -race =="
 go test -race -run TestChaosPipeline ./internal/faultinject/
 
-echo "== fuzz smoke =="
-for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry; do
-	go test ./internal/audit/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
-done
-for target in FuzzParse FuzzLexerDifferential; do
-	go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
-done
-go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime 5s
-go test ./internal/ledger/ -run '^$' -fuzz '^FuzzMultiProof$' -fuzztime 5s
+fuzz
 
 cover
 
 scenarios
 
 benchguard
+
+perfbench
 
 server_smoke
 

@@ -13,18 +13,10 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"context"
-	"crypto/ed25519"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -43,8 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/policy"
-	"repro/internal/server"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -60,9 +50,6 @@ type benchRow struct {
 	Workers    int     `json:"workers,omitempty"`
 	NsPerOp    int64   `json:"ns_per_op"`
 	NsPerEntry float64 `json:"ns_per_entry,omitempty"`
-	// AllocsPerEntry records heap allocations per decoded entry for
-	// the P6 decode rows (testing.AllocsPerRun; exact, not timed).
-	AllocsPerEntry float64 `json:"allocs_per_entry,omitempty"`
 }
 
 var benchRows []benchRow
@@ -78,7 +65,7 @@ func main() {
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	jsonFlag := flag.String("json", "", "write timed rows (P1, P3, P4, P5) as JSON to this file")
 	quickFlag := flag.Bool("quick", false, "fixed 100-iteration timing instead of ~1s adaptive runs")
-	guardFlag := flag.String("guard", "", "comma-separated baseline BENCH_*.json files; exit 1 if any shared timed row's ns/entry regresses more than -guard-slack")
+	guardFlag := flag.String("guard", "", "baseline JSON file (as -json writes); exit 1 if any shared timed row's ns/entry regresses more than -guard-slack")
 	slackFlag := flag.Float64("guard-slack", 0.25, "tolerated fractional ns/entry regression vs the baseline")
 	slackExpFlag := flag.String("guard-slack-exp", "", "per-experiment slack overrides, e.g. P1=0.05,P4=0.05")
 	retriesFlag := flag.Int("guard-retries", 3, "extra measurement rounds if the guard fails; per-row minima merge across rounds")
@@ -109,10 +96,9 @@ func main() {
 		{"P3", expP3, "parallel case checking"},
 		{"P4", expP4, "Algorithm 1 vs naive enumeration; compiled automaton vs interpreter"},
 		{"P5", expP5, "detection & cost vs token replay; observer overhead"},
-		{"P6", expP6, "OR fan-out growth; raw-speed tier (decode, dispatch, replay, boot, restore)"},
-		{"P7", expP7, "well-foundedness detection; WAL ingest overhead"},
+		{"P6", expP6, "OR fan-out growth; automaton artifact boot"},
+		{"P7", expP7, "well-foundedness detection"},
 		{"P8", expP8, "mimicry requires collusion"},
-		{"P10", expP10, "stage-timer sampling overhead"},
 	}
 	want := map[string]bool{}
 	if *expFlag != "" {
@@ -141,13 +127,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchtab: -guard-slack-exp: %v\n", err)
 			os.Exit(1)
 		}
-		baselines := strings.Split(*guardFlag, ",")
 		// A shared CI box stalls whole measurement windows at once, so a
 		// single round over-reports ns/entry by tens of percent. Noise is
 		// strictly one-sided: re-measure and keep each row's minimum, and
 		// accept as soon as the merged best run is inside the slack.
 		for round := 0; ; round++ {
-			guardErr = guard(best, baselines, *slackFlag, slackByExp)
+			guardErr = guard(best, *guardFlag, *slackFlag, slackByExp)
 			if guardErr == nil || round >= *retriesFlag {
 				break
 			}
@@ -225,45 +210,31 @@ func parseSlackByExp(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// guard compares this run's timed rows against checked-in baselines.
-// Later baseline files override earlier ones per (exp, name) key; only
-// rows measured by both sides are compared, so a guard run may select
-// any experiment subset. CI wall-clock noise is absorbed by the slack;
-// a genuine hot-path regression blows well past it. slackByExp tightens
-// (or loosens) the tolerance for individual experiments — the PR 5
-// observer work holds the nil-observer replay rows to 5%.
-func guard(rows []benchRow, baselines []string, slack float64, slackByExp map[string]float64) error {
-	// Each baseline row remembers which file it came from, so a
-	// regression message names the file to re-baseline (or bisect
-	// against) instead of leaving the reader to grep every BENCH_*.json.
-	type baseRow struct {
-		row  benchRow
-		file string
+// guard compares this run's timed rows against a checked-in baseline.
+// Only rows measured by both sides are compared, so a guard run may
+// select any experiment subset. CI wall-clock noise is absorbed by the
+// slack; a genuine hot-path regression blows well past it. slackByExp
+// tightens (or loosens) the tolerance for individual experiments — the
+// PR 5 observer work holds the nil-observer replay rows to 5%.
+func guard(rows []benchRow, baseline string, slack float64, slackByExp map[string]float64) error {
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		return err
 	}
-	base := map[string]baseRow{}
-	for _, file := range baselines {
-		file = strings.TrimSpace(file)
-		if file == "" {
-			continue
-		}
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		var doc struct {
-			Rows []benchRow `json:"rows"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", file, err)
-		}
-		for _, r := range doc.Rows {
-			if r.NsPerEntry > 0 {
-				base[r.Exp+"/"+r.Name] = baseRow{row: r, file: file}
-			}
+	var doc struct {
+		Rows []benchRow `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("%s: %w", baseline, err)
+	}
+	base := map[string]benchRow{}
+	for _, r := range doc.Rows {
+		if r.NsPerEntry > 0 {
+			base[r.Exp+"/"+r.Name] = r
 		}
 	}
 	if len(base) == 0 {
-		return fmt.Errorf("no ns/entry baseline rows in %v", baselines)
+		return fmt.Errorf("no ns/entry baseline rows in %s", baseline)
 	}
 	fmt.Printf("\n===== benchguard (slack %.0f%%) =====\n", slack*100)
 	fmt.Printf("%-28s %-12s %-12s %s\n", "row", "baseline", "current", "delta")
@@ -285,15 +256,15 @@ func guard(rows []benchRow, baselines []string, slack float64, slackByExp map[st
 		if s, ok := slackByExp[r.Exp]; ok {
 			rowSlack = s
 		}
-		delta := r.NsPerEntry/b.row.NsPerEntry - 1
+		delta := r.NsPerEntry/b.NsPerEntry - 1
 		mark := ""
 		if delta > rowSlack {
 			mark = "  REGRESSION"
 			failures = append(failures, fmt.Sprintf(
 				"series %s row %q (%d entries): measured %.1f ns/entry vs baseline %.1f ns/entry in %s — %+.0f%% exceeds the allowed %.0f%% slack",
-				r.Exp, r.Name, r.Entries, r.NsPerEntry, b.row.NsPerEntry, b.file, delta*100, rowSlack*100))
+				r.Exp, r.Name, r.Entries, r.NsPerEntry, b.NsPerEntry, baseline, delta*100, rowSlack*100))
 		}
-		fmt.Printf("%-28s %-12.1f %-12.1f %+.0f%%%s\n", r.Exp+"/"+r.Name, b.row.NsPerEntry, r.NsPerEntry, delta*100, mark)
+		fmt.Printf("%-28s %-12.1f %-12.1f %+.0f%%%s\n", r.Exp+"/"+r.Name, b.NsPerEntry, r.NsPerEntry, delta*100, mark)
 	}
 	if compared == 0 {
 		return fmt.Errorf("no timed rows shared with the baseline (ran the wrong -exp selection?)")
@@ -1006,39 +977,18 @@ func expP6() error {
 		fmt.Printf("%-10d %-13d %-12v\n", branches, rep.PeakConfigurations, d)
 	}
 
-	// Raw-speed tier (DESIGN.md §13), measured end to end —
-	// zero-allocation NDJSON decode, batched shard dispatch, dense
-	// compiled replay, and artifact/checkpoint boot. These rows feed
-	// BENCH_pr6.json.
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
-	if err := expP6decode(trail, doc); err != nil {
-		return err
-	}
-	if err := expP6dispatch(trail); err != nil {
-		return err
-	}
-	if err := expP6replay(); err != nil {
-		return err
-	}
-	if err := expP6boot(); err != nil {
-		return err
-	}
-	return expP6restore(trail)
+	// The serving path's raw-speed claims (decode, dispatch, replay,
+	// restore) are held by tier-1 tests and perfbench; artifact load is
+	// timed only here.
+	return expP6boot()
 }
 
-// p6Reps is the measurement-round count for the manually timed P6
-// rows (minimum over rounds, like bench()'s quick mode).
-const p6Reps = 5
-
-// minTimed runs f p6Reps times and keeps the smallest duration it
-// reports — f times only the section under test and does its cleanup
-// (flush, shutdown) off the clock.
+// minTimed runs f five times and keeps the smallest duration it
+// reports (like bench()'s quick mode) — f times only the section under
+// test.
 func minTimed(f func() (time.Duration, error)) (time.Duration, error) {
 	best := time.Duration(-1)
-	for r := 0; r < p6Reps; r++ {
+	for r := 0; r < 5; r++ {
 		d, err := f()
 		if err != nil {
 			return 0, err
@@ -1048,251 +998,6 @@ func minTimed(f func() (time.Duration, error)) (time.Duration, error) {
 		}
 	}
 	return best, nil
-}
-
-// p6Doc builds the shared P6 workload: a hospital-day trail and its
-// NDJSON document.
-func p6Doc() (*audit.Trail, []byte, error) {
-	sc, err := hospital.NewScenario()
-	if err != nil {
-		return nil, nil, err
-	}
-	trail, _, err := workload.HospitalDay(sc.Registry, hospital.TreatmentCode, 4000, 17)
-	if err != nil {
-		return nil, nil, err
-	}
-	var buf bytes.Buffer
-	for _, e := range trail.Entries() {
-		if err := audit.AppendJSONL(&buf, e); err != nil {
-			return nil, nil, err
-		}
-	}
-	return trail, buf.Bytes(), nil
-}
-
-// expP6decode compares the zero-allocation EntryScanner against a
-// plain bufio + encoding/json line decoder on the same document, and
-// asserts the strict-mode fast path really is allocation-free per
-// entry (exact, via testing.AllocsPerRun — not a timing claim).
-func expP6decode(trail *audit.Trail, doc []byte) error {
-	n := trail.Len()
-	sc := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	scanAll := func() error {
-		rd.Reset(doc)
-		sc.Reset(rd)
-		count := 0
-		for sc.Scan() {
-			count++
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		if count != n || sc.Fallbacks() != 0 {
-			return fmt.Errorf("scanned %d/%d entries, %d fallbacks", count, n, sc.Fallbacks())
-		}
-		return nil
-	}
-	if err := scanAll(); err != nil { // warm the intern tables
-		return err
-	}
-	dFast, err := minTimed(func() (time.Duration, error) {
-		t0 := time.Now()
-		err := scanAll()
-		return time.Since(t0), err
-	})
-	if err != nil {
-		return err
-	}
-	var scanErr error
-	allocs := testing.AllocsPerRun(3, func() {
-		if err := scanAll(); err != nil {
-			scanErr = err
-		}
-	}) / float64(n)
-	if scanErr != nil {
-		return scanErr
-	}
-	if allocs != 0 {
-		return fmt.Errorf("strict-mode NDJSON decode allocates %.4f/entry, want 0", allocs)
-	}
-
-	// The baseline: the wire shape through encoding/json, one line at
-	// a time — what DecodeJSONLEntries did before the scanner.
-	type wireEntry struct {
-		User   string    `json:"user"`
-		Role   string    `json:"role"`
-		Action string    `json:"action"`
-		Object string    `json:"object,omitempty"`
-		Task   string    `json:"task"`
-		Case   string    `json:"case"`
-		Time   time.Time `json:"time"`
-		Status string    `json:"status"`
-	}
-	lineBuf := make([]byte, 64<<10)
-	stdAll := func() error {
-		scn := bufio.NewScanner(bytes.NewReader(doc))
-		scn.Buffer(lineBuf, 1<<20)
-		count := 0
-		for scn.Scan() {
-			var w wireEntry
-			if err := json.Unmarshal(scn.Bytes(), &w); err != nil {
-				return err
-			}
-			count++
-		}
-		if err := scn.Err(); err != nil {
-			return err
-		}
-		if count != n {
-			return fmt.Errorf("stdlib decoded %d/%d entries", count, n)
-		}
-		return nil
-	}
-	dStd, err := minTimed(func() (time.Duration, error) {
-		t0 := time.Now()
-		err := stdAll()
-		return time.Since(t0), err
-	})
-	if err != nil {
-		return err
-	}
-	stdAllocs := testing.AllocsPerRun(3, func() {
-		if err := stdAll(); err != nil {
-			scanErr = err
-		}
-	}) / float64(n)
-	if scanErr != nil {
-		return scanErr
-	}
-	fmt.Printf("\nNDJSON decode (%d entries):\n", n)
-	fmt.Printf("%-16s %-12s %-12s %s\n", "decoder", "time/doc", "ns/entry", "allocs/entry")
-	fmt.Printf("%-16s %-12v %-12.1f %.2f\n", "scanner", dFast, float64(dFast.Nanoseconds())/float64(n), allocs)
-	fmt.Printf("%-16s %-12v %-12.1f %.2f\n", "encoding/json", dStd, float64(dStd.Nanoseconds())/float64(n), stdAllocs)
-	record(benchRow{
-		Exp: "P6", Name: "decode/scanner", Entries: n, NsPerOp: dFast.Nanoseconds(),
-		NsPerEntry: float64(dFast.Nanoseconds()) / float64(n), AllocsPerEntry: allocs,
-	})
-	record(benchRow{
-		Exp: "P6", Name: "decode/stdlib", Entries: n, NsPerOp: dStd.Nanoseconds(),
-		NsPerEntry: float64(dStd.Nanoseconds()) / float64(n), AllocsPerEntry: stdAllocs,
-	})
-	return nil
-}
-
-// expP6dispatch compares producer-side ingest throughput: one entry
-// per shard message (IngestEntry) vs batched per-case dispatch
-// (IngestEntries). Queues are deep enough that nothing blocks; the
-// timer covers only the producer loop, with the drain (Flush) and
-// Shutdown off the clock.
-func expP6dispatch(trail *audit.Trail) error {
-	sc, err := hospital.NewScenario()
-	if err != nil {
-		return err
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	entries := trail.Entries()
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	run := func(batched bool) (time.Duration, error) {
-		return minTimed(func() (time.Duration, error) {
-			srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles),
-				server.Config{Shards: 4, QueueDepth: 1 << 18, Logger: quiet})
-			if err := srv.Start(); err != nil {
-				return 0, err
-			}
-			defer srv.Shutdown(context.Background())
-			t0 := time.Now()
-			if batched {
-				if n, ok := srv.IngestEntries(entries); !ok {
-					return 0, fmt.Errorf("batched ingest rejected after %d entries", n)
-				}
-			} else {
-				for i := range entries {
-					if !srv.IngestEntry(entries[i]) {
-						return 0, fmt.Errorf("single ingest rejected at entry %d", i)
-					}
-				}
-			}
-			d := time.Since(t0)
-			srv.Flush()
-			return d, nil
-		})
-	}
-	dSingle, err := run(false)
-	if err != nil {
-		return err
-	}
-	dBatched, err := run(true)
-	if err != nil {
-		return err
-	}
-	n := float64(len(entries))
-	speedup := float64(dSingle) / float64(dBatched)
-	fmt.Printf("\nshard dispatch (%d entries, producer side):\n", len(entries))
-	fmt.Printf("%-16s %-12s %s\n", "dispatch", "time/doc", "ns/entry")
-	fmt.Printf("%-16s %-12v %.1f\n", "single", dSingle, float64(dSingle.Nanoseconds())/n)
-	fmt.Printf("%-16s %-12v %.1f   (%.1fx)\n", "batched", dBatched, float64(dBatched.Nanoseconds())/n, speedup)
-	record(benchRow{
-		Exp: "P6", Name: "dispatch/single", Entries: len(entries), NsPerOp: dSingle.Nanoseconds(),
-		NsPerEntry: float64(dSingle.Nanoseconds()) / n,
-	})
-	record(benchRow{
-		Exp: "P6", Name: "dispatch/batched", Entries: len(entries), NsPerOp: dBatched.Nanoseconds(),
-		NsPerEntry: float64(dBatched.Nanoseconds()) / n,
-	})
-	// Quick mode's short rounds are scheduler noise on shared CI boxes;
-	// the checked-in BENCH_pr6.json is generated in adaptive mode where
-	// the claim must hold.
-	if speedup < 2 && quickIters == 0 {
-		return fmt.Errorf("batched dispatch only %.2fx over single-entry, want >=2x", speedup)
-	}
-	return nil
-}
-
-// expP6replay times table-driven replay on the dense compiled
-// automaton over a long compliant trail.
-func expP6replay() error {
-	reg := core.NewRegistry()
-	if _, err := reg.Register(loopedProcess(), "LP"); err != nil {
-		return err
-	}
-	dense := core.NewChecker(reg, nil)
-	dense.UseCompiled = true
-	dd, err := dense.EnsureCompiled("Loop")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\ndense replay: %d states x %d symbols\n", dd.NumStates(), dd.NumSymbols())
-	trail := longTrail(5000)
-	caseID := trail.Cases()[0]
-	check := func() error {
-		rep, err := dense.CheckCase(trail, caseID)
-		if err != nil {
-			return err
-		}
-		if !rep.Compliant {
-			return fmt.Errorf("rejected at %d", rep.StepsReplayed)
-		}
-		return nil
-	}
-	if err := check(); err != nil { // warm the engine
-		return err
-	}
-	dDense, err := bench(check)
-	if err != nil {
-		return err
-	}
-	n := float64(trail.Len())
-	fmt.Printf("%-16s %-12s %s\n", "table", "time/check", "ns/entry")
-	fmt.Printf("%-16s %-12v %.1f\n", "dense", dDense, float64(dDense.Nanoseconds())/n)
-	record(benchRow{
-		Exp: "P6", Name: "replay/dense", Entries: trail.Len(), NsPerOp: dDense.Nanoseconds(),
-		NsPerEntry: float64(dDense.Nanoseconds()) / n,
-	})
-	return nil
 }
 
 // expP6boot times loading the gzip+JSON automaton artifact.
@@ -1341,61 +1046,6 @@ func expP6boot() error {
 	return nil
 }
 
-// expP6restore times server boot from a JSON checkpoint holding a
-// hospital-day state. The timed section is New+Start (restore runs
-// inside Start); shutdown is off the clock.
-func expP6restore(trail *audit.Trail) error {
-	sc, err := hospital.NewScenario()
-	if err != nil {
-		return err
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "benchtab-p6-ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "ckpt.json")
-	cfg := server.Config{
-		Shards: 4, QueueDepth: 1 << 18, CheckpointPath: path,
-		CheckpointEvery: time.Hour, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if n, ok := srv.IngestEntries(trail.Entries()); !ok {
-		return fmt.Errorf("checkpoint ingest rejected after %d entries", n)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		return err
-	}
-	dJSON, err := minTimed(func() (time.Duration, error) {
-		t0 := time.Now()
-		srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-		if err := srv.Start(); err != nil {
-			return 0, err
-		}
-		d := time.Since(t0)
-		return d, srv.Shutdown(context.Background())
-	})
-	if err != nil {
-		return err
-	}
-	n := float64(trail.Len())
-	fmt.Printf("\ncheckpoint restore (%d-entry day):\n", trail.Len())
-	fmt.Printf("%-16s %-12s %s\n", "format", "time/boot", "bytes")
-	fmt.Printf("%-16s %-12v %d\n", "json", dJSON, fileSize(path))
-	record(benchRow{
-		Exp: "P6", Name: "restore/checkpoint-json", Entries: trail.Len(), NsPerOp: dJSON.Nanoseconds(),
-		NsPerEntry: float64(dJSON.Nanoseconds()) / n,
-	})
-	return nil
-}
-
 func fileSize(path string) int64 {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -1421,129 +1071,6 @@ func expP7() error {
 	fmt.Printf("silent divergence rejected by WeakNext guard: %v\n", werr != nil)
 	if werr != nil {
 		fmt.Printf("  %v\n", werr)
-	}
-	return expP7wal()
-}
-
-// expP7wal measures what the durability tier costs the full ingest
-// pipeline — NDJSON scan + decode + WAL append + batched dispatch,
-// the same work POST /v1/events does per line — with no WAL and then
-// with the log under each fsync policy. The timer runs through
-// Flush(), i.e. until every entry reached its monitor: on small-core
-// boxes a producer-only window nondeterministically absorbs the shard
-// consumers' replay work whenever the scheduler preempts the
-// producer, so ingest-to-applied is the only stably measurable
-// quantity (and the one a caller of ?wait=1 actually sees). Shutdown
-// stays off the clock. These rows feed BENCH_pr7.json; the headline
-// claim — interval-fsync ingest within 2x of the no-WAL pipeline — is
-// asserted in adaptive runs, where quick mode's short rounds would be
-// scheduler noise.
-func expP7wal() error {
-	sc, err := hospital.NewScenario()
-	if err != nil {
-		return err
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
-	n := float64(trail.Len())
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	// Decoded lines are handed to IngestEntries in bounded chunks, like
-	// the HTTP handler's per-request batching.
-	const maxIngestChunk = 256
-	scanner := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	chunk := make([]audit.Entry, 0, maxIngestChunk)
-
-	run := func(fsync string) (time.Duration, error) {
-		return minTimed(func() (time.Duration, error) {
-			cfg := server.Config{Shards: 4, QueueDepth: 1 << 18, Logger: quiet}
-			if fsync != "" {
-				dir, err := os.MkdirTemp("", "benchtab-wal-*")
-				if err != nil {
-					return 0, err
-				}
-				defer os.RemoveAll(dir)
-				cfg.WALDir = dir
-				cfg.WALFsync = fsync
-			}
-			srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-			if err := srv.Start(); err != nil {
-				return 0, err
-			}
-			defer srv.Shutdown(context.Background())
-			rd.Reset(doc)
-			scanner.Reset(rd)
-			fed := 0
-			t0 := time.Now()
-			for {
-				chunk = chunk[:0]
-				for len(chunk) < maxIngestChunk && scanner.Scan() {
-					chunk = append(chunk, *scanner.Entry())
-				}
-				if len(chunk) == 0 {
-					break
-				}
-				if got, ok := srv.IngestEntries(chunk); !ok {
-					return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
-				}
-				fed += len(chunk)
-			}
-			srv.Flush()
-			d := time.Since(t0)
-			if err := scanner.Err(); err != nil {
-				return 0, err
-			}
-			if fed != trail.Len() {
-				return 0, fmt.Errorf("fed %d of %d entries", fed, trail.Len())
-			}
-			return d, nil
-		})
-	}
-
-	policies := []struct{ name, fsync string }{
-		{"none", ""},
-		{"off", wal.FsyncOff},
-		{"interval", wal.FsyncInterval},
-		{"always", wal.FsyncAlways},
-	}
-	durs := map[string]time.Duration{}
-	fmt.Printf("\nWAL ingest overhead (%d entries, decode+dispatch pipeline):\n", trail.Len())
-	fmt.Printf("%-16s %-12s %s\n", "wal", "time/doc", "ns/entry")
-	for _, p := range policies {
-		d, err := run(p.fsync)
-		if err != nil {
-			return fmt.Errorf("wal/%s: %w", p.name, err)
-		}
-		durs[p.name] = d
-		perEntry := float64(d.Nanoseconds()) / n
-		if p.name == "none" {
-			fmt.Printf("%-16s %-12v %.1f\n", p.name, d, perEntry)
-		} else {
-			fmt.Printf("%-16s %-12v %.1f   (%.2fx)\n", p.name, d, perEntry,
-				float64(d)/float64(durs["none"]))
-		}
-		// The always row is informational only: per-chunk fsync latency
-		// on shared/virtualized storage swings by multiples between
-		// runs, which is not a code-regression signal the benchguard
-		// should gate on.
-		if p.name != "always" {
-			record(benchRow{
-				Exp: "P7", Name: "wal/" + p.name, Entries: trail.Len(),
-				NsPerOp: d.Nanoseconds(), NsPerEntry: perEntry,
-			})
-		}
-	}
-	// The durability sweet spot must stay cheap: interval fsync within
-	// 2x of running without a WAL at all.
-	overhead := float64(durs["interval"]) / float64(durs["none"])
-	if overhead > 2 && quickIters == 0 {
-		return fmt.Errorf("interval-fsync ingest is %.2fx the no-WAL path, want <=2x", overhead)
 	}
 	return nil
 }
@@ -1587,272 +1114,5 @@ func expP8() error {
 		return err
 	}
 	fmt.Printf("reusing completed case HT-1 as cover: detected=%v at entry %d\n", !rep.Compliant, rep.StepsReplayed)
-	return expP8ledger()
-}
-
-// expP8ledger measures what tamper evidence costs the durable ingest
-// pipeline: the same decode+WAL+dispatch path as expP7wal (interval
-// fsync throughout), with the Merkle ledger sealing every acknowledged
-// entry. The grid walks batch size (1 = direct per-entry signing, the
-// naive construction) and the wait-ms partial-batch timer; the headline
-// claim — batch-64 sealing within 2x of the no-ledger pipeline — is
-// asserted in adaptive runs only, like expP7wal's WAL claim.
-func expP8ledger() error {
-	sc, err := hospital.NewScenario()
-	if err != nil {
-		return err
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
-	n := float64(trail.Len())
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	// A fixed signing key: key generation is a setup cost, not part of
-	// the sealing path being measured.
-	seed := sha256.Sum256([]byte("benchtab-p8-ledger-key"))
-	key := ed25519.NewKeyFromSeed(seed[:])
-	const maxIngestChunk = 256
-	scanner := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	chunk := make([]audit.Entry, 0, maxIngestChunk)
-
-	run := func(batch int, wait time.Duration) (time.Duration, error) {
-		return minTimed(func() (time.Duration, error) {
-			dir, err := os.MkdirTemp("", "benchtab-ledger-*")
-			if err != nil {
-				return 0, err
-			}
-			defer os.RemoveAll(dir)
-			cfg := server.Config{
-				Shards: 4, QueueDepth: 1 << 18, Logger: quiet,
-				WALDir: dir, WALFsync: wal.FsyncInterval,
-			}
-			if batch > 0 {
-				cfg.LedgerKey = key
-				cfg.LedgerBatch = batch
-				cfg.LedgerWait = wait
-			}
-			srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-			if err := srv.Start(); err != nil {
-				return 0, err
-			}
-			defer srv.Shutdown(context.Background())
-			rd.Reset(doc)
-			scanner.Reset(rd)
-			fed := 0
-			t0 := time.Now()
-			for {
-				chunk = chunk[:0]
-				for len(chunk) < maxIngestChunk && scanner.Scan() {
-					chunk = append(chunk, *scanner.Entry())
-				}
-				if len(chunk) == 0 {
-					break
-				}
-				if got, ok := srv.IngestEntries(chunk); !ok {
-					return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
-				}
-				fed += len(chunk)
-			}
-			srv.Flush()
-			d := time.Since(t0)
-			if err := scanner.Err(); err != nil {
-				return 0, err
-			}
-			if fed != trail.Len() {
-				return 0, fmt.Errorf("fed %d of %d entries", fed, trail.Len())
-			}
-			return d, nil
-		})
-	}
-
-	points := []struct {
-		name  string
-		batch int
-		wait  time.Duration
-	}{
-		{"none", 0, 0},
-		{"direct-b1", 1, 0},
-		{"b16", 16, 0},
-		{"b64", 64, 0},
-		{"b64w5ms", 64, 5 * time.Millisecond},
-		{"b256", 256, 0},
-	}
-	durs := map[string]time.Duration{}
-	fmt.Printf("\nMerkle ledger sealing overhead (%d entries, interval-fsync WAL pipeline):\n", trail.Len())
-	fmt.Printf("%-16s %-12s %s\n", "ledger", "time/doc", "ns/entry")
-	for _, p := range points {
-		d, err := run(p.batch, p.wait)
-		if err != nil {
-			return fmt.Errorf("ledger/%s: %w", p.name, err)
-		}
-		durs[p.name] = d
-		perEntry := float64(d.Nanoseconds()) / n
-		if p.name == "none" {
-			fmt.Printf("%-16s %-12v %.1f\n", p.name, d, perEntry)
-		} else {
-			fmt.Printf("%-16s %-12v %.1f   (%.2fx)\n", p.name, d, perEntry,
-				float64(d)/float64(durs["none"]))
-		}
-		record(benchRow{
-			Exp: "P8", Name: "ledger/" + p.name, Entries: trail.Len(),
-			NsPerOp: d.Nanoseconds(), NsPerEntry: perEntry,
-		})
-	}
-	// Batched sealing must stay cheap: the default batch-64 ledger
-	// within 2x of the same pipeline with no ledger at all.
-	overhead := float64(durs["b64"]) / float64(durs["none"])
-	if overhead > 2 && quickIters == 0 {
-		return fmt.Errorf("batch-64 ledger ingest is %.2fx the no-ledger path, want <=2x", overhead)
-	}
-	return nil
-}
-
-// expP10 measures what the stage-timer telemetry (PR 10) costs the
-// same full ingest pipeline expP7wal times — NDJSON scan + decode +
-// batched dispatch through Flush() — with stage timing off, at the
-// default 1-in-64 batch sampling, and timing every batch. The
-// flight recorder runs in all three rows (it is always on in
-// production); only the sampling rate varies, so the delta is purely
-// the time.Now calls and histogram observes. The headline claim —
-// default sampling within 1.05x of timing disabled — is asserted in
-// adaptive runs only; quick mode's 100-iteration rounds are scheduler
-// noise at this resolution.
-func expP10() error {
-	sc, err := hospital.NewScenario()
-	if err != nil {
-		return err
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	trail, doc, err := p6Doc()
-	if err != nil {
-		return err
-	}
-	n := float64(trail.Len())
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	const maxIngestChunk = 256
-	scanner := audit.NewEntryScanner(bytes.NewReader(nil), audit.DecodeOptions{})
-	rd := bytes.NewReader(doc)
-	chunk := make([]audit.Entry, 0, maxIngestChunk)
-
-	// runOnce is one boot-ingest-flush measurement; unlike the other
-	// pipeline experiments the rows are NOT measured with minTimed
-	// back to back — see the interleaving note below.
-	runOnce := func(sample int) (time.Duration, error) {
-		cfg := server.Config{
-			Shards: 4, QueueDepth: 1 << 18,
-			StageSample: sample, Logger: quiet,
-		}
-		srv := server.New(sc.Registry, core.NewChecker(sc.Registry, roles), cfg)
-		if err := srv.Start(); err != nil {
-			return 0, err
-		}
-		defer srv.Shutdown(context.Background())
-		rd.Reset(doc)
-		scanner.Reset(rd)
-		fed := 0
-		// Level the GC state each boot so a row doesn't pay for the
-		// heap its predecessors grew.
-		runtime.GC()
-		t0 := time.Now()
-		for {
-			chunk = chunk[:0]
-			for len(chunk) < maxIngestChunk && scanner.Scan() {
-				chunk = append(chunk, *scanner.Entry())
-			}
-			if len(chunk) == 0 {
-				break
-			}
-			if got, ok := srv.IngestEntries(chunk); !ok {
-				return 0, fmt.Errorf("ingest rejected after %d entries", fed+got)
-			}
-			fed += len(chunk)
-		}
-		srv.Flush()
-		d := time.Since(t0)
-		if err := scanner.Err(); err != nil {
-			return 0, err
-		}
-		if fed != trail.Len() {
-			return 0, fmt.Errorf("fed %d of %d entries", fed, trail.Len())
-		}
-		return d, nil
-	}
-
-	points := []struct {
-		name   string
-		sample int
-	}{
-		{"off", -1},
-		{"1in64", 64},
-		{"always", 1},
-	}
-	// Sampling's true cost (one atomic counter probe per batch, a few
-	// time.Now calls on 1-in-64 of them) sits below this machine's
-	// drift over a measurement session: whichever row runs last
-	// inherits the heap, frequency scaling, and scheduler state its
-	// predecessors left behind, so back-to-back minTimed rows have
-	// shown both +21% and -25% for a change that costs neither.
-	// Measure round-robin instead — one run of each row per round,
-	// per-row minima across rounds — so drift lands on every row
-	// equally, and grant the 5% assertion extra rounds before failing,
-	// the same merge strategy the bench guard uses.
-	durs := map[string]time.Duration{}
-	round := func(pts []struct {
-		name   string
-		sample int
-	}) error {
-		for _, p := range pts {
-			d, err := runOnce(p.sample)
-			if err != nil {
-				return fmt.Errorf("stages/%s: %w", p.name, err)
-			}
-			if cur, ok := durs[p.name]; !ok || d < cur {
-				durs[p.name] = d
-			}
-		}
-		return nil
-	}
-	for r := 0; r < p6Reps; r++ {
-		if err := round(points); err != nil {
-			return err
-		}
-	}
-	const p10Retries = 4
-	for r := 0; r < p10Retries && quickIters == 0 &&
-		float64(durs["1in64"]) > 1.05*float64(durs["off"]); r++ {
-		if err := round(points[:2]); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("\nstage-timer sampling overhead (%d entries, decode+dispatch pipeline):\n", trail.Len())
-	fmt.Printf("%-16s %-12s %s\n", "stages", "time/doc", "ns/entry")
-	for _, p := range points {
-		d := durs[p.name]
-		perEntry := float64(d.Nanoseconds()) / n
-		if p.name == "off" {
-			fmt.Printf("%-16s %-12v %.1f\n", p.name, d, perEntry)
-		} else {
-			fmt.Printf("%-16s %-12v %.1f   (%.2fx)\n", p.name, d, perEntry,
-				float64(d)/float64(durs["off"]))
-		}
-		record(benchRow{
-			Exp: "P10", Name: "stages/" + p.name, Entries: trail.Len(),
-			NsPerOp: d.Nanoseconds(), NsPerEntry: perEntry,
-		})
-	}
-	// Default sampling must be free enough to leave on everywhere.
-	overhead := float64(durs["1in64"]) / float64(durs["off"])
-	if overhead > 1.05 && quickIters == 0 {
-		return fmt.Errorf("1-in-64 stage sampling is %.2fx the untimed pipeline, want <=1.05x", overhead)
-	}
 	return nil
 }

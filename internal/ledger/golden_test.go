@@ -110,15 +110,15 @@ func checkGolden(t *testing.T, l *ledger.Ledger, cases []string) {
 	if head.Sig != goldenSig {
 		t.Errorf("head signature %s, want %s", head.Sig, goldenSig)
 	}
-	roots, err := json.Marshal(l.Roots(0))
+	roots, err := json.Marshal(l.TreeHead(0).Roots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sha256Hex(roots); got != goldenRootsDigest {
 		t.Errorf("roots digest %s, want %s", got, goldenRootsDigest)
 	}
-	th, _, _, ok := l.TreeHead(0)
-	if !ok || th.Size != goldenSeq || th.Root != goldenHeadRoot || th.Sig != goldenHeadSig {
+	th := l.TreeHead(0).Head
+	if th == nil || th.Size != goldenSeq || th.Root != goldenHeadRoot || th.Sig != goldenHeadSig {
 		t.Errorf("tree head %+v, want size %d root %s sig %s", th, goldenSeq, goldenHeadRoot, goldenHeadSig)
 	}
 	var bundles []byte

@@ -270,41 +270,42 @@ func (l *Ledger) Head() (SignedRoot, bool) {
 	return l.batches[len(l.batches)-1].root, true
 }
 
-// Roots returns the signed roots with Seq > since, oldest first.
-func (l *Ledger) Roots(since uint64) []SignedRoot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rootsLocked(since)
+// TreeView is one consistent read of the ledger for a root follower
+// (the GET /v1/roots body, less the public key).
+type TreeView struct {
+	Batches int    `json:"batches"`
+	Leaves  uint64 `json:"leaves"` // entries covered by sealed batches
+	Open    int    `json:"open"`   // entries appended but not yet sealed
+	// Head is the signed tree head over every sealed batch (nil before
+	// the first seal); the last root listed is its newest batch.
+	Head *SignedHead `json:"head,omitempty"`
+	// Consistency proves Head extends the tree of size since (RFC
+	// 9162), for 0 < since < Head.Size.
+	Consistency []string     `json:"consistency,omitempty"`
+	Roots       []SignedRoot `json:"roots"`
 }
 
-func (l *Ledger) rootsLocked(since uint64) []SignedRoot {
-	if since >= uint64(len(l.batches)) {
-		return nil
-	}
-	out := make([]SignedRoot, 0, len(l.batches)-int(since))
-	for _, b := range l.batches[since:] {
-		out = append(out, b.root)
-	}
-	return out
-}
-
-// TreeHead returns the signed head over every sealed batch, the signed
-// roots with Seq > since and, when 0 < since < the head's size, the
-// RFC 9162 consistency proof from the tree of size since. All three are
-// read under one lock, so the last root listed is the head's newest
-// batch and a follower polling from since=head.Size misses no root
-// sealed in between. ok is false before the first seal.
-func (l *Ledger) TreeHead(since uint64) (head SignedHead, consistency []string, roots []SignedRoot, ok bool) {
+// TreeHead reads, under one lock, the counts, the signed head over
+// every sealed batch, the roots with Seq > since and, when 0 < since <
+// head size, the RFC 9162 consistency proof from the tree of size
+// since: Batches is the head's size, the last root listed is its newest
+// batch, and a follower polling from since=head.Size misses no root.
+func (l *Ledger) TreeHead(since uint64) TreeView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	v := TreeView{Batches: len(l.batches), Leaves: l.sealedLeaves, Open: len(l.open)}
 	if len(l.batches) == 0 {
-		return SignedHead{}, nil, nil, false
+		return v
 	}
-	head = l.headLocked()
+	head := l.headLocked()
+	v.Head = &head
 	if since > 0 && since < head.Size {
-		consistency = hexHashes(l.tree.consistency(since, head.Size))
+		v.Consistency = hexHashes(l.tree.consistency(since, head.Size))
 	}
-	return head, consistency, l.rootsLocked(since), true
+	for _, b := range l.batches[min(since, head.Size):] {
+		v.Roots = append(v.Roots, b.root)
+	}
+	return v
 }
 
 // headLocked signs the tree head at the current size, once per size: a

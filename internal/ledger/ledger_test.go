@@ -178,14 +178,14 @@ func TestRootsConsistency(t *testing.T) {
 	if err := l.Append(mkEntries(6, "HT-1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	early := l.Roots(0)
+	early := l.TreeHead(0).Roots
 	if len(early) != 3 {
 		t.Fatalf("want 3 roots, got %d", len(early))
 	}
 	if err := l.Append(mkEntries(4, "HT-2"), 7); err != nil {
 		t.Fatal(err)
 	}
-	late := l.Roots(0)
+	late := l.TreeHead(0).Roots
 	if len(late) != 5 {
 		t.Fatalf("want 5 roots, got %d", len(late))
 	}
@@ -202,7 +202,7 @@ func TestRootsConsistency(t *testing.T) {
 	if err := VerifyRoots(l.PublicKey(), late[2:]); err != nil {
 		t.Fatalf("root chain suffix must verify standalone: %v", err)
 	}
-	if got := l.Roots(3); len(got) != 2 {
+	if got := l.TreeHead(3).Roots; len(got) != 2 {
 		t.Fatalf("Roots(3): want 2, got %d", len(got))
 	}
 }
@@ -344,7 +344,7 @@ func TestDirectLedgerBatchOne(t *testing.T) {
 	if err := l.Append(mkEntries(5, "HT-1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	roots := l.Roots(0)
+	roots := l.TreeHead(0).Roots
 	if len(roots) != 5 {
 		t.Fatalf("direct ledger: want 5 roots, got %d", len(roots))
 	}

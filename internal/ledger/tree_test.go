@@ -200,7 +200,7 @@ func TestTreeHeadConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := l.TreeHead(0); ok {
+	if v := l.TreeHead(0); v.Head != nil || v.Batches != 0 {
 		t.Fatal("empty ledger has a tree head")
 	}
 	var heads []SignedHead
@@ -208,14 +208,14 @@ func TestTreeHeadConsistency(t *testing.T) {
 		if err := l.Append([]audit.Entry{e}, 0); err != nil {
 			t.Fatal(err)
 		}
-		h, _, _, _ := l.TreeHead(0)
-		heads = append(heads, h)
+		heads = append(heads, *l.TreeHead(0).Head)
 	}
 	pub := l.PublicKey()
 	for _, old := range heads {
-		cur, proof, roots, ok := l.TreeHead(old.Size)
-		if !ok || cur.Size != 20 || uint64(len(roots)) != cur.Size-old.Size {
-			t.Fatalf("TreeHead(%d): %+v with %d roots", old.Size, cur, len(roots))
+		v := l.TreeHead(old.Size)
+		cur, proof := *v.Head, v.Consistency
+		if cur.Size != 20 || uint64(len(v.Roots)) != cur.Size-old.Size {
+			t.Fatalf("TreeHead(%d): %+v with %d roots", old.Size, cur, len(v.Roots))
 		}
 		if err := VerifyConsistency(pub, &old, &old, nil); err != nil {
 			t.Fatalf("head of size %d: %v", old.Size, err)
@@ -257,14 +257,14 @@ func TestTreeHeadFollowerMissesNoRoot(t *testing.T) {
 	}()
 	var got []SignedRoot
 	poll := func() {
-		head, _, roots, ok := l.TreeHead(uint64(len(got)))
-		if !ok {
+		v := l.TreeHead(uint64(len(got)))
+		if v.Head == nil {
 			return
 		}
-		if n := uint64(len(got) + len(roots)); n != head.Size {
-			t.Fatalf("TreeHead(%d) listed %d roots under a head of size %d", len(got), len(roots), head.Size)
+		if n := uint64(len(got) + len(v.Roots)); n != v.Head.Size {
+			t.Fatalf("TreeHead(%d) listed %d roots under a head of size %d", len(got), len(v.Roots), v.Head.Size)
 		}
-		got = append(got, roots...)
+		got = append(got, v.Roots...)
 	}
 	for running := true; running; {
 		select {
@@ -278,7 +278,7 @@ func TestTreeHeadFollowerMissesNoRoot(t *testing.T) {
 		poll()
 	}
 	poll()
-	if want := l.Roots(0); !slices.Equal(got, want) {
+	if want := l.TreeHead(0).Roots; !slices.Equal(got, want) {
 		t.Fatalf("follower collected %d roots, the ledger holds %d", len(got), len(want))
 	}
 }
@@ -446,7 +446,7 @@ func TestHeadSignedOncePerSize(t *testing.T) {
 	if err := l.Append(mkEntries(4, "HT-1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	h1, _, _, _ := l.TreeHead(0)
+	h1 := *l.TreeHead(0).Head
 	if l.head != h1 {
 		t.Fatal("head not cached")
 	}
@@ -459,7 +459,8 @@ func TestHeadSignedOncePerSize(t *testing.T) {
 	if err := l.Append(mkEntries(2, "HT-1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	h2, proof, _, _ := l.TreeHead(h1.Size)
+	v := l.TreeHead(h1.Size)
+	h2, proof := *v.Head, v.Consistency
 	if h2.Size != 3 || h2 == h1 || len(proof) == 0 {
 		t.Fatalf("head after a seal: %+v, proof %d hashes", h2, len(proof))
 	}

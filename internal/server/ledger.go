@@ -88,16 +88,7 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 // included (asserted by ci.sh crash).
 type rootsResponse struct {
 	PublicKey string `json:"public_key"`
-	Batches   int    `json:"batches"`
-	Leaves    uint64 `json:"leaves"`
-	Open      int    `json:"open"`
-	// Head is the signed tree head over every sealed batch; the last
-	// root listed is its newest batch.
-	Head *ledger.SignedHead `json:"head,omitempty"`
-	// Consistency proves Head extends the tree of size since (RFC
-	// 9162), for 0 < since < Head.Size.
-	Consistency []string            `json:"consistency,omitempty"`
-	Roots       []ledger.SignedRoot `json:"roots"`
+	ledger.TreeView
 }
 
 // handleRoots lists the signed root chain and the signed tree head;
@@ -117,17 +108,11 @@ func (s *Server) handleRoots(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	batches, leaves, open, _ := s.ledger.Stats()
-	resp := rootsResponse{
+	// One read of counts, head, proof and roots: a seal between separate
+	// reads would let the counts disagree with the head, or a follower
+	// polling ?since=<head.Size> skip roots.
+	writeJSON(w, http.StatusOK, rootsResponse{
 		PublicKey: fmt.Sprintf("%x", s.ledger.PublicKey()),
-		Batches:   batches,
-		Leaves:    leaves,
-		Open:      open,
-	}
-	// One read of head, proof and roots: a seal between separate reads
-	// would let a follower polling ?since=<head.Size> skip roots.
-	if head, proof, roots, ok := s.ledger.TreeHead(since); ok {
-		resp.Head, resp.Consistency, resp.Roots = &head, proof, roots
-	}
-	writeJSON(w, http.StatusOK, resp)
+		TreeView:  s.ledger.TreeHead(since),
+	})
 }

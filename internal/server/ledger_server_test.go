@@ -6,7 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -226,7 +229,7 @@ func TestLedgerCrashRebuildMatchesControl(t *testing.T) {
 		t.Fatalf("tail ingest: %s", resp.Status)
 	}
 	srv2.ledger.Cut()
-	crashed := srv2.ledger.Roots(0)
+	crashed := srv2.ledger.TreeHead(0).Roots
 
 	// Proofs still verify on the rebuilt ledger.
 	pub := cfg.LedgerKey.Public().(ed25519.PublicKey)
@@ -245,7 +248,7 @@ func TestLedgerCrashRebuildMatchesControl(t *testing.T) {
 	srv3, ts3 := startServer(t, sc, ctl)
 	ingestHalves(t, ts3.URL, sc.Trail)
 	srv3.ledger.Cut()
-	control := srv3.ledger.Roots(0)
+	control := srv3.ledger.TreeHead(0).Roots
 
 	if len(crashed) == 0 {
 		t.Fatal("crashed run sealed no batches")
@@ -282,13 +285,13 @@ func TestLedgerCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1.Close()
-	want := srv1.ledger.Roots(0)
+	want := srv1.ledger.TreeHead(0).Roots
 	if len(want) == 0 {
 		t.Fatal("shutdown sealed no batches")
 	}
 
 	srv2, _ := startServer(t, sc, cfg)
-	got := srv2.ledger.Roots(0)
+	got := srv2.ledger.TreeHead(0).Roots
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("restored root chain differs\ngot:  %+v\nwant: %+v", got, want)
 	}
@@ -354,5 +357,51 @@ func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 	if err := srv2.Start(); err == nil {
 		srv2.Crash()
 		t.Fatal("Start accepted a checkpoint with a tampered ledger entry")
+	}
+}
+
+// TestRootsCountsMatchHead reads /v1/roots while another goroutine
+// seals one batch per entry: the counts must come from the same
+// critical section as the head and roots, so batches, sealed leaves,
+// head.size and the newest listed root's seq all agree.
+func TestRootsCountsMatchHead(t *testing.T) {
+	sc := hospitalScenario(t)
+	cfg := ledgerConfig(t, 2, 1)
+	cfg.QueueDepth = 1 << 14
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv, _ := startServer(t, sc, cfg)
+	defer srv.Shutdown(context.Background())
+	done := make(chan bool)
+	go func() {
+		entries, ok := sc.Trail.Entries(), true
+		for i := 0; ok && i < 60*len(entries); i++ {
+			_, ok = srv.IngestEntries(entries[i%len(entries):][:1])
+		}
+		done <- ok
+	}()
+	// Each poll re-lists the newest root seen, so every body has one.
+	var since uint64
+	for running := true; running; {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatal("ingest rejected")
+			}
+			running = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/roots?since=%d", since), nil))
+		var rr rootsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+			t.Fatalf("GET /v1/roots: %d %s", rec.Code, rec.Body)
+		}
+		if rr.Head == nil {
+			continue
+		}
+		if n := len(rr.Roots); uint64(rr.Batches) != rr.Head.Size || rr.Leaves != rr.Head.Size || n == 0 || rr.Roots[n-1].Seq != rr.Head.Size {
+			t.Fatalf("since %d: batches %d, leaves %d, %d roots, head size %d", since, rr.Batches, rr.Leaves, n, rr.Head.Size)
+		}
+		since = rr.Head.Size - 1
 	}
 }

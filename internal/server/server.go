@@ -556,22 +556,3 @@ func (s *Server) IngestEntries(entries []audit.Entry) (int, bool) {
 	}
 	return b.accepted, true
 }
-
-// IngestEntry routes one entry through single-entry dispatch — the
-// unbatched baseline (one pooled slice, one credit acquisition, one
-// channel send per entry).
-func (s *Server) IngestEntry(e audit.Entry) bool {
-	if s.walRefusing() || !s.accepting() {
-		return false
-	}
-	defer s.ingestWG.Done()
-	single := getBatch()
-	*single = append(*single, e)
-	if s.enqueueBatch(s.shardFor(e.Case), single, obs.SpanContext{}, nil) {
-		s.metrics.eventsIngested.Add(1)
-		return true
-	}
-	putBatch(single)
-	s.metrics.eventsRejected.Add(1)
-	return false
-}

@@ -467,8 +467,6 @@ func TestMetricsAndHealth(t *testing.T) {
 		"auditd_verdicts_total{outcome=\"compliant\"}",
 		"auditd_shard_queue_depth{shard=\"0\"}",
 		"auditd_shard_queue_depth{shard=\"1\"}",
-		"auditd_feed_latency_seconds_bucket",
-		"auditd_feed_latency_seconds_count",
 		"auditd_cases 8",
 	} {
 		if !strings.Contains(body, series) {

@@ -526,9 +526,7 @@ func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
 		span.SetAttr("case", e.Case)
 		span.SetAttr("task", e.Task)
 	}
-	start := time.Now()
 	v, err := sh.mon.Feed(e)
-	sh.metrics.feedLatency.observe(time.Since(start))
 	if lsn > 0 {
 		// Stored only after Feed returns: an entry that panics mid-feed
 		// stays ABOVE the truncation clamp (walSafeLSN), so the WAL
