@@ -3,7 +3,8 @@
 ci:
 	sh ./ci.sh
 
-# gofmt + go vet + pinned staticcheck (skipped with a warning offline).
+# gofmt + go vet + pinned staticcheck (installed under CI; elsewhere
+# the one on PATH, else skipped with a warning).
 lint:
 	sh ./ci.sh lint
 

@@ -210,6 +210,10 @@ func parseSlackByExp(s string) (map[string]float64, error) {
 	return out, nil
 }
 
+// guardMinOpNs is the op time from which guard compares a row with
+// fewer than 100 entries.
+const guardMinOpNs = int64(time.Millisecond)
+
 // guard compares this run's timed rows against a checked-in baseline.
 // Only rows measured by both sides are compared, so a guard run may
 // select any experiment subset. CI wall-clock noise is absorbed by the
@@ -247,8 +251,10 @@ func guard(rows []benchRow, baseline string, slack float64, slackByExp map[strin
 		}
 		// Sub-100-entry points time in single-digit microseconds, where
 		// quick mode's fixed iteration count is scheduler noise, not
-		// signal; the long-trail rows are the regression detectors.
-		if r.Entries < 100 {
+		// signal; the long-trail rows are the regression detectors. A
+		// row whose single op takes a millisecond or more (artifact
+		// boot) is signal whatever its entry count.
+		if r.Entries < 100 && r.NsPerOp < guardMinOpNs {
 			continue
 		}
 		compared++

@@ -97,8 +97,14 @@ type Trail struct {
 // (stable, so same-timestamp entries keep their given order — the paper
 // itself logs two same-minute entries in Figure 4). Input that is
 // already chronological, as decoded logs are, is only checked.
+//
+// NewTrail takes ownership of entries: it may reorder them in place and
+// the trail reads them without a copy, so the caller must not modify
+// the slice's entries afterwards. Callers that keep using the slice
+// pass a clone. The trail's capacity is clipped to the slice's length,
+// so Append never writes past it into the caller's backing array.
 func NewTrail(entries []Entry) *Trail {
-	t := &Trail{entries: append([]Entry(nil), entries...)}
+	t := &Trail{entries: entries[:len(entries):len(entries)]}
 	for i := 1; i < len(t.entries); i++ {
 		if t.entries[i].Time.Before(t.entries[i-1].Time) {
 			sort.SliceStable(t.entries, func(i, j int) bool {

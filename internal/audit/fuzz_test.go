@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,6 +49,31 @@ func assertStrictLenientAgreement(t *testing.T, strict *Trail, strictErr error, 
 	}
 }
 
+// assertSizedUnsizedAgree decodes data twice under each option set,
+// once from a bytes.Reader, whose length sizes the entry array, and once
+// behind a reader that hides it, and requires identical entries, errors
+// and quarantine records. A trail built from the sized decode must adopt
+// its array, not copy it.
+func assertSizedUnsizedAgree(t *testing.T, data []byte, decode func(io.Reader, DecodeOptions) ([]Entry, *Quarantine, error)) {
+	t.Helper()
+	for _, opts := range []DecodeOptions{{}, {Lenient: true, MaxErrors: 256}} {
+		sized, sq, serr := decode(bytes.NewReader(data), opts)
+		plain, pq, perr := decode(unsized{bytes.NewReader(data)}, opts)
+		if fmt.Sprint(serr) != fmt.Sprint(perr) {
+			t.Fatalf("lenient=%v: sized decode error %v, unsized %v", opts.Lenient, serr, perr)
+		}
+		if !reflect.DeepEqual(sized, plain) {
+			t.Fatalf("lenient=%v: sized decode %v, unsized %v", opts.Lenient, sized, plain)
+		}
+		if fmt.Sprint(sq.Records) != fmt.Sprint(pq.Records) {
+			t.Fatalf("lenient=%v: sized quarantine %v, unsized %v", opts.Lenient, sq.Records, pq.Records)
+		}
+		if len(sized) > 0 && &NewTrail(sized).View()[0] != &sized[0] {
+			t.Fatalf("NewTrail copied the decoded entries")
+		}
+	}
+}
+
 func FuzzReadCSV(f *testing.F) {
 	var b bytes.Buffer
 	if err := WriteCSV(&b, fuzzSeedTrail()); err != nil {
@@ -59,10 +85,23 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("user,role,action,object,task,case,time,status\ntoo,short\n"))
 	f.Add([]byte("user,role,action,object,task,case,time,status\na,b,c,\"unterminated,q,c,202603121210,success\n"))
 	f.Add([]byte(""))
+	// Longer than the decoder's first window, so the entry array is
+	// sized from a sample, with a bad row past the sample.
+	long, err := ReadJSONL(bytes.NewReader(scanTrail(1500)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	b.Reset()
+	if err := WriteCSV(&b, long); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(b.Bytes()))
+	f.Add(append(bytes.Clone(b.Bytes()), "too,short\n"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict, strictErr := ReadCSV(bytes.NewReader(data))
 		lenient, q, lenientErr := DecodeCSV(bytes.NewReader(data), DecodeOptions{Lenient: true, MaxErrors: 256})
 		assertStrictLenientAgreement(t, strict, strictErr, lenient, q, lenientErr)
+		assertSizedUnsizedAgree(t, data, DecodeCSVEntries)
 	})
 }
 
@@ -76,10 +115,15 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte("{\"broken\n"))
 	f.Add([]byte("\n\n"))
 	f.Add([]byte("{\"object\":\"[bad\",\"status\":\"success\"}\n"))
+	// Longer than the decoder's first window, so the entry array is
+	// sized from a sample, with a bad line past the sample.
+	f.Add(scanTrail(600))
+	f.Add(append(scanTrail(600), "{\"broken\n"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strict, strictErr := ReadJSONL(bytes.NewReader(data))
 		lenient, q, lenientErr := DecodeJSONL(bytes.NewReader(data), DecodeOptions{Lenient: true, MaxErrors: 256})
 		assertStrictLenientAgreement(t, strict, strictErr, lenient, q, lenientErr)
+		assertSizedUnsizedAgree(t, data, DecodeJSONLEntries)
 	})
 }
 

@@ -1,11 +1,14 @@
 package audit
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"repro/internal/policy"
@@ -108,9 +111,19 @@ func DecodeCSV(r io.Reader, opts DecodeOptions) (*Trail, *Quarantine, error) {
 
 // DecodeCSVEntries is DecodeCSV without the chronological sort: entries
 // are returned in input order, which a Store in per-case ordering mode
-// needs to detect reordering and duplication at the source.
+// needs to detect reordering and duplication at the source. When r
+// knows its remaining length (inputLen), the entry array is sized from
+// the input (entrySizer) rather than re-grown by append.
 func DecodeCSVEntries(r io.Reader, opts DecodeOptions) ([]Entry, *Quarantine, error) {
 	q := &Quarantine{}
+	z := entrySizer{total: inputLen(r)}
+	var window *bufio.Reader
+	if z.total >= 0 {
+		// csv.NewReader keeps a *bufio.Reader this large as its own
+		// buffer, so the window's unread lines are the sample.
+		window = bufio.NewReaderSize(r, sizeWindow)
+		r = window
+	}
 	cr := csv.NewReader(r)
 	if opts.Lenient {
 		// Field counts are validated per record so a short or long row
@@ -155,6 +168,16 @@ func DecodeCSVEntries(r io.Reader, opts DecodeOptions) ([]Entry, *Quarantine, er
 			}
 			continue
 		}
+		if len(entries) == cap(entries) {
+			var seen int64
+			lines := line
+			if window != nil {
+				buffered, _ := window.Peek(window.Buffered())
+				seen = cr.InputOffset() + int64(len(buffered))
+				lines += bytes.Count(buffered, newline)
+			}
+			entries = z.grow(entries, seen, lines)
+		}
 		entries = append(entries, e)
 	}
 	return entries, q, nil
@@ -175,20 +198,94 @@ func DecodeJSONL(r io.Reader, opts DecodeOptions) (*Trail, *Quarantine, error) {
 	return NewTrail(entries), q, nil
 }
 
-// DecodeJSONLEntries is DecodeJSONL without the chronological sort (see
-// DecodeCSVEntries). It runs on the zero-allocation EntryScanner; the
-// scanner's slow-path escape hatch keeps strict errors and quarantine
-// records identical to the historical bufio+encoding/json decoder.
+// DecodeJSONLEntries is DecodeJSONL without the chronological sort and
+// with the same sizing of its entry array (see DecodeCSVEntries). It
+// runs on the zero-allocation EntryScanner; the scanner's slow-path
+// escape hatch keeps strict errors and quarantine records identical to
+// the historical bufio+encoding/json decoder.
 func DecodeJSONLEntries(r io.Reader, opts DecodeOptions) ([]Entry, *Quarantine, error) {
+	z := entrySizer{total: inputLen(r)}
 	sc := NewEntryScanner(r, opts)
 	var entries []Entry
 	for sc.Scan() {
+		if len(entries) == cap(entries) {
+			seen, lines := sc.seen()
+			entries = z.grow(entries, seen, lines)
+		}
 		entries = append(entries, *sc.Entry())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, sc.Quarantine(), err
 	}
 	return entries, sc.Quarantine(), nil
+}
+
+// sizeWindow is the input sample a whole-input decoder sizes its entry
+// array from: the EntryScanner's first read fills this much, and the
+// CSV decoder reads through a window of the same size.
+const sizeWindow = 64 << 10
+
+// minEntryLine is the shortest line, newline included, that decodes to
+// an entry in either format: {"status":"success"} in JSONL (a CSV row
+// needs seven commas and a 12-digit timestamp besides its status). It
+// bounds the estimate when the sample is mostly blank lines.
+const minEntryLine = len(`{"status":"success"}`) + 1
+
+// inputLen returns how many bytes r has left to read, or -1 when r
+// cannot tell: readers with a Len method (bytes.Reader, strings.Reader,
+// bytes.Buffer) and regular files know it.
+func inputLen(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return max(fi.Size()-off, 0)
+	}
+	return -1
+}
+
+// entrySizer grows a whole-input decoder's entry array so that the
+// decode allocates it once instead of re-growing and copying it as
+// append does. When the input's length is known the array is sized to
+// the estimated entry count of the whole input, plus 1/8 headroom: the
+// lines read so far plus the unread bytes over the mean line length of
+// the sample read since the previous growth. The first growth samples
+// the decoder's first window; one that finds the estimate short samples
+// what was read after it, so input whose first window is unlike the
+// rest grows once more, not by halves. Without a known length the array
+// doubles.
+type entrySizer struct {
+	total int64 // input length in bytes, -1 when unknown
+	seen  int64 // bytes read at the previous growth
+	lines int   // lines among them
+}
+
+// grow returns entries, which is full, with room for more; seen bytes
+// holding lines lines have been read from the input so far.
+func (z *entrySizer) grow(entries []Entry, seen int64, lines int) []Entry {
+	n := len(entries)
+	c := max(2*n, 16)
+	if z.total >= 0 {
+		c = n + n/4 + 1
+		if db, dl := seen-z.seen, lines-z.lines; db > 0 && dl > 0 {
+			unread := max(z.total-seen, 0)
+			est := (float64(lines) + float64(unread)*float64(dl)/float64(db)) * 9 / 8
+			est = min(est, float64(z.total/int64(minEntryLine)+1))
+			c = max(c, int(est))
+		}
+		z.seen, z.lines = seen, lines
+	}
+	grown := make([]Entry, n, c)
+	copy(grown, entries)
+	return grown
 }
 
 // entryFromJSON decodes one JSONL record.

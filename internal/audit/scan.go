@@ -34,6 +34,8 @@ type EntryScanner struct {
 	// readErr is the sticky error from r.Read (io.EOF included);
 	// buffered data is still drained after it is set.
 	readErr error
+	// read counts the bytes read from r since the last Reset.
+	read int64
 
 	opts DecodeOptions
 	quar Quarantine
@@ -76,6 +78,7 @@ func (s *EntryScanner) Reset(r io.Reader) {
 	s.r = r
 	s.start, s.end = 0, 0
 	s.readErr = nil
+	s.read = 0
 	s.line = 0
 	s.err = nil
 	s.fallbacks = 0
@@ -165,6 +168,15 @@ func (s *EntryScanner) Decode(raw []byte) (Entry, error) {
 	return entryFromJSON(raw)
 }
 
+// seen reports the bytes read from the input so far and the lines they
+// hold: the lines consumed plus those complete in the window. On the
+// first entry that is the first window's sample of the input.
+func (s *EntryScanner) seen() (n int64, lines int) {
+	return s.read, s.line + bytes.Count(s.buf[s.start:s.end], newline)
+}
+
+var newline = []byte{'\n'}
+
 // nextLine returns the next input line (newline stripped, one trailing
 // \r dropped — bufio.ScanLines semantics) as a view into the buffer,
 // valid until the next call.
@@ -195,7 +207,7 @@ func (s *EntryScanner) nextLine() ([]byte, bool) {
 			}
 			// The read buffer is allocated on first read, so a scanner
 			// used only for Decode never allocates one.
-			size := max(2*len(s.buf), 64<<10)
+			size := max(2*len(s.buf), sizeWindow)
 			if size > maxJSONLLine {
 				size = maxJSONLLine
 			}
@@ -205,6 +217,7 @@ func (s *EntryScanner) nextLine() ([]byte, bool) {
 		}
 		n, err := s.r.Read(s.buf[s.end:])
 		s.end += n
+		s.read += int64(n)
 		if err != nil {
 			s.readErr = err
 		}

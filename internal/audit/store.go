@@ -236,10 +236,12 @@ func (s *Store) Len() int {
 func (s *Store) Trail() *Trail {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// The clone is the trail's own: the store keeps appending to s.all,
+	// and NewTrail sorts in place.
 	if s.opts.Order == OrderPerCaseLenient {
-		return NewTrail(s.all)
+		return NewTrail(slices.Clone(s.all))
 	}
-	return &Trail{entries: append([]Entry(nil), s.all...)}
+	return &Trail{entries: slices.Clone(s.all)}
 }
 
 // Case returns the trail of one process instance, in the per-case
