@@ -425,6 +425,29 @@ func BenchmarkCanon(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreGenerated measures a cold Explore of the wide-audit
+// process (workload.Generate, 50 tasks, seed 7: 120 states), the cold
+// state-space derivation an offline audit pays once per purpose. Run
+// with -benchmem for its allocations.
+func BenchmarkExploreGenerated(b *testing.B) {
+	p, err := workload.Generate(workload.DefaultProcParams("W", 7, 50))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := encode.Encode(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := encode.Observability(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lts.NewSystem(obs).Explore(s, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEncode measures BPMN→COWS translation of Fig. 1.
 func BenchmarkEncode(b *testing.B) {
 	treatment, err := hospital.Treatment()

@@ -642,14 +642,15 @@ benchguard() {
 # (the scenarios stage runs it beside the corpus it mutates) for
 # FUZZ_TIME each: the ingestion decoders never panic and agree with
 # their stdlib references, the COWS parser and lexer round-trip, the
-# compiled engine matches the interpreter, and ledger multiproofs
-# match per-entry paths.
+# COWS step engine (selective unfolding) and canonicalizer match their
+# eager reference implementations, the compiled engine matches the
+# interpreter, and ledger multiproofs match per-entry paths.
 fuzz() {
 	echo "== fuzz smoke (${FUZZ_TIME} per target) =="
 	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry; do
 		go test ./internal/audit/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
-	for target in FuzzParse FuzzStepTerminates FuzzLexerDifferential; do
+	for target in FuzzParse FuzzStepTerminates FuzzLexerDifferential FuzzStepDifferential FuzzCanonDifferential; do
 		go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
 	go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime "$FUZZ_TIME"

@@ -91,4 +91,11 @@ func (l Label) Origins() []string {
 type Transition struct {
 	Label Label
 	Next  Service
+
+	canon string // Canon(Next), set by Engine.Step
 }
+
+// NextCanon returns the canonical form of the successor, Canon(t.Next),
+// as Engine.Step computed it. It is empty for a Transition built
+// elsewhere.
+func (t Transition) NextCanon() string { return t.canon }

@@ -3,6 +3,7 @@ package cows
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -25,12 +26,18 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Step returns the outgoing transitions of s, deterministically ordered
 // by (label, successor) and deduplicated. Successor services are
-// Normalized. If any kill signal is executable, only kill transitions
+// Normalized, and each transition carries its successor's canonical form
+// (NextCanon). If any kill signal is executable, only kill transitions
 // are returned (kill priority).
 func (e *Engine) Step(s Service) ([]Transition, error) {
-	exposed := e.expose(s)
+	var p unfoldPlan
+	if err := p.plan(s); err != nil {
+		return nil, err
+	}
+	exposed := e.expose(s, &p)
 	sc := &scanner{}
-	sc.scan(exposed, nil, nil)
+	// The walk appends to these in place; every path it keeps is cloned.
+	sc.scan(exposed, make([]int, 0, 16), make([]scopeRef, 0, 8))
 	if sc.err != nil {
 		return nil, sc.err
 	}
@@ -77,29 +84,235 @@ func (e *Engine) Step(s Service) ([]Transition, error) {
 	return dedupSort(out), nil
 }
 
-// expose unfolds every replication in active position exactly once:
-// *s becomes s' | *s with s' an alpha-fresh copy. One unfolding per step
-// suffices for services where a single replica never needs to
-// synchronize with a second replica of itself within one transition,
-// which holds for all BPMN encodings produced by internal/encode.
-func (e *Engine) expose(s Service) Service {
+// expose unfolds the replications in active position that plan p
+// selects: *s becomes s' | *s with s' an alpha-fresh copy, itself
+// exposed in full. One unfolding per step suffices for services where a
+// single replica never needs to synchronize with a second replica of
+// itself within one transition, which holds for all BPMN encodings
+// produced by internal/encode.
+//
+// A replication the plan leaves folded could only contribute a copy
+// none of whose activities fires in this step; Normalize would absorb
+// that copy again by s | *s ≡ *s, so leaving it out gives the same
+// successors. Subtrees without an unfolding are shared, not rebuilt.
+func (e *Engine) expose(s Service, p *unfoldPlan) Service {
 	switch t := s.(type) {
 	case *Par:
-		kids := make([]Service, len(t.Kids))
+		var kids []Service
 		for i, k := range t.Kids {
-			kids[i] = e.expose(k)
+			nk := e.expose(k, p)
+			if nk != k && kids == nil {
+				kids = make([]Service, len(t.Kids))
+				copy(kids, t.Kids[:i])
+			}
+			if kids != nil {
+				kids[i] = nk
+			}
+		}
+		if kids == nil {
+			return t
 		}
 		return &Par{Kids: kids}
 	case *Scope:
-		return &Scope{Kind: t.Kind, Ident: t.Ident, Body: e.expose(t.Body)}
+		if body := e.expose(t.Body, p); body != t.Body {
+			return &Scope{Kind: t.Kind, Ident: t.Ident, Body: body}
+		}
+		return t
 	case *Protect:
-		return &Protect{Body: e.expose(t.Body)}
+		if body := e.expose(t.Body, p); body != t.Body {
+			return &Protect{Body: body}
+		}
+		return t
 	case *Repl:
-		copyBody := freshen(t.Body, func() int { return int(e.fresh.Add(1)) })
-		return &Par{Kids: []Service{e.expose(copyBody), t}}
+		if !p.next() {
+			return t
+		}
+		all := p.all
+		p.all = true // a copy is exposed in full
+		copyBody := e.expose(freshen(t.Body, &e.fresh), p)
+		p.all = all
+		return &Par{Kids: []Service{copyBody, t}}
 	default:
 		return s
 	}
+}
+
+//
+// Unfolding plan: which replications a step needs to unfold.
+//
+
+// spelled is an invoke or request in active position, outside
+// replications (repl = -1) or in the body of the repl-th replication.
+type spelled struct {
+	partner, op string // raw spellings
+	repl        int
+}
+
+// spelledBy reports whether some activity in as has a's spelling.
+func spelledBy(as []spelled, a spelled) bool {
+	for _, b := range as {
+		if b.partner == a.partner && b.op == a.op {
+			return true
+		}
+	}
+	return false
+}
+
+// unfoldPlan decides, for each replication in active position outside
+// other replications (in depth-first order), whether Step unfolds it.
+// The copy of a replication the plan leaves folded is one whose
+// activities would not fire: a communication step leaves it untouched
+// and a kill step halts it to 0, and either way the successor normalizes
+// as if it had never been made.
+//
+// When no kill is executable, only communications fire, and a
+// replication is unfolded when
+//
+//   - its body has an invoke or request in active position whose raw
+//     partner.op spelling is also spelled, with the opposite polarity,
+//     by an activity in active position anywhere in the term (its own
+//     body and the bodies of the other replications included), or
+//   - its body has a replication in active position.
+//
+// Spellings are compared before privacy resolution and alpha-renaming,
+// so a match by key between exposed activities implies a match here: no
+// transition is lost.
+//
+// When a kill is executable somewhere in the fully unfolded term, only
+// kills fire (kill priority), and a replication is unfolded when its
+// body has a kill, a protection block or a replication in active
+// position. Its copy then brings every kill the full unfolding would,
+// and a kill's halt keeps every protected block of a copy it always
+// kept; a copy without one halts to 0, like its replication.
+//
+// The plan's walk is also where Step checks that every request's
+// pattern variables are bound, for the copies it never makes as for the
+// others, in the order the scanner would meet them.
+type unfoldPlan struct {
+	env      []scopeRef
+	invokes  []spelled
+	requests []spelled
+	repls    []replBody
+	repl     int // the replication being walked, or -1
+	kill     bool
+	err      error
+
+	// Set by plan: the decisions, consumed in order by next, and
+	// whether next unfolds everything (inside a copy).
+	unfold []bool
+	all    bool
+}
+
+// replBody records what a replication's body holds in active position.
+type replBody struct {
+	repl, kill, protect bool
+}
+
+func (p *unfoldPlan) plan(s Service) error {
+	p.repl = -1
+	p.walk(s)
+	if p.err != nil {
+		return p.err
+	}
+	p.unfold = make([]bool, len(p.repls))
+	for i, r := range p.repls {
+		p.unfold[i] = r.repl || p.kill && (r.kill || r.protect)
+	}
+	if p.kill {
+		return nil
+	}
+	for _, a := range p.invokes {
+		if a.repl >= 0 && !p.unfold[a.repl] {
+			p.unfold[a.repl] = spelledBy(p.requests, a)
+		}
+	}
+	for _, a := range p.requests {
+		if a.repl >= 0 && !p.unfold[a.repl] {
+			p.unfold[a.repl] = spelledBy(p.invokes, a)
+		}
+	}
+	return nil
+}
+
+// next reports whether the next replication in walk order unfolds.
+func (p *unfoldPlan) next() bool {
+	if p.all {
+		return true
+	}
+	u := p.unfold[0]
+	p.unfold = p.unfold[1:]
+	return u
+}
+
+// walk visits the active positions of s, descending into replication
+// bodies as if they were unfolded, in the scanner's order.
+func (p *unfoldPlan) walk(s Service) {
+	switch t := s.(type) {
+	case *Invoke:
+		p.invokes = append(p.invokes, spelled{partner: t.Partner, op: t.Op, repl: p.repl})
+	case *Request:
+		p.request(t)
+	case *Choice:
+		for _, b := range t.Branches {
+			p.request(b)
+		}
+	case *Par:
+		for _, k := range t.Kids {
+			p.walk(k)
+		}
+	case *Scope:
+		p.env = append(p.env, scopeRef{ident: t.Ident, kind: t.Kind})
+		p.walk(t.Body)
+		p.env = p.env[:len(p.env)-1]
+	case *Protect:
+		if p.repl >= 0 {
+			p.repls[p.repl].protect = true
+		}
+		p.walk(t.Body)
+	case *Kill:
+		if _, ok := lookup(p.env, t.Label, DeclKill); ok {
+			p.kill = true
+			if p.repl >= 0 {
+				p.repls[p.repl].kill = true
+			}
+		}
+	case *Repl:
+		if p.repl >= 0 {
+			p.repls[p.repl].repl = true
+			p.walk(t.Body)
+			return
+		}
+		p.repl = len(p.repls)
+		p.repls = append(p.repls, replBody{})
+		p.walk(t.Body)
+		p.repl = -1
+	}
+}
+
+func (p *unfoldPlan) request(r *Request) {
+	if err := unboundVar(r, p.env); err != nil {
+		p.err = err
+		return
+	}
+	p.requests = append(p.requests, spelled{partner: r.Partner, op: r.Op, repl: p.repl})
+}
+
+// unboundVar is the engine's well-formedness check: every pattern
+// variable of a request in active position must be bound by an
+// enclosing var scope. Identifiers print without their alpha-renaming
+// suffix, so the message does not depend on how often the request's
+// replication was unfolded.
+func unboundVar(r *Request, env []scopeRef) error {
+	for _, p := range r.Params {
+		v, isVar := p.(PVar)
+		if !isVar {
+			continue
+		}
+		if _, ok := lookup(env, string(v), DeclVar); !ok {
+			return fmt.Errorf("cows: request %s.%s uses unbound variable %q", display(r.Partner), display(r.Op), display(string(v)))
+		}
+	}
+	return nil
 }
 
 // display strips the alpha-renaming suffix ("~n") so labels read as in
@@ -205,18 +418,19 @@ func (sc *scanner) scan(s Service, path []int, env []scopeRef) {
 }
 
 func (sc *scanner) addRequest(r *Request, path []int, env []scopeRef) {
-	binders := map[string][]int{}
+	if err := unboundVar(r, env); err != nil {
+		sc.err = err
+		return
+	}
+	var binders map[string][]int
 	for _, p := range r.Params {
-		v, isVar := p.(PVar)
-		if !isVar {
-			continue
+		if v, isVar := p.(PVar); isVar {
+			if binders == nil {
+				binders = map[string][]int{}
+			}
+			ref, _ := lookup(env, string(v), DeclVar)
+			binders[string(v)] = ref.path
 		}
-		ref, ok := lookup(env, string(v), DeclVar)
-		if !ok {
-			sc.err = fmt.Errorf("cows: request %s.%s uses unbound variable %q", r.Partner, r.Op, string(v))
-			return
-		}
-		binders[string(v)] = ref.path
 	}
 	sc.requests = append(sc.requests, requestAtom{
 		path:    clonePath(path),
@@ -266,11 +480,14 @@ func clonePath(p []int) []int {
 }
 
 func pathString(p []int) string {
-	parts := make([]string, len(p))
+	var b []byte
 	for i, x := range p {
-		parts[i] = fmt.Sprint(x)
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return strings.Join(parts, "/")
+	return string(b)
 }
 
 //
@@ -386,23 +603,27 @@ func applyKill(s Service, k killAtom) (Service, error) {
 	})
 }
 
+// dedupSort orders transitions by label key, then by the successor's
+// canonical form, drops repeats, and records each successor's canonical
+// form on its transition.
 func dedupSort(ts []Transition) []Transition {
 	type keyed struct {
-		key string
+		key string // label key, NUL, successor canon
 		t   Transition
 	}
-	ks := make([]keyed, 0, len(ts))
-	for _, t := range ts {
-		ks = append(ks, keyed{key: t.Label.Key() + "\x00" + Canon(t.Next), t: t})
+	ks := make([]keyed, len(ts))
+	for i, t := range ts {
+		label := t.Label.Key()
+		key := label + "\x00" + Canon(t.Next)
+		t.canon = key[len(label)+1:]
+		ks[i] = keyed{key: key, t: t}
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	out := ts[:0]
-	var prev string
 	for i, k := range ks {
-		if i > 0 && k.key == prev {
+		if i > 0 && k.key == ks[i-1].key {
 			continue
 		}
-		prev = k.key
 		out = append(out, k.t)
 	}
 	return out

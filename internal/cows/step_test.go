@@ -1,6 +1,7 @@
 package cows
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -300,5 +301,60 @@ func TestNonLinearPatternRequiresEqualValues(t *testing.T) {
 	s2 := MustParse("[x] P.r?<$x,$x>.0 | P.r!<a,a>")
 	if ts := run(t, e, s2); len(ts) != 1 {
 		t.Fatalf("non-linear pattern failed on equal values")
+	}
+}
+
+// TestUnboundVariableInFoldedReplication: the well-formedness check
+// covers replication bodies a step leaves folded. Here nothing matches
+// P.r, so *P.r?<$x>.0 is never unfolded, and the step still fails as
+// it did when every replication was unfolded.
+func TestUnboundVariableInFoldedReplication(t *testing.T) {
+	for _, src := range []string{
+		"*P.r?<$x>.0 | P.s!<>",
+		"*[y:name]P.r?<$y>.0 | P.s!<> | P.s?<>.0",
+		"*(P.q?<$z>.0 | *P.r?<$x>.0) | P.s!<>",
+	} {
+		_, err := NewEngine().Step(MustParse(src))
+		if err == nil {
+			t.Fatalf("%s: step succeeded, want an unbound-variable error", src)
+		}
+		_, want := referenceStep(NewEngine(), MustParse(src))
+		if want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: error %q, reference %v", src, err, want)
+		}
+	}
+	_, err := NewEngine().Step(MustParse("*P.r?<$x>.0 | P.s!<>"))
+	if got, want := err.Error(), `cows: request P.r uses unbound variable "x"`; got != want {
+		t.Fatalf("error %q, want %q", got, want)
+	}
+}
+
+// TestStepSkipsUnfiredReplications: in a parallel of replications only
+// the one whose request meets the token is unfolded; the others keep
+// their nodes (the successor shares them) and the result is the
+// reference engine's.
+func TestStepSkipsUnfiredReplications(t *testing.T) {
+	s := MustParse("P.a!<v> | *[x:var]P.a?<$x>.P.b!<$x> | *[x:var]P.b?<$x>.P.c!<$x> | *[x:var]P.c?<$x>.0")
+	var p unfoldPlan
+	if err := p.plan(s); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, false, false}; !slices.Equal(p.unfold, want) {
+		t.Fatalf("unfold = %v, want %v", p.unfold, want)
+	}
+	tr := only(t, NewEngine(), s)
+	want, err := referenceStep(NewEngine(), s)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("reference: %v %v", want, err)
+	}
+	if tr.NextCanon() != referenceCanon(want[0].Next) {
+		t.Fatalf("successor %s, reference %s", tr.NextCanon(), referenceCanon(want[0].Next))
+	}
+	kids := tr.Next.(*Par).Kids
+	orig := s.(*Par).Kids
+	for _, k := range kids {
+		if r, ok := k.(*Repl); ok && r != orig[1] && r != orig[2] && r != orig[3] {
+			t.Fatalf("replication %s was rebuilt", String(r))
+		}
 	}
 }

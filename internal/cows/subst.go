@@ -1,6 +1,9 @@
 package cows
 
-import "strconv"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
 // subst applies the variable substitution sigma to s, returning a new
 // tree. Substitution stops at an inner Scope re-declaring one of the
@@ -108,87 +111,97 @@ func shallowCopyWithout(m map[string]string, key string) map[string]string {
 }
 
 // freshen alpha-renames every Scope-bound identifier in s to a fresh
-// identifier drawn from next. Replication unfolds use it so that
+// identifier drawn from counter. Replication unfolds use it so that
 // concurrent copies of a service do not share private names, variables or
 // killer labels.
-func freshen(s Service, next func() int) Service {
-	return renameBound(s, map[string]string{}, next)
+func freshen(s Service, counter *atomic.Int64) Service {
+	r := renamer{counter: counter}
+	return r.service(s)
 }
 
-func renameBound(s Service, ren map[string]string, next func() int) Service {
+// renamer carries the renamings of the scopes enclosing the node being
+// copied as a stack, innermost last, so an inner scope shadows an outer
+// one of the same identifier.
+type renamer struct {
+	from, to []string
+	counter  *atomic.Int64
+}
+
+func (r *renamer) service(s Service) Service {
 	switch t := s.(type) {
 	case nil, Nil:
 		return Nil{}
 	case *Invoke:
 		args := make([]Expr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = renameExpr(a, ren)
+			args[i] = r.expr(a)
 		}
-		return &Invoke{Partner: renameIdent(t.Partner, ren), Op: renameIdent(t.Op, ren), Args: args}
+		return &Invoke{Partner: r.ident(t.Partner), Op: r.ident(t.Op), Args: args}
 	case *Request:
 		params := make([]Pattern, len(t.Params))
 		for i, p := range t.Params {
 			switch pt := p.(type) {
 			case PLit:
-				params[i] = PLit(renameIdent(string(pt), ren))
+				params[i] = PLit(r.ident(string(pt)))
 			case PVar:
-				params[i] = PVar(renameIdent(string(pt), ren))
+				params[i] = PVar(r.ident(string(pt)))
 			}
 		}
 		return &Request{
-			Partner: renameIdent(t.Partner, ren),
-			Op:      renameIdent(t.Op, ren),
+			Partner: r.ident(t.Partner),
+			Op:      r.ident(t.Op),
 			Params:  params,
-			Cont:    renameBound(t.Cont, ren, next),
+			Cont:    r.service(t.Cont),
 		}
 	case *Choice:
 		branches := make([]*Request, len(t.Branches))
 		for i, b := range t.Branches {
-			branches[i] = renameBound(b, ren, next).(*Request)
+			branches[i] = r.service(b).(*Request)
 		}
 		return &Choice{Branches: branches}
 	case *Par:
 		kids := make([]Service, len(t.Kids))
 		for i, k := range t.Kids {
-			kids[i] = renameBound(k, ren, next)
+			kids[i] = r.service(k)
 		}
 		return &Par{Kids: kids}
 	case *Scope:
-		fresh := t.Ident + "~" + strconv.Itoa(next())
-		inner := make(map[string]string, len(ren)+1)
-		for k, v := range ren {
-			inner[k] = v
-		}
-		inner[t.Ident] = fresh
-		return &Scope{Kind: t.Kind, Ident: fresh, Body: renameBound(t.Body, inner, next)}
+		fresh := t.Ident + "~" + strconv.FormatInt(r.counter.Add(1), 10)
+		r.from = append(r.from, t.Ident)
+		r.to = append(r.to, fresh)
+		body := r.service(t.Body)
+		r.from, r.to = r.from[:len(r.from)-1], r.to[:len(r.to)-1]
+		return &Scope{Kind: t.Kind, Ident: fresh, Body: body}
 	case *Protect:
-		return &Protect{Body: renameBound(t.Body, ren, next)}
+		return &Protect{Body: r.service(t.Body)}
 	case *Kill:
-		return &Kill{Label: renameIdent(t.Label, ren)}
+		return &Kill{Label: r.ident(t.Label)}
 	case *Repl:
-		return &Repl{Body: renameBound(t.Body, ren, next)}
+		return &Repl{Body: r.service(t.Body)}
 	default:
 		return s
 	}
 }
 
-func renameIdent(id string, ren map[string]string) string {
-	if v, ok := ren[id]; ok {
-		return v
+func (r *renamer) ident(id string) string {
+	for i := len(r.from) - 1; i >= 0; i-- {
+		if r.from[i] == id {
+			return r.to[i]
+		}
 	}
 	return id
 }
 
-func renameExpr(e Expr, ren map[string]string) Expr {
+func (r *renamer) expr(e Expr) Expr {
 	switch t := e.(type) {
 	case Lit:
-		return Lit(renameIdent(string(t), ren))
+		return Lit(r.ident(string(t)))
 	case Var:
-		return Var(renameIdent(string(t), ren))
+		return Var(r.ident(string(t)))
 	case *UnionExpr:
 		ops := make([]Expr, len(t.Operands))
 		for i, op := range t.Operands {
-			ops[i] = renameExpr(op, ren)
+			ops[i] = r.expr(op)
 		}
 		return &UnionExpr{Operands: ops}
 	default:

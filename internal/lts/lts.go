@@ -15,8 +15,9 @@
 // # Performance architecture
 //
 // A System interns every state it meets: the canonical string of a
-// service (cows.Canon) is computed exactly once per distinct state and
-// mapped to a dense StateID. All per-state results — outgoing
+// service (cows.Canon) is mapped to a dense StateID. A successor's
+// canonical string is computed once, by the engine's Step, which hands
+// it over on the transition (cows.Transition.NextCanon). All per-state results — outgoing
 // transitions, WeakNext sets, silent-termination verdicts — live on the
 // interned state record and are derived at most once, guarded by
 // sync.Once, so the steady-state read path is an atomic load with no
@@ -176,12 +177,15 @@ func (y *System) intern(s cows.Service) *state {
 	if v, ok := y.byPtr.Load(s); ok {
 		return v.(*state)
 	}
-	canon := cows.Canon(s)
-	st := y.internCanon(s, canon)
-	y.byPtr.Store(s, st)
+	st := y.internCanon(s, cows.Canon(s))
+	if st.svc != s {
+		y.byPtr.Store(s, st)
+	}
 	return st
 }
 
+// internCanon resolves s, whose canonical form is canon, to its
+// interned state record. A new record's service is indexed by pointer.
 func (y *System) internCanon(s cows.Service, canon string) *state {
 	sh := &y.shards[shardOf(canon)]
 	sh.mu.RLock()
@@ -197,6 +201,7 @@ func (y *System) internCanon(s cows.Service, canon string) *state {
 	}
 	st = &state{id: StateID(y.nextID.Add(1) - 1), svc: s, canon: canon}
 	sh.byCanon[canon] = st
+	y.byPtr.Store(s, st)
 	return st
 }
 
@@ -230,10 +235,11 @@ func (y *System) transitions(st *state) ([]cows.Transition, error) {
 			st.stepsErr = fmt.Errorf("deriving transitions: %w", err)
 			return
 		}
-		// Intern successors so repeated states share one representative
-		// (and so downstream interning of them is a pointer lookup).
+		// Intern successors by the canonical form Step computed, so
+		// repeated states share one representative (and downstream
+		// interning of them is a pointer lookup).
 		for i := range ts {
-			ts[i].Next = y.intern(ts[i].Next).svc
+			ts[i].Next = y.internCanon(ts[i].Next, ts[i].NextCanon()).svc
 		}
 		st.steps = ts
 		y.stepsCached.Add(1)
@@ -282,6 +288,7 @@ func (y *System) computeWeak(root *state) ([]Observable, error) {
 		id    StateID
 	}
 	var results []Observable
+	var keys []string            // results[i].Label.Key()
 	seen := map[*state]bool{}    // states fully expanded
 	onStack := map[*state]bool{} // states on the current DFS path
 	dedup := map[dedupKey]bool{} // (label, state) pairs already emitted
@@ -305,6 +312,7 @@ func (y *System) computeWeak(root *state) ([]Observable, error) {
 				dk := dedupKey{label: tr.Label.Key(), id: next.id}
 				if !dedup[dk] {
 					dedup[dk] = true
+					keys = append(keys, dk.label)
 					results = append(results, Observable{
 						Label:  tr.Label,
 						State:  next.svc,
@@ -331,13 +339,29 @@ func (y *System) computeWeak(root *state) ([]Observable, error) {
 	if err := dfs(root, 0); err != nil {
 		return nil, err
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Label.Key() != results[j].Label.Key() {
-			return results[i].Label.Key() < results[j].Label.Key()
-		}
-		return results[i].Canon < results[j].Canon
-	})
+	sort.Sort(byLabelCanon{keys: keys, obs: results})
 	return results, nil
+}
+
+// byLabelCanon orders WeakNext results by label key, then canonical
+// form, with each key computed once.
+type byLabelCanon struct {
+	keys []string
+	obs  []Observable
+}
+
+func (b byLabelCanon) Len() int { return len(b.obs) }
+
+func (b byLabelCanon) Less(i, j int) bool {
+	if b.keys[i] != b.keys[j] {
+		return b.keys[i] < b.keys[j]
+	}
+	return b.obs[i].Canon < b.obs[j].Canon
+}
+
+func (b byLabelCanon) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.obs[i], b.obs[j] = b.obs[j], b.obs[i]
 }
 
 // Quiescent reports whether s has no transitions at all (the process
