@@ -16,7 +16,9 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -446,6 +448,68 @@ func BenchmarkExploreGenerated(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// wideAuditInput is the offline audit of perfbench's wide-audit
+// workload without its injected violations: the workload.Generate
+// process (50 tasks, seed 7) registered under code WA and a simulated
+// trail of 1,200 cases (trail seed 1), as JSONL bytes.
+func wideAuditInput(b *testing.B) (*core.Registry, []byte) {
+	b.Helper()
+	p, err := workload.Generate(workload.DefaultProcParams("Wide", 7, 50))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := core.NewRegistry()
+	if _, err := reg.Register(p, "WA"); err != nil {
+		b.Fatal(err)
+	}
+	trail, err := workload.NewSimulator(reg, workload.DefaultTrailParams(1, 1200, "WA")).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := audit.WriteJSONL(&buf, trail); err != nil {
+		b.Fatal(err)
+	}
+	return reg, buf.Bytes()
+}
+
+// BenchmarkWideAuditDecode times the decode half of the offline audit:
+// DecodeJSONLEntries and NewTrail over the wide-audit trail, per entry.
+func BenchmarkWideAuditDecode(b *testing.B) {
+	_, data := wideAuditInput(b)
+	entries := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		es, _, err := audit.DecodeJSONLEntries(bytes.NewReader(data), audit.DecodeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries = audit.NewTrail(es).Len()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
+}
+
+// BenchmarkWideAuditCheck times the check half of the offline audit:
+// CheckTrailParallel on a cold interpreter checker (a new one per
+// iteration, so state-space exploration is included) with one worker
+// per CPU, per entry.
+func BenchmarkWideAuditCheck(b *testing.B) {
+	reg, data := wideAuditInput(b)
+	trail, err := audit.ReadJSONL(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewChecker(reg, nil).CheckTrailParallel(trail, runtime.NumCPU()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trail.Len()), "ns/entry")
 }
 
 // BenchmarkEncode measures BPMN→COWS translation of Fig. 1.

@@ -641,13 +641,14 @@ benchguard() {
 # fuzz runs every fuzz target in the repository except FuzzScenario
 # (the scenarios stage runs it beside the corpus it mutates) for
 # FUZZ_TIME each: the ingestion decoders never panic and agree with
-# their stdlib references, the COWS parser and lexer round-trip, the
-# COWS step engine (selective unfolding) and canonicalizer match their
-# eager reference implementations, the compiled engine matches the
-# interpreter, and ledger multiproofs match per-entry paths.
+# their stdlib references (one entry, and a whole stream whose lines
+# share the scanner's memos), the COWS parser and lexer round-trip,
+# the COWS step engine (selective unfolding) and canonicalizer match
+# their eager reference implementations, the compiled engine matches
+# the interpreter, and ledger multiproofs match per-entry paths.
 fuzz() {
 	echo "== fuzz smoke (${FUZZ_TIME} per target) =="
-	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry; do
+	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry FuzzDecodeJSONLStream; do
 		go test ./internal/audit/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
 	for target in FuzzParse FuzzStepTerminates FuzzLexerDifferential FuzzStepDifferential FuzzCanonDifferential; do

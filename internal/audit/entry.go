@@ -260,14 +260,20 @@ func (t *Trail) IndexByCase() *CaseIndex {
 	x := &CaseIndex{trail: t, slot: map[string]int32{}}
 	caseOf := make([]int32, len(t.entries))
 	var count []int32
+	// Consecutive entries often share a case; they share its slot
+	// without a map probe.
+	prev, s := "", int32(-1)
 	for i := range t.entries {
 		id := t.entries[i].Case
-		s, ok := x.slot[id]
-		if !ok {
-			s = int32(len(x.cases))
-			x.slot[id] = s
-			x.cases = append(x.cases, id)
-			count = append(count, 0)
+		if s < 0 || id != prev {
+			var ok bool
+			if s, ok = x.slot[id]; !ok {
+				s = int32(len(x.cases))
+				x.slot[id] = s
+				x.cases = append(x.cases, id)
+				count = append(count, 0)
+			}
+			prev = id
 		}
 		caseOf[i] = s
 		count[s]++
@@ -291,16 +297,24 @@ func (t *Trail) IndexByCase() *CaseIndex {
 // read-only.
 func (x *CaseIndex) Cases() []string { return x.cases }
 
+// Positions returns caseID's positions into the trail's View, in
+// chronological order, or nil for an unknown case: the case's entries
+// without a copy. The slice is shared: treat it as read-only.
+func (x *CaseIndex) Positions(caseID string) []int32 {
+	s, ok := x.slot[caseID]
+	if !ok {
+		return nil
+	}
+	pos := x.pos[x.start[s]:x.start[s+1]]
+	x.trail.scanned(len(pos))
+	return pos
+}
+
 // AppendCase appends caseID's entries, in chronological order, to dst
 // and returns the extended slice; an unknown case appends nothing.
 // Passing the previous result[:0] back reuses one buffer across cases.
 func (x *CaseIndex) AppendCase(dst []Entry, caseID string) []Entry {
-	s, ok := x.slot[caseID]
-	if !ok {
-		return dst
-	}
-	pos := x.pos[x.start[s]:x.start[s+1]]
-	x.trail.scanned(len(pos))
+	pos := x.Positions(caseID)
 	dst = slices.Grow(dst, len(pos))
 	for _, p := range pos {
 		dst = append(dst, x.trail.entries[p])

@@ -263,3 +263,80 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeJSONLStream requires a whole-stream decode to equal
+// DecodeEntryJSON applied line by line, in strict and lenient mode:
+// the same entries (deeply), errors and quarantine records. Unlike
+// FuzzDecodeEntry it carries the scanner's field, object and day memos
+// across lines, so a line that repeats part of its predecessor, or
+// shares its date, must still decode as it would alone.
+func FuzzDecodeJSONLStream(f *testing.F) {
+	line := func(user, role, object, task, caseID, ts, status string) string {
+		obj := ""
+		if object != "" {
+			obj = `"object":"` + object + `",`
+		}
+		return `{"user":"` + user + `","role":"` + role + `","action":"read",` + obj +
+			`"task":"` + task + `","case":"` + caseID + `","time":"` + ts + `","status":"` + status + `"}` + "\n"
+	}
+	f.Add(scanTrail(40))
+	for _, s := range []string{
+		// A day rollover, then back to a memoized-looking date.
+		line("u", "R", "[P]EPR", "T1", "C-1", "2026-07-05T23:59:59Z", "success") +
+			line("u", "R", "[P]EPR", "T2", "C-1", "2026-07-06T00:00:00Z", "success") +
+			line("u", "R", "[P]EPR", "T3", "C-1", "2026-07-06T00:00:01Z", "success") +
+			line("u", "R", "[P]EPR", "T3", "C-1", "2026-07-05T12:00:00Z", "failure"),
+		// Leap second, out-of-range clocks and fractions on a memoized day.
+		line("u", "R", "", "T1", "C-1", "2026-07-05T10:00:00Z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T10:00:60Z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T24:00:00Z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T10:60:00Z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T10:00:00.5Z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T1a:00:00Z", "success"),
+		// Offsets and a lowercase zone designator on a memoized day.
+		line("u", "R", "", "T1", "C-1", "2026-07-05T10:00:00Z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T10:00:00+02:00", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05T10:00:00z", "success") +
+			line("u", "R", "", "T1", "C-1", "2026-07-05t10:00:00Z", "success"),
+		// Reordered keys, a missing object, a tab between tokens.
+		line("u", "R", "[P]EPR", "T1", "C-1", "2026-07-05T10:00:00Z", "success") +
+			`{"status":"success","case":"C-1","time":"2026-07-05T10:00:01Z","task":"T2","user":"u","role":"R"}` + "\n" +
+			line("u", "R", "", "T2", "C-1", "2026-07-05T10:00:02Z", "success") +
+			`{"user":"u",` + "\t" + `"role":"R","task":"T2","case":"C-1","status":"success"}` + "\n" +
+			`{ "user" : "u" , "task" : "T2" , "status" : "failure" }` + "\n",
+		// A repeated field followed by a different one, and a
+		// duplicated key whose second value wins.
+		line("alice", "Doctor", "[P1]EPR/Clinical", "T1", "C-1", "2026-07-05T10:00:00Z", "success") +
+			line("alice", "Doctor", "[P1]EPR/Clinical", "T1", "C-1", "2026-07-05T10:00:00Z", "success") +
+			line("bob", "Nurse", "[P2]EPR", "T2", "C-2", "2026-07-05T10:00:00Z", "success") +
+			`{"user":"bob","user":"carol","object":"[P2]EPR","object":"","status":"success"}` + "\n" +
+			line("bob", "Nurse", "[bad", "T2", "C-2", "2026-07-05T10:00:00Z", "success"),
+		// Unicode space around a line, which encoding/json rejects.
+		"{\"status\":\"success\"}\u00a0\n\u2028{\"status\":\"success\"}\n\u00a0\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, opts := range []DecodeOptions{{}, {Lenient: true}} {
+			want, wantQ, wantErr := referenceDecode(bytes.NewReader(data), opts)
+			got, gotQ, gotErr := DecodeJSONLEntries(bytes.NewReader(data), opts)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("lenient=%v: error %v, per-line decode %v", opts.Lenient, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("lenient=%v: %d entries, per-line decode %d", opts.Lenient, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("lenient=%v: entry %d = %+v, per-line decode %+v", opts.Lenient, i, got[i], want[i])
+				}
+			}
+			if fmt.Sprint(gotQ.Records) != fmt.Sprint(wantQ.Records) {
+				t.Fatalf("lenient=%v: quarantine %v, per-line decode %v", opts.Lenient, gotQ.Records, wantQ.Records)
+			}
+		}
+	})
+}

@@ -202,17 +202,26 @@ func DecodeJSONL(r io.Reader, opts DecodeOptions) (*Trail, *Quarantine, error) {
 // with the same sizing of its entry array (see DecodeCSVEntries). It
 // runs on the zero-allocation EntryScanner; the scanner's slow-path
 // escape hatch keeps strict errors and quarantine records identical to
-// the historical bufio+encoding/json decoder.
+// the historical bufio+encoding/json decoder. While the array has room,
+// each line decodes straight into its slot; only an entry that finds
+// the array full goes through the scanner's own entry.
 func DecodeJSONLEntries(r io.Reader, opts DecodeOptions) ([]Entry, *Quarantine, error) {
 	z := entrySizer{total: inputLen(r)}
 	sc := NewEntryScanner(r, opts)
 	var entries []Entry
-	for sc.Scan() {
-		if len(entries) == cap(entries) {
-			seen, lines := sc.seen()
-			entries = z.grow(entries, seen, lines)
+	for {
+		if n := len(entries); n < cap(entries) {
+			if !sc.scanInto(&entries[:n+1][n]) {
+				break
+			}
+			entries = entries[:n+1]
+			continue
 		}
-		entries = append(entries, *sc.Entry())
+		if !sc.Scan() {
+			break
+		}
+		seen, lines := sc.seen()
+		entries = append(z.grow(entries, seen, lines), *sc.Entry())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, sc.Quarantine(), err

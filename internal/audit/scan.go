@@ -3,6 +3,7 @@ package audit
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -12,20 +13,38 @@ import (
 
 // EntryScanner is the raw-speed NDJSON ingestion path: it streams one
 // Entry per line without allocating on clean input. The hot loop never
-// touches encoding/json — field lookup is a byte-level parse of the
-// known wire shape (see jsonEntry), strings are interned so repeated
-// users/roles/tasks share storage, and timestamp parsing is amortized
-// by memoizing the last raw token (audit trails are near-sorted, so
-// consecutive entries usually repeat or nearly repeat timestamps).
+// touches encoding/json: it is a byte-level parse of the known wire
+// shape (see jsonEntry), built on four claim rules, each of which
+// yields exactly the Entry entryFromJSON would:
 //
-// Any structural surprise — escape sequences, non-ASCII bytes, unknown
-// value shapes, duplicate-but-odd forms — makes the line fall back to
-// entryFromJSON, the exact decoder the slow path uses. A line the fast
-// parser accepts decodes to the same Entry the slow path would produce,
-// and a line it cannot handle is judged (accepted, rejected, or
-// quarantined) by the slow decoder itself, so strict errors and
-// lenient quarantine records are byte-identical to DecodeJSONLEntries'
-// historical behavior.
+//   - Clean lines only. One pass, eight bytes at a time, rejects any
+//     line holding a backslash, a byte below 0x20 or a byte at or above
+//     0x80. On what remains every string is literal ASCII (no escape,
+//     control byte or UTF-8 sequence for encoding/json to rewrite), the
+//     only whitespace is the space, and a value ends at its next quote.
+//   - Predicted keys. Lines follow AppendJSONL's key order, so after
+//     each field the parser compares the bytes at the cursor with the
+//     next key's literal ("role": after "user":, and so on). A hit is
+//     the exact key; on a miss the key is scanned and looked up, so
+//     lines in another order or with spaces still take this parser.
+//   - Field memos. Consecutive lines mostly repeat user, role, case and
+//     object, so each string field is first compared with the same
+//     field's previous value and reuses it; then an intern table shares
+//     repeated strings. Either way the value is the same string.
+//   - Same-day timestamps. A token of the form "YYYY-MM-DDTHH:MM:SSZ"
+//     whose date matches the previous such token's is that day's start
+//     plus the clock, once the clock digits are in range (hour ≤ 23,
+//     minute and second ≤ 59): time.Time.UnmarshalJSON returns that
+//     same UTC instant for it. Every other token is parsed by
+//     UnmarshalJSON itself.
+//
+// Any structural surprise (escape sequences, non-ASCII bytes, unknown
+// value shapes, tabs) makes the line fall back to entryFromJSON, the
+// exact decoder the slow path uses. A line the fast parser accepts
+// decodes to the same Entry the slow path would produce, and a line it
+// cannot handle is judged (accepted, rejected, or quarantined) by the
+// slow decoder itself, so strict errors and lenient quarantine records
+// are byte-identical to DecodeJSONLEntries' historical behavior.
 type EntryScanner struct {
 	r   io.Reader
 	buf []byte
@@ -48,10 +67,16 @@ type EntryScanner struct {
 	// without limit (unseen strings past the cap are simply allocated).
 	strs map[string]string
 	objs map[string]policy.Object
-	// timeRaw/timeVal memoize the last timestamp token (quotes
-	// included), keyed on raw bytes so no parse runs for repeats.
-	timeRaw []byte
-	timeVal time.Time
+	// last holds each string field's previous value; objRaw/obj the
+	// previous non-empty object literal and its parse.
+	last   [numFields]string
+	objRaw []byte
+	obj    policy.Object
+	// day is the date part ("YYYY-MM-DDT") of the last canonical UTC
+	// timestamp parsed, dayUnix the Unix second of its midnight.
+	day     [11]byte
+	dayUnix int64
+	dayOK   bool
 
 	// fallbacks counts lines routed through entryFromJSON.
 	fallbacks int
@@ -59,6 +84,25 @@ type EntryScanner struct {
 
 // maxInterned bounds each intern table of one scanner.
 const maxInterned = 4096
+
+// The wire fields, in the order AppendJSONL writes them.
+const (
+	fieldUser = iota
+	fieldRole
+	fieldAction
+	fieldObject
+	fieldTask
+	fieldCase
+	fieldTime
+	fieldStatus
+	numFields
+)
+
+// fieldKeys are the key literals AppendJSONL writes, colon included.
+var fieldKeys = [numFields]string{
+	`"user":`, `"role":`, `"action":`, `"object":`,
+	`"task":`, `"case":`, `"time":`, `"status":`,
+}
 
 // NewEntryScanner returns a scanner reading NDJSON entries from r.
 func NewEntryScanner(r io.Reader, opts DecodeOptions) *EntryScanner {
@@ -71,9 +115,9 @@ func NewEntryScanner(r io.Reader, opts DecodeOptions) *EntryScanner {
 	return s
 }
 
-// Reset rewires the scanner to a new reader, keeping its buffers and
-// intern tables warm. Decode options are kept; position, error state
-// and the quarantine are cleared.
+// Reset rewires the scanner to a new reader, keeping its buffers,
+// intern tables and memos warm. Decode options are kept; position,
+// error state and the quarantine are cleared.
 func (s *EntryScanner) Reset(r io.Reader) {
 	s.r = r
 	s.start, s.end = 0, 0
@@ -112,7 +156,11 @@ func (s *EntryScanner) Fallbacks() int { return s.fallbacks }
 
 // Scan advances to the next entry. It returns false at end of input or
 // on a terminal error (see Err).
-func (s *EntryScanner) Scan() bool {
+func (s *EntryScanner) Scan() bool { return s.scanInto(&s.entry) }
+
+// scanInto is Scan decoding into dst, which it may overwrite even when
+// it returns false.
+func (s *EntryScanner) scanInto(dst *Entry) bool {
 	if s.err != nil {
 		return false
 	}
@@ -125,11 +173,10 @@ func (s *EntryScanner) Scan() bool {
 			return false
 		}
 		s.line++
-		trimmed := bytes.TrimSpace(raw)
-		if len(trimmed) == 0 {
+		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		if s.parseFast(trimmed) {
+		if s.parseFast(raw, dst) {
 			return true
 		}
 		// Escape hatch: defer the verdict on this line to the exact
@@ -138,7 +185,7 @@ func (s *EntryScanner) Scan() bool {
 		s.fallbacks++
 		e, err := entryFromJSON(raw)
 		if err == nil {
-			s.entry = e
+			*dst = e
 			return true
 		}
 		if !s.opts.Lenient {
@@ -156,12 +203,11 @@ func (s *EntryScanner) Scan() bool {
 // the fast parser claims what it can prove identical, and anything else
 // goes to the exact slow decoder, so the result (entry or error) is
 // always DecodeEntryJSON's. It shares the scanner's intern tables and
-// timestamp memo, so one scanner decoding many entries of a trail pays
-// for each distinct string and timestamp once. Decode leaves the
-// scanner's reader and position alone but overwrites the entry that
-// Entry returns.
+// memos, so one scanner decoding many entries of a trail pays for each
+// distinct string and day once. Decode leaves the scanner's reader and
+// position alone but overwrites the entry that Entry returns.
 func (s *EntryScanner) Decode(raw []byte) (Entry, error) {
-	if s.parseFast(bytes.TrimSpace(raw)) {
+	if s.parseFast(raw, &s.entry) {
 		return s.entry, nil
 	}
 	s.fallbacks++
@@ -231,96 +277,99 @@ func dropCR(line []byte) []byte {
 	return line
 }
 
-// parseFast decodes one trimmed line of the exact wire shape, without
-// allocating. false means "not claimed": the caller falls back to the
-// slow decoder, whose verdict (entry or error) then stands. The fast
-// parser only claims a line when its result is provably identical to
-// entryFromJSON's: all values are plain ASCII strings without escapes,
-// keys are the known fields (unknown string-valued keys are skipped,
-// as encoding/json would), the timestamp parses via the same
-// time.Time.UnmarshalJSON, and the status is the canonical lowercase
-// form.
-func (s *EntryScanner) parseFast(b []byte) bool {
+// cleanLine reports whether b holds only the bytes 0x20–0x7F other than
+// the backslash, testing eight bytes per step. In each 8-byte word the
+// high bit of a byte lane is set by x itself for bytes ≥ 0x80, by
+// x-0x20 for bytes < 0x20, and by (x^0x5C)-1 for the backslash; on a
+// clean word no lane borrows, so no high bit is set.
+func cleanLine(b []byte) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		if (x|(x-0x20*ones)|((x^'\\'*ones)-ones))&highs != 0 {
+			return false
+		}
+	}
+	for ; i < len(b); i++ {
+		if c := b[i]; c < 0x20 || c >= 0x80 || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// parseFast decodes one line into dst without allocating, under the
+// claim rules of EntryScanner. false means "not claimed": the caller
+// falls back to the slow decoder, whose verdict (entry or error) then
+// stands, and dst may hold a partial decode. The line is not trimmed:
+// the clean check must see every byte, since bytes.TrimSpace would drop
+// Unicode spaces that encoding/json rejects.
+func (s *EntryScanner) parseFast(b []byte, dst *Entry) bool {
+	if !cleanLine(b) {
+		return false
+	}
 	p := lineParser{b: b}
+	p.ws()
 	if !p.eat('{') {
 		return false
 	}
-	var e Entry
-	seenStatus := false
+	var seen uint32
 	p.ws()
 	if !p.eat('}') {
+		next := fieldUser
 		for {
 			p.ws()
-			key, _, ok := p.str()
+			f, ok := p.key(next)
 			if !ok {
 				return false
 			}
 			p.ws()
-			if !p.eat(':') {
-				return false
-			}
-			p.ws()
-			val, token, ok := p.str()
+			val, ok := p.str()
 			if !ok {
 				// Known fields are always strings on the wire; a
 				// non-string value for an unknown key would need a full
 				// JSON skip. Either way, the slow path decides.
 				return false
 			}
-			switch string(key) {
-			case "user":
-				e.User = s.intern(val)
-			case "role":
-				e.Role = s.intern(val)
-			case "action":
-				e.Action = s.intern(val)
-			case "task":
-				e.Task = s.intern(val)
-			case "case":
-				e.Case = s.intern(val)
-			case "object":
-				if len(val) > 0 {
-					obj, ok := s.objectFor(val)
-					if !ok {
-						return false
-					}
-					e.Object = obj
-				} else {
-					e.Object = policy.Object{}
+			switch f {
+			case fieldUser:
+				dst.User = s.memo(fieldUser, val)
+			case fieldRole:
+				dst.Role = s.memo(fieldRole, val)
+			case fieldAction:
+				dst.Action = s.memo(fieldAction, val)
+			case fieldTask:
+				dst.Task = s.memo(fieldTask, val)
+			case fieldCase:
+				dst.Case = s.memo(fieldCase, val)
+			case fieldObject:
+				if len(val) == 0 {
+					dst.Object = policy.Object{}
+				} else if dst.Object, ok = s.objectFor(val); !ok {
+					return false
 				}
-			case "time":
-				if !bytes.Equal(token, s.timeRaw) {
-					var t time.Time
-					// The same UnmarshalJSON encoding/json would call,
-					// so accepted forms and parse failures line up
-					// exactly; failures fall back for the exact error.
-					if err := t.UnmarshalJSON(token); err != nil {
-						return false
-					}
-					s.timeRaw = append(s.timeRaw[:0], token...)
-					s.timeVal = t
+			case fieldTime:
+				// The token, quotes included, is what UnmarshalJSON
+				// reads.
+				if dst.Time, ok = s.timeFor(p.b[p.i-len(val)-2 : p.i]); !ok {
+					return false
 				}
-				e.Time = s.timeVal
-			case "status":
-				switch {
-				case bytes.Equal(val, statusSuccess):
-					e.Status = Success
-				case bytes.Equal(val, statusFailure):
-					e.Status = Failure
+			case fieldStatus:
+				switch string(val) {
+				case "success":
+					dst.Status = Success
+				case "failure":
+					dst.Status = Failure
 				default:
 					// Mixed-case forms ("Success") are legal via
 					// ParseStatus; let the slow path produce them.
 					return false
 				}
-				seenStatus = true
-			default:
-				// encoding/json matches keys case-insensitively, so a
-				// known field under another case is the slow path's to
-				// decode; any other key is ignored, as encoding/json
-				// ignores unmapped fields.
-				if knownKeyFold(key) {
-					return false
-				}
+			}
+			if f >= 0 {
+				seen |= 1 << f
+				next = f + 1
 			}
 			p.ws()
 			if p.eat(',') {
@@ -336,11 +385,39 @@ func (s *EntryScanner) parseFast(b []byte) bool {
 	if p.i != len(p.b) {
 		return false // trailing garbage: stdlib errors, slow path decides
 	}
-	if !seenStatus {
+	if seen&(1<<fieldStatus) == 0 {
 		return false // ParseStatus("") must produce the canonical error
 	}
-	s.entry = e
+	if seen != 1<<numFields-1 {
+		zeroMissing(dst, seen)
+	}
 	return true
+}
+
+// zeroMissing clears the fields of dst that the line did not set, as
+// encoding/json leaves absent fields at their zero value.
+func zeroMissing(dst *Entry, seen uint32) {
+	for f := range numFields {
+		if seen&(1<<f) != 0 {
+			continue
+		}
+		switch f {
+		case fieldUser:
+			dst.User = ""
+		case fieldRole:
+			dst.Role = ""
+		case fieldAction:
+			dst.Action = ""
+		case fieldObject:
+			dst.Object = policy.Object{}
+		case fieldTask:
+			dst.Task = ""
+		case fieldCase:
+			dst.Case = ""
+		case fieldTime:
+			dst.Time = time.Time{}
+		}
+	}
 }
 
 // knownKeyFold reports whether key names a wire field in another case.
@@ -353,10 +430,16 @@ func knownKeyFold(key []byte) bool {
 	return false
 }
 
-var (
-	statusSuccess = []byte("success")
-	statusFailure = []byte("failure")
-)
+// memo returns the string for field f's value b: the field's previous
+// value when b repeats it, else the interned string.
+func (s *EntryScanner) memo(f int, b []byte) string {
+	if string(b) == s.last[f] {
+		return s.last[f]
+	}
+	v := s.intern(b)
+	s.last[f] = v
+	return v
+}
 
 // intern returns a shared string for b. Lookups on known strings do
 // not allocate (map access with a string([]byte) key compiles to an
@@ -375,37 +458,86 @@ func (s *EntryScanner) intern(b []byte) string {
 	return v
 }
 
-// objectFor resolves an object literal through the intern table,
-// parsing (and caching) unseen ones. ok=false means the literal does
-// not parse — the slow path reproduces the exact error.
+// objectFor resolves an object literal through the previous line's
+// object and the intern table, parsing (and caching) unseen ones.
+// ok=false means the literal does not parse — the slow path reproduces
+// the exact error.
 func (s *EntryScanner) objectFor(b []byte) (policy.Object, bool) {
-	if o, ok := s.objs[string(b)]; ok {
-		return o, true
+	if s.objRaw != nil && bytes.Equal(b, s.objRaw) {
+		return s.obj, true
 	}
-	o, err := policy.ParseObject(string(b))
-	if err != nil {
-		return policy.Object{}, false
+	o, ok := s.objs[string(b)]
+	if !ok {
+		var err error
+		if o, err = policy.ParseObject(string(b)); err != nil {
+			return policy.Object{}, false
+		}
+		if len(s.objs) < maxInterned {
+			s.objs[string(b)] = o
+		}
 	}
-	if len(s.objs) < maxInterned {
-		s.objs[string(b)] = o
-	}
+	s.objRaw = append(s.objRaw[:0], b...)
+	s.obj = o
 	return o, true
 }
 
-// lineParser is a zero-copy cursor over one line.
+// canonicalTime is the length of a `"YYYY-MM-DDTHH:MM:SSZ"` token.
+const canonicalTime = len(`"2006-01-02T15:04:05Z"`)
+
+// timeFor returns the instant of a timestamp token (quotes included),
+// by the same-day rule when it applies and by time.Time.UnmarshalJSON,
+// the method encoding/json calls, otherwise; ok=false means
+// UnmarshalJSON fails, and the slow path reproduces the error.
+func (s *EntryScanner) timeFor(tok []byte) (t time.Time, ok bool) {
+	clock, canonical := canonicalClock(tok)
+	if canonical && s.dayOK && string(tok[1:12]) == string(s.day[:]) {
+		return time.Unix(s.dayUnix+clock, 0).UTC(), true
+	}
+	if err := t.UnmarshalJSON(tok); err != nil {
+		return time.Time{}, false
+	}
+	if canonical {
+		copy(s.day[:], tok[1:12])
+		s.dayUnix = t.Unix() - clock
+		s.dayOK = true
+	}
+	return t, true
+}
+
+// canonicalClock reports whether tok has the canonical UTC shape
+// `"YYYY-MM-DDTHH:MM:SSZ"` with a clock in range, and returns the
+// clock's seconds since midnight. The date part is not checked: the
+// same-day rule only uses it after UnmarshalJSON accepted it.
+func canonicalClock(tok []byte) (int64, bool) {
+	if len(tok) != canonicalTime || tok[11] != 'T' || tok[14] != ':' || tok[17] != ':' || tok[20] != 'Z' {
+		return 0, false
+	}
+	h, okH := twoDigits(tok[12], tok[13])
+	m, okM := twoDigits(tok[15], tok[16])
+	sec, okS := twoDigits(tok[18], tok[19])
+	if !okH || !okM || !okS || h > 23 || m > 59 || sec > 59 {
+		return 0, false
+	}
+	return h*3600 + m*60 + sec, true
+}
+
+func twoDigits(a, b byte) (int64, bool) {
+	if a < '0' || a > '9' || b < '0' || b > '9' {
+		return 0, false
+	}
+	return int64(a-'0')*10 + int64(b-'0'), true
+}
+
+// lineParser is a zero-copy cursor over one clean line (see cleanLine).
 type lineParser struct {
 	b []byte
 	i int
 }
 
+// ws skips whitespace; on a clean line only the space can occur.
 func (p *lineParser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
+	for p.i < len(p.b) && p.b[p.i] == ' ' {
+		p.i++
 	}
 }
 
@@ -417,28 +549,59 @@ func (p *lineParser) eat(c byte) bool {
 	return false
 }
 
-// str scans a JSON string containing only printable ASCII without
-// escapes — the wire alphabet of every field auditgen and AppendJSONL
-// emit. val is the content, token includes the quotes (for
-// time.Time.UnmarshalJSON). Anything else (escapes, control bytes,
-// non-ASCII — where stdlib's UTF-8 sanitization could diverge) is not
-// claimed.
-func (p *lineParser) str() (val, token []byte, ok bool) {
+// key consumes an object key and the colon after it, and returns its
+// field, or -1 for a key encoding/json would ignore. It first tries
+// the literal of the predicted field next (or, after "action", of
+// "task", since AppendJSONL omits an empty object); only on a miss is
+// the key scanned and looked up. ok=false: malformed, or a known key
+// in another case, which encoding/json matches case-insensitively and
+// the slow path decodes.
+func (p *lineParser) key(next int) (f int, ok bool) {
+	if next < numFields && p.lit(fieldKeys[next]) {
+		return next, true
+	}
+	if next == fieldObject && p.lit(fieldKeys[fieldTask]) {
+		return fieldTask, true
+	}
+	k, ok := p.str()
+	if !ok {
+		return 0, false
+	}
+	p.ws()
+	if !p.eat(':') {
+		return 0, false
+	}
+	for f, lit := range fieldKeys {
+		if string(k) == lit[1:len(lit)-2] {
+			return f, true
+		}
+	}
+	if knownKeyFold(k) {
+		return 0, false
+	}
+	return -1, true
+}
+
+// lit consumes s if the input continues with it.
+func (p *lineParser) lit(s string) bool {
+	if len(p.b)-p.i >= len(s) && string(p.b[p.i:p.i+len(s)]) == s {
+		p.i += len(s)
+		return true
+	}
+	return false
+}
+
+// str scans a JSON string and returns its content. On a clean line a
+// string holds no escape, so it ends at the next quote.
+func (p *lineParser) str() ([]byte, bool) {
 	if p.i >= len(p.b) || p.b[p.i] != '"' {
-		return nil, nil, false
+		return nil, false
 	}
-	start := p.i
-	p.i++
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c == '"' {
-			p.i++
-			return p.b[start+1 : p.i-1], p.b[start:p.i], true
-		}
-		if c == '\\' || c < 0x20 || c >= 0x80 {
-			return nil, nil, false
-		}
-		p.i++
+	n := bytes.IndexByte(p.b[p.i+1:], '"')
+	if n < 0 {
+		return nil, false
 	}
-	return nil, nil, false
+	val := p.b[p.i+1 : p.i+1+n]
+	p.i += n + 2
+	return val, true
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"repro/internal/policy"
 )
@@ -70,8 +71,8 @@ func CanonicalEntry(e Entry) []byte {
 }
 
 // AppendCanonicalEntry appends CanonicalEntry(e) to dst without
-// intermediate strings: fields are written in place and the time is
-// formatted through a stack buffer.
+// intermediate strings: fields, the time included, are written in
+// place.
 func AppendCanonicalEntry(dst []byte, e Entry) []byte {
 	dst = appendField(dst, e.User)
 	dst = appendField(dst, e.Role)
@@ -79,9 +80,42 @@ func AppendCanonicalEntry(dst []byte, e Entry) []byte {
 	dst = appendObjectField(dst, e.Object)
 	dst = appendField(dst, e.Task)
 	dst = appendField(dst, e.Case)
-	var tb [64]byte
-	dst = appendField(dst, e.Time.UTC().AppendFormat(tb[:0], canonicalTimeLayout))
+	dst = appendCanonicalTime(dst, e.Time.UTC())
 	return appendField(dst, e.Status.String())
+}
+
+// appendCanonicalTime writes the time field: t, which is in UTC, in
+// canonicalTimeLayout. Years 0–9999 are written digit by digit, which
+// is what AppendFormat writes for them; other years take AppendFormat.
+func appendCanonicalTime(dst []byte, t time.Time) []byte {
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		var tb [64]byte
+		return appendField(dst, t.AppendFormat(tb[:0], canonicalTimeLayout))
+	}
+	hour, minute, sec := t.Clock()
+	dst = strconv.AppendInt(dst, int64(len(canonicalTimeLayout)), 10)
+	dst = append(dst, ':')
+	dst = appendDigits(dst, year, 4)
+	dst = appendDigits(dst, int(month), 2)
+	dst = appendDigits(dst, day, 2)
+	dst = appendDigits(dst, hour, 2)
+	dst = appendDigits(dst, minute, 2)
+	dst = appendDigits(dst, sec, 2)
+	dst = append(dst, '.')
+	return appendDigits(dst, t.Nanosecond(), 9)
+}
+
+// appendDigits writes v, which is non-negative and below 10^width, as
+// exactly width decimal digits.
+func appendDigits(dst []byte, v, width int) []byte {
+	n := len(dst) + width
+	dst = append(dst, "000000000"[:width]...)
+	for i := n - 1; v > 0; i-- {
+		dst[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return dst
 }
 
 func appendField[T string | []byte](dst []byte, f T) []byte {

@@ -295,3 +295,65 @@ func cloneReports(reps []*Report) []*Report {
 	}
 	return out
 }
+
+// inPlaceObserver records, for every accepted entry, the trail
+// position it points at (at maps the address of each trail entry to
+// its position), and counts entries that are not the trail's own.
+type inPlaceObserver struct {
+	at     map[*audit.Entry]int
+	caseID string
+	got    map[string][]int
+	stray  int
+}
+
+func (o *inPlaceObserver) ReplayBegin(caseID, _, _ string, _ int) { o.caseID = caseID }
+func (o *inPlaceObserver) EntryAccepted(_ int, e *audit.Entry, _ StepStats) {
+	i, ok := o.at[e]
+	if !ok {
+		o.stray++
+		return
+	}
+	o.got[o.caseID] = append(o.got[o.caseID], i)
+}
+func (o *inPlaceObserver) EntryRejected(int, *audit.Entry, *Explanation) {}
+func (o *inPlaceObserver) ReplayEnd(*Report)                             {}
+
+// TestCheckTrailReplaysInPlace: a trail audit replays each case from
+// the trail's own entries, without gathering them into a buffer. On an
+// interleaved trail every entry the observer sees must be a pointer
+// into trail.View()'s backing array, and each case must visit its own
+// positions in chronological order, on both engines.
+func TestCheckTrailReplaysInPlace(t *testing.T) {
+	trail := multiCaseTrail(200, 11)
+	view := trail.View()
+	at := make(map[*audit.Entry]int, len(view))
+	for i := range view {
+		at[&view[i]] = i
+	}
+	for _, compiled := range []bool{false, true} {
+		c := NewChecker(multiCaseRegistry(t), nil)
+		c.UseCompiled = compiled
+		obs := &inPlaceObserver{at: at, got: map[string][]int{}}
+		c.Observer = obs
+		reps, err := c.CheckTrail(trail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obs.stray != 0 {
+			t.Fatalf("compiled=%v: %d accepted entries were not the trail's own", compiled, obs.stray)
+		}
+		accepted := 0
+		for _, rep := range reps {
+			got := obs.got[rep.Case]
+			accepted += len(got)
+			for k, i := range got {
+				if view[i].Case != rep.Case || (k > 0 && i <= got[k-1]) {
+					t.Fatalf("compiled=%v: case %s replayed trail positions %v", compiled, rep.Case, got)
+				}
+			}
+		}
+		if accepted == 0 {
+			t.Fatalf("compiled=%v: no entry was accepted", compiled)
+		}
+	}
+}

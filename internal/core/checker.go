@@ -417,7 +417,7 @@ func nextActive(rt *purposeRT, pur *Purpose, active *activeSet, l cows.Label, sc
 // (Algorithm 1 line 10): a successful entry needs the task's own label
 // performed by a pool the entry's role specializes; a failure needs
 // sys·Err (strictly: originating from the entry's task).
-func (c *Checker) matchesEntry(s *succ, e audit.Entry) bool {
+func (c *Checker) matchesEntry(s *succ, e *audit.Entry) bool {
 	if e.Status == audit.Failure {
 		if s.label.Op != "Err" {
 			return false
@@ -437,7 +437,7 @@ func (c *Checker) matchesEntry(s *succ, e audit.Entry) bool {
 
 // isActive reports whether the entry's task is active in the
 // configuration under the role hierarchy (Algorithm 1 line 8).
-func (c *Checker) isActive(conf *Configuration, e audit.Entry) bool {
+func (c *Checker) isActive(conf *Configuration, e *audit.Entry) bool {
 	for _, a := range conf.active.tasks {
 		if a.Task == e.Task && c.roleMatches(e.Role, a.Role) {
 			return true
@@ -463,14 +463,39 @@ func (c *Checker) CheckCase(trail *audit.Trail, caseID string) (*Report, error) 
 func (c *Checker) CheckCaseContext(ctx context.Context, trail *audit.Trail, caseID string) (*Report, error) {
 	pur := c.registry.ForCase(caseID)
 	if pur == nil {
-		return c.checkEntries(ctx, nil, caseID, nil)
+		return c.checkEntries(ctx, nil, caseID, caseView{})
 	}
-	return c.checkEntries(ctx, pur, caseID, trail.ByCase(caseID).View())
+	return c.checkEntries(ctx, pur, caseID, caseView{all: trail.ByCase(caseID).View()})
+}
+
+// caseView is one case's chronological entries, read in place: the
+// entries of a trail at the positions pos, or all of them, in order,
+// when pos is nil. Replay reads each entry through a pointer into the
+// trail's own array, so fetching a case copies nothing.
+type caseView struct {
+	all []audit.Entry
+	pos []int32
+}
+
+// len returns the number of entries in the case.
+func (v caseView) len() int {
+	if v.pos == nil {
+		return len(v.all)
+	}
+	return len(v.pos)
+}
+
+// at returns the case's i-th entry.
+func (v caseView) at(i int) *audit.Entry {
+	if v.pos == nil {
+		return &v.all[i]
+	}
+	return &v.all[v.pos[i]]
 }
 
 // checkEntries is CheckCaseContext's body over the case's chronological
 // entries, given the purpose its case code names (nil when none does).
-func (c *Checker) checkEntries(ctx context.Context, pur *Purpose, caseID string, entries []audit.Entry) (rep *Report, err error) {
+func (c *Checker) checkEntries(ctx context.Context, pur *Purpose, caseID string, entries caseView) (rep *Report, err error) {
 	if pur == nil {
 		v := &Violation{
 			Kind:   ViolationUnknownPurpose,
@@ -486,7 +511,7 @@ func (c *Checker) checkEntries(ctx context.Context, pur *Purpose, caseID string,
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			rep = indeterminateReport(caseID, pur.Name, len(entries), 0, &Indeterminacy{
+			rep = indeterminateReport(caseID, pur.Name, entries.len(), 0, &Indeterminacy{
 				Cause:      CauseRecoveredPanic,
 				EntryIndex: -1,
 				Reason:     fmt.Sprintf("recovered panic: %v", r),
@@ -506,7 +531,7 @@ func (c *Checker) initialConfiguration(rt *purposeRT, pur *Purpose) (*Configurat
 // replay decides one case, dispatching to the compiled automaton when
 // the fast path is on and available, and to the Algorithm 1 interpreter
 // otherwise (recording why — DESIGN.md §11 fallback rules).
-func (c *Checker) replay(ctx context.Context, pur *Purpose, caseID string, entries []audit.Entry) (*Report, error) {
+func (c *Checker) replay(ctx context.Context, pur *Purpose, caseID string, entries caseView) (*Report, error) {
 	if c.UseCompiled {
 		d, why := c.compiledFor(pur)
 		if d != nil {
@@ -522,12 +547,13 @@ func (c *Checker) replay(ctx context.Context, pur *Purpose, caseID string, entri
 	return c.replayInterpreted(ctx, pur, caseID, entries)
 }
 
-// replayInterpreted is the body of Algorithm 1 over a chronological
-// entry slice. Budget exhaustion and configuration-cap overflow yield
-// an OutcomeIndeterminate report; ctx cancellation yields the context's
-// error.
-func (c *Checker) replayInterpreted(ctx context.Context, pur *Purpose, caseID string, entries []audit.Entry) (*Report, error) {
+// replayInterpreted is the body of Algorithm 1 over a case's
+// chronological entries. Budget exhaustion and configuration-cap
+// overflow yield an OutcomeIndeterminate report; ctx cancellation
+// yields the context's error.
+func (c *Checker) replayInterpreted(ctx context.Context, pur *Purpose, caseID string, entries caseView) (*Report, error) {
 	rt := c.runtime(pur)
+	n := entries.len()
 	maxConfigs := c.MaxConfigurations
 	if maxConfigs <= 0 {
 		maxConfigs = DefaultMaxConfigurations
@@ -537,51 +563,53 @@ func (c *Checker) replayInterpreted(ctx context.Context, pur *Purpose, caseID st
 	// entry; all observer-only bookkeeping hides behind it.
 	obs := c.Observer
 	if obs != nil {
-		obs.ReplayBegin(caseID, pur.Name, EngineInterpreted, len(entries))
+		obs.ReplayBegin(caseID, pur.Name, EngineInterpreted, n)
 	}
 
 	initial, err := c.initialConfiguration(rt, pur)
 	if err != nil {
 		if ind := indeterminacyFor(err); ind != nil {
-			return observed(obs, indeterminateReport(caseID, pur.Name, len(entries), 0, ind)), nil
+			return observed(obs, indeterminateReport(caseID, pur.Name, n, 0, ind)), nil
 		}
 		return nil, err
 	}
 	configs := []*Configuration{initial}
-	rep := &Report{Case: caseID, Purpose: pur.Name, Entries: len(entries)}
+	rep := &Report{Case: caseID, Purpose: pur.Name, Entries: n}
 
 	// Background contexts have a nil Done channel; skip the per-entry
 	// poll entirely then.
 	done := ctx.Done()
 
-	// Scratch reused across entries: the dedup set is cleared per step
-	// and the output buffer alternates with the input slice, so a warm
-	// replay performs no per-entry allocations.
-	seen := make(map[uint64]bool, 8)
+	// Scratch reused across entries: the dedup set (used only by steps
+	// with large configuration sets) and the output buffer, which
+	// alternates with the input slice, so a warm replay performs no
+	// per-entry allocations.
+	var seen map[uint64]bool
 	var spare []*Configuration
 
-	for i, e := range entries {
+	for i := 0; i < n; i++ {
+		e := entries.at(i)
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		nextConfigs, found, err := c.advance(rt, pur, configs, e, maxConfigs, seen, spare)
+		nextConfigs, found, err := c.advance(rt, pur, configs, e, maxConfigs, &seen, spare)
 		if err != nil {
 			if ind := indeterminacyFor(err); ind != nil {
 				ind.EntryIndex = i
-				return observed(obs, indeterminateReport(caseID, pur.Name, len(entries), i, ind)), nil
+				return observed(obs, indeterminateReport(caseID, pur.Name, n, i, ind)), nil
 			}
 			return nil, fmt.Errorf("core: at entry %d of case %s: %w", i, caseID, err)
 		}
 		if !found {
 			rep.Compliant = false
 			rep.Outcome = OutcomeViolation
-			rep.Violation = c.describeViolation(pur, configs, i, e)
+			rep.Violation = c.describeViolation(pur, configs, i, *e)
 			rep.StepsReplayed = i
 			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(configs))
 			if obs != nil {
-				obs.EntryRejected(i, &entries[i], rep.Explanation)
+				obs.EntryRejected(i, e, rep.Explanation)
 				obs.ReplayEnd(rep)
 			}
 			return rep, nil
@@ -590,26 +618,26 @@ func (c *Checker) replayInterpreted(ctx context.Context, pur *Purpose, caseID st
 			rep.PeakConfigurations = len(nextConfigs)
 		}
 		if obs != nil {
-			obs.EntryAccepted(i, &entries[i], c.stepStats(configs, nextConfigs, e))
+			obs.EntryAccepted(i, e, c.stepStats(configs, nextConfigs, e))
 		}
 		spare = configs[:0]
 		configs = nextConfigs
 		if c.TraceFn != nil {
-			c.TraceFn(i, e, configs)
+			c.TraceFn(i, *e, configs)
 		}
 	}
 
 	rep.Compliant = true
 	rep.Outcome = OutcomeCompliant
-	rep.StepsReplayed = len(entries)
+	rep.StepsReplayed = n
 	rep.FinalConfigurations = len(configs)
 	for _, conf := range configs {
 		done, err := rt.sys.CanTerminateSilently(conf.state)
 		if err != nil {
 			if ind := indeterminacyFor(err); ind != nil {
-				ind.EntryIndex = len(entries)
+				ind.EntryIndex = n
 				ind.Reason = "completion check: " + ind.Reason
-				return observed(obs, indeterminateReport(caseID, pur.Name, len(entries), len(entries), ind)), nil
+				return observed(obs, indeterminateReport(caseID, pur.Name, n, n, ind)), nil
 			}
 			return nil, err
 		}
@@ -634,7 +662,7 @@ func observed(obs Observer, rep *Report) *Report {
 // stepStats assembles the observer-only per-entry statistics. Only
 // called with an observer attached — the extra isActive sweep and
 // candidate count never run on the bare hot path.
-func (c *Checker) stepStats(configs, next []*Configuration, e audit.Entry) StepStats {
+func (c *Checker) stepStats(configs, next []*Configuration, e *audit.Entry) StepStats {
 	st := StepStats{ConfigsBefore: len(configs), ConfigsAfter: len(next)}
 	for _, conf := range configs {
 		st.Candidates += len(conf.next)
@@ -649,27 +677,45 @@ func (c *Checker) stepStats(configs, next []*Configuration, e audit.Entry) StepS
 // one entry to every configuration, absorbing in-task actions (line 8)
 // and firing matching weak-next labels (line 10). It returns the
 // deduplicated next configuration set and whether any configuration
-// accepted the entry. seen and out are optional scratch (cleared /
-// truncated here) so steady-state callers allocate nothing; the returned
-// slice aliases out's backing array when capacity suffices.
-func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration, e audit.Entry, maxConfigs int, seen map[uint64]bool, out []*Configuration) ([]*Configuration, bool, error) {
-	if seen == nil {
-		seen = make(map[uint64]bool, len(configs))
-	} else {
-		clear(seen)
-	}
+// accepted the entry. The set is deduplicated by a linear scan while it
+// holds at most linearDedup configurations and through *seen above
+// that; *seen is created on first need and cleared before reuse, so a
+// caller that keeps it, and out, across steps allocates nothing in the
+// steady state. The returned slice aliases out's backing array when
+// capacity suffices.
+func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration, e *audit.Entry, maxConfigs int, seen *map[uint64]bool, out []*Configuration) ([]*Configuration, bool, error) {
 	nextConfigs := out[:0]
 	found := false
+	indexed := false
 	addConfig := func(conf *Configuration) error {
 		k := conf.memoKey()
-		if seen[k] {
+		if !indexed {
+			for _, have := range nextConfigs {
+				if have.memoKey() == k {
+					return nil
+				}
+			}
+		} else if (*seen)[k] {
 			return nil
 		}
 		if len(nextConfigs) >= maxConfigs {
 			return fmt.Errorf("%w: configuration set exceeds %d", errConfigCap, maxConfigs)
 		}
-		seen[k] = true
 		nextConfigs = append(nextConfigs, conf)
+		switch {
+		case indexed:
+			(*seen)[k] = true
+		case len(nextConfigs) > linearDedup:
+			if *seen == nil {
+				*seen = make(map[uint64]bool, 2*linearDedup)
+			} else {
+				clear(*seen)
+			}
+			for _, have := range nextConfigs {
+				(*seen)[have.memoKey()] = true
+			}
+			indexed = true
+		}
 		return nil
 	}
 
@@ -702,6 +748,12 @@ func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration,
 	}
 	return nextConfigs, found, nil
 }
+
+// linearDedup is the largest next-configuration set advance
+// deduplicates by a linear scan. Most steps produce one or two
+// configurations, where a scan beats hashing, and clearing a Go map
+// costs more than the scan.
+const linearDedup = 8
 
 // describeViolation assembles the diagnostic for a rejected entry: what
 // the surviving configurations would have accepted instead.
@@ -795,17 +847,19 @@ func (c *Checker) CheckObjectContext(ctx context.Context, trail *audit.Trail, ob
 	return c.checkCases(ctx, cases, 1, indexedEntries(trail, trail.IndexByCase()))
 }
 
-// indexedEntries fetches a case's entries through idx, gathering them
-// into the calling worker's buffer, so the trail's entries are copied
-// once in total. A single-case trail is replayed in place, as ByCase
-// would return it.
-func indexedEntries(trail *audit.Trail, idx *audit.CaseIndex) func(string, *[]audit.Entry) []audit.Entry {
+// indexedEntries fetches a case's entries through idx as positions
+// into the trail, so workers replay the trail's entries in place. A
+// single-case trail is replayed whole, as ByCase would return it.
+func indexedEntries(trail *audit.Trail, idx *audit.CaseIndex) func(string) caseView {
 	if len(idx.Cases()) == 1 {
-		return func(string, *[]audit.Entry) []audit.Entry { return trail.View() }
+		return func(string) caseView { return caseView{all: trail.View()} }
 	}
-	return func(caseID string, buf *[]audit.Entry) []audit.Entry {
-		*buf = idx.AppendCase((*buf)[:0], caseID)
-		return *buf
+	return func(caseID string) caseView {
+		pos := idx.Positions(caseID)
+		if pos == nil {
+			return caseView{} // an unknown case; nil positions would mean the whole trail
+		}
+		return caseView{all: trail.View(), pos: pos}
 	}
 }
 
@@ -813,12 +867,10 @@ func indexedEntries(trail *audit.Trail, idx *audit.CaseIndex) func(string, *[]au
 // this checker's warm caches, and returns the reports in cases order.
 // Dispatch is a lock-free work counter over the case list: per-case
 // checks on a warm checker are microseconds, so channel coordination
-// would dominate. fetch returns one case's chronological entries; buf
-// is the calling worker's scratch, which fetch may fill and which the
-// worker keeps from case to case. Workers stop claiming cases once ctx
-// is done or their own case failed; the error of the earliest failed
-// case is returned.
-func (c *Checker) checkCases(ctx context.Context, cases []string, workers int, fetch func(caseID string, buf *[]audit.Entry) []audit.Entry) ([]*Report, error) {
+// would dominate. fetch returns one case's chronological entries.
+// Workers stop claiming cases once ctx is done or their own case
+// failed; the error of the earliest failed case is returned.
+func (c *Checker) checkCases(ctx context.Context, cases []string, workers int, fetch func(caseID string) caseView) ([]*Report, error) {
 	if len(cases) == 0 {
 		return nil, nil
 	}
@@ -827,7 +879,6 @@ func (c *Checker) checkCases(ctx context.Context, cases []string, workers int, f
 	errs := make([]error, len(cases))
 	var next atomic.Int64
 	work := func() {
-		var buf []audit.Entry
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(cases) {
@@ -836,10 +887,10 @@ func (c *Checker) checkCases(ctx context.Context, cases []string, workers int, f
 			if errs[i] = ctx.Err(); errs[i] != nil {
 				return
 			}
-			var entries []audit.Entry
+			var entries caseView
 			pur := c.registry.ForCase(cases[i])
 			if pur != nil {
-				entries = fetch(cases[i], &buf)
+				entries = fetch(cases[i])
 			}
 			if reports[i], errs[i] = c.checkEntries(ctx, pur, cases[i], entries); errs[i] != nil {
 				return

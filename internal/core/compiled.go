@@ -256,11 +256,12 @@ func symCacheIdx(task, role string) uint8 {
 }
 
 // replayCompiled is Algorithm 1 as one table lookup per entry.
-func (c *Checker) replayCompiled(ctx context.Context, d *automaton.DFA, pur *Purpose, caseID string, entries []audit.Entry) (*Report, error) {
-	rep := &Report{Case: caseID, Purpose: pur.Name, Entries: len(entries), Engine: EngineCompiled}
+func (c *Checker) replayCompiled(ctx context.Context, d *automaton.DFA, pur *Purpose, caseID string, entries caseView) (*Report, error) {
+	n := entries.len()
+	rep := &Report{Case: caseID, Purpose: pur.Name, Entries: n, Engine: EngineCompiled}
 	obs := c.Observer
 	if obs != nil {
-		obs.ReplayBegin(caseID, pur.Name, EngineCompiled, len(entries))
+		obs.ReplayBegin(caseID, pur.Name, EngineCompiled, n)
 	}
 	// cov is hoisted like obs: one nil check per entry, nothing else on
 	// the bare hot path.
@@ -272,13 +273,13 @@ func (c *Checker) replayCompiled(ctx context.Context, d *automaton.DFA, pur *Pur
 	state := d.Start
 	done := ctx.Done()
 	var cache symCacheTable
-	for i := range entries {
+	for i := 0; i < n; i++ {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		e := &entries[i]
+		e := entries.at(i)
 		task, role := e.Task, e.Role
 		failure := e.Status == audit.Failure
 		if failure {
@@ -292,7 +293,7 @@ func (c *Checker) replayCompiled(ctx context.Context, d *automaton.DFA, pur *Pur
 		if next == automaton.Reject {
 			rep.Compliant = false
 			rep.Outcome = OutcomeViolation
-			rep.Violation = c.describeViolationCompiled(d, state, pur, i, entries[i])
+			rep.Violation = c.describeViolationCompiled(d, state, pur, i, *e)
 			rep.StepsReplayed = i
 			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(d.States[state].Members))
 			if obs != nil {
@@ -320,7 +321,7 @@ func (c *Checker) replayCompiled(ctx context.Context, d *automaton.DFA, pur *Pur
 	st := &d.States[state]
 	rep.Compliant = true
 	rep.Outcome = OutcomeCompliant
-	rep.StepsReplayed = len(entries)
+	rep.StepsReplayed = n
 	rep.FinalConfigurations = len(st.Members)
 	rep.CanComplete = st.CanComplete
 	rep.Pending = !rep.CanComplete

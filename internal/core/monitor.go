@@ -268,7 +268,8 @@ func (m *Monitor) Peek(e audit.Entry) (bool, error) {
 		maxConfigs = DefaultMaxConfigurations
 	}
 	rt := m.checker.runtime(st.purpose)
-	_, found, err := m.checker.advance(rt, st.purpose, st.configs, e, maxConfigs, nil, nil)
+	var seen map[uint64]bool
+	_, found, err := m.checker.advance(rt, st.purpose, st.configs, &e, maxConfigs, &seen, nil)
 	if err != nil {
 		return false, fmt.Errorf("core: peeking case %s: %w", e.Case, err)
 	}
@@ -361,7 +362,8 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 				err = fmt.Errorf("%w: %v", errRecoveredPanic, r)
 			}
 		}()
-		return m.checker.advance(rt, st.purpose, st.configs, e, maxConfigs, nil, nil)
+		var seen map[uint64]bool
+		return m.checker.advance(rt, st.purpose, st.configs, &e, maxConfigs, &seen, nil)
 	}()
 	if err != nil {
 		if ind := indeterminacyFor(err); ind != nil {
@@ -470,8 +472,8 @@ func CheckStoreParallel(c *Checker, store *audit.Store, nWorkers int) (map[strin
 // error is returned.
 func CheckStoreParallelContext(ctx context.Context, c *Checker, store *audit.Store, nWorkers int) (map[string]*Report, error) {
 	cases := store.Cases()
-	reports, err := c.checkCases(ctx, cases, nWorkers, func(caseID string, _ *[]audit.Entry) []audit.Entry {
-		return store.Case(caseID).View()
+	reports, err := c.checkCases(ctx, cases, nWorkers, func(caseID string) caseView {
+		return caseView{all: store.Case(caseID).View()}
 	})
 	if err != nil {
 		return nil, err

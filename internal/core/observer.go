@@ -24,8 +24,9 @@ type Observer interface {
 	// EngineCompiled; entries is the case-slice length.
 	ReplayBegin(caseID, purpose, engine string, entries int)
 	// EntryAccepted fires after entry step was consumed and the
-	// configuration set advanced. e is valid only during the call:
-	// trail audits replay from a buffer reused across cases.
+	// configuration set advanced. e points at the replayed entry
+	// itself (trail audits replay the trail's entries in place): treat
+	// it as read-only and do not keep it past the call.
 	EntryAccepted(step int, e *audit.Entry, st StepStats)
 	// EntryRejected fires when entry step diverges from every live
 	// configuration; expl carries the expected observable set at that

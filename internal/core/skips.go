@@ -84,7 +84,8 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 	live := []skipConfig{{conf: initial}}
 	rep := &SkipReport{Report: Report{Case: caseID, Purpose: pur.Name, Entries: len(entries)}}
 
-	for i, e := range entries {
+	for i := range entries {
+		e := &entries[i]
 		var next []skipConfig
 		seen := map[uint64]int{} // config key -> best (lowest) skip count index+1
 		add := func(sc skipConfig) error {
@@ -161,7 +162,7 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 			for j, sc := range live {
 				confs[j] = sc.conf
 			}
-			rep.Violation = c.describeViolation(pur, confs, i, e)
+			rep.Violation = c.describeViolation(pur, confs, i, *e)
 			rep.StepsReplayed = i
 			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(confs))
 			return rep, nil
