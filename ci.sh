@@ -355,8 +355,8 @@ proofs_smoke() {
 # known infringements plus verdicts identical to an uninterrupted
 # control run — nothing acknowledged may be lost, nothing replayed
 # twice. The ledger rides along: the crashed-and-rebuilt run must sign
-# a root chain byte-identical to the uninterrupted control's, and its
-# proofs must still verify offline.
+# a root chain and serve proof bundles byte-identical to the
+# uninterrupted control's, and its proofs must still verify offline.
 crash_smoke() {
 	echo "== crash-recovery smoke (WAL + ledger, kill -9) =="
 	SMOKE_TMP=$(mktemp -d)
@@ -488,7 +488,16 @@ crash_smoke() {
 		cat "$SMOKE_TMP/crash-roots.json" >&2
 		exit 1
 	}
-	curl -sf "http://$addr/v1/proofs/HT-11" >"$SMOKE_TMP/crash-proof.json"
+	# Every case's proof bundle, fetched in the same order in both runs
+	# (a proof of an open batch forces a cut), for the diff below.
+	cases=$(sed -n 's/.*"case":"\([^"]*\)".*/\1/p' "$SMOKE_TMP/trail.ndjson" | sort -u)
+	fetch_proofs() {
+		mkdir -p "$SMOKE_TMP/$1-proofs"
+		for c in $cases; do
+			curl -sf "http://$addr/v1/proofs/$c" >"$SMOKE_TMP/$1-proofs/$c.json"
+		done
+	}
+	fetch_proofs crash
 	kill -TERM "$SMOKE_PID"
 	wait "$SMOKE_PID" || {
 		echo "rebooted auditd exited non-zero; log:" >&2
@@ -499,10 +508,10 @@ crash_smoke() {
 
 	# The ledger rebuilt across the crash must still prove inclusion —
 	# offline, against the mirrored public key.
-	"$SMOKE_TMP/purposectl" verify-proof -bundle "$SMOKE_TMP/crash-proof.json" \
+	"$SMOKE_TMP/purposectl" verify-proof -bundle "$SMOKE_TMP/crash-proofs/HT-11.json" \
 		-pubkey-file "$SMOKE_TMP/ledger.key.pub" >/dev/null || {
 		echo "post-crash ledger proof does not verify offline" >&2
-		cat "$SMOKE_TMP/crash-proof.json" >&2
+		cat "$SMOKE_TMP/crash-proofs/HT-11.json" >&2
 		exit 1
 	}
 
@@ -517,6 +526,7 @@ crash_smoke() {
 		"http://$addr/v1/events?wait=1" >/dev/null
 	curl -sf "http://$addr/v1/cases" >"$SMOKE_TMP/control-cases.json"
 	curl -sf "http://$addr/v1/roots" >"$SMOKE_TMP/control-roots.json"
+	fetch_proofs control
 	kill -TERM "$SMOKE_PID"
 	wait "$SMOKE_PID" || true
 	SMOKE_PID=""
@@ -525,6 +535,12 @@ crash_smoke() {
 	# run's chain and head must be byte-identical to the control's.
 	diff -u "$SMOKE_TMP/control-roots.json" "$SMOKE_TMP/crash-roots.json" || {
 		echo "root chain after kill -9 rebuild diverges from the uninterrupted run" >&2
+		exit 1
+	}
+	# So must every proof bundle: the entries, their paths and the
+	# verdict they prove.
+	diff -ru "$SMOKE_TMP/control-proofs" "$SMOKE_TMP/crash-proofs" || {
+		echo "proof bundles after kill -9 rebuild diverge from the uninterrupted run" >&2
 		exit 1
 	}
 
@@ -537,7 +553,7 @@ crash_smoke() {
 		exit 1
 	}
 
-	echo "crash smoke OK ($half acknowledged entries survived kill -9, $v violations, verdicts identical, root chains byte-identical)"
+	echo "crash smoke OK ($half acknowledged entries survived kill -9, $v violations, verdicts identical, root chains and proof bundles byte-identical)"
 	rm -rf "$SMOKE_TMP"
 	SMOKE_TMP=""
 }

@@ -171,6 +171,14 @@ func canonicalEntryRef(e Entry) []byte {
 // FuzzCanonicalEntry requires AppendCanonicalEntry (and the chain step
 // built on it) to produce the reference bytes for any entry. path
 // splits on NUL into object path components ("" is no path at all).
+//
+// It also holds ParseCanonicalEntry to being the encoding's inverse:
+// the entry's bytes parse back to an entry that re-encodes to them and
+// renders the JSONL line of the entry in UTC (for an object in the wire
+// form; see wireObject), and on any other bytes (user taken as raw
+// bytes, and the canonical bytes with subject spliced in at an offset
+// drawn from nsec) a parse either errors or re-encodes to exactly its
+// input, without panicking.
 func FuzzCanonicalEntry(f *testing.F) {
 	at := func(t time.Time) (int64, int64) { return t.Unix(), int64(t.Nanosecond()) }
 	add := func(user, role, action, subject, path, task, caseID string, t time.Time, zone int, status int8) {
@@ -189,6 +197,14 @@ func FuzzCanonicalEntry(f *testing.F) {
 	add("u", "r", "a", "s", "p", "T", "C", time.Date(12345, 6, 7, 8, 9, 10, 11, time.UTC), 0, 0)
 	add("u", "r", "a", "s", "p", "T", "C", time.Date(-42, 1, 1, 0, 0, 0, 0, time.UTC), 3600, 0)
 	add("u", "r", "a", "s", "p", "T", "C", time.Date(0, 1, 1, 0, 0, 0, 999999999, time.UTC), 0, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Unix(1<<63-1, 999999999), 0, 0)
+	add("u", "r", "a", "s", "p", "T", "C", time.Unix(-1<<63, 0), -3600, 0)
+	add("u", "r", "a", "", "[s]p", "T", "C", utc, 0, 0)
+	add("u", "r", "a", "s]", "p/q", "T", "C", utc, 0, 0)
+	// user and subject as canonical bytes: a well-formed parse input the
+	// fuzzer mutates, and one with a 30 February.
+	add(string(CanonicalEntry(lenEntry(0, "T1", "C-1"))), "r", "a", "s", "p", "T", "C", utc, 0, 0)
+	add("u", "r", "a", "24:20260230000000.000000000", "p", "T", "C", utc, 0, 0)
 	f.Fuzz(func(t *testing.T, user, role, action, subject, path, task, caseID string, sec, nsec int64, zone int, status int8) {
 		e := Entry{
 			User: user, Role: role, Action: action,
@@ -216,7 +232,48 @@ func FuzzCanonicalEntry(f *testing.F) {
 		if got := ChainNext(seed, e); got != wantChain {
 			t.Fatalf("ChainNext = %x, want %x", got, wantChain)
 		}
+
+		back, err := ParseCanonicalEntry(want)
+		if err != nil {
+			t.Fatalf("ParseCanonicalEntry(%q): %v", want, err)
+		}
+		if got := AppendCanonicalEntry(nil, back); !bytes.Equal(got, want) {
+			t.Fatalf("parsed entry re-encodes to %q, want %q", got, want)
+		}
+		if wireObject(e.Object) {
+			utc := e
+			utc.Time = e.Time.UTC()
+			// Years outside 0–9999 have no JSON rendering: both fail.
+			var got, wantLine bytes.Buffer
+			gotErr, wantErr := AppendJSONL(&got, back), AppendJSONL(&wantLine, utc)
+			if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got.Bytes(), wantLine.Bytes()) {
+				t.Fatalf("parsed entry renders %s (%v), want %s (%v)", got.Bytes(), gotErr, wantLine.Bytes(), wantErr)
+			}
+		}
+		at := int(uint64(nsec) % uint64(len(want)+1))
+		spliced := append(append(append([]byte(nil), want[:at]...), subject...), want[at:]...)
+		for _, b := range [][]byte{[]byte(user), spliced} {
+			if pe, err := ParseCanonicalEntry(b); err == nil {
+				if got := AppendCanonicalEntry(nil, pe); !bytes.Equal(got, b) {
+					t.Fatalf("ParseCanonicalEntry(%q) accepted bytes that re-encode to %q", b, got)
+				}
+			}
+		}
 	})
+}
+
+// wireObject reports whether o is an object the JSONL wire form
+// carries unchanged: none at all, or one policy.ParseObject reads back
+// from its rendering. Canonical bytes flatten the object to that
+// rendering, so only these come back from ParseCanonicalEntry as they
+// went in ("[s]" is both a subject with no path and a one-component
+// path).
+func wireObject(o policy.Object) bool {
+	if len(o.Path) == 0 {
+		return true
+	}
+	back, err := policy.ParseObject(o.String())
+	return err == nil && reflect.DeepEqual(back, o)
 }
 
 // FuzzDecodeEntry requires the scanner's single-entry Decode to equal

@@ -117,8 +117,21 @@ func NewEntryScanner(r io.Reader, opts DecodeOptions) *EntryScanner {
 
 // Reset rewires the scanner to a new reader, keeping its buffers,
 // intern tables and memos warm. Decode options are kept; position,
-// error state and the quarantine are cleared.
+// error state and the quarantine are cleared. Two things are let go so
+// that a long-lived (pooled) scanner stays bounded and useful: a read
+// buffer that one overlong line grew past the default window, and an
+// intern table that is full, which would otherwise stop interning the
+// strings of every later stream.
 func (s *EntryScanner) Reset(r io.Reader) {
+	if len(s.buf) > sizeWindow {
+		s.buf = nil
+	}
+	if len(s.strs) >= maxInterned {
+		clear(s.strs)
+	}
+	if len(s.objs) >= maxInterned {
+		clear(s.objs)
+	}
 	s.r = r
 	s.start, s.end = 0, 0
 	s.readErr = nil

@@ -261,4 +261,13 @@ func TestEntryScannerInternBound(t *testing.T) {
 	if len(sc.strs) > maxInterned {
 		t.Errorf("intern table grew to %d, cap is %d", len(sc.strs), maxInterned)
 	}
+	// A full table is cleared on Reset, so a long-lived scanner goes on
+	// interning the strings of later streams.
+	sc.Reset(bytes.NewReader(buf.Bytes()))
+	if len(sc.strs) != 0 {
+		t.Errorf("Reset kept a full intern table of %d strings", len(sc.strs))
+	}
+	if !sc.Scan() || len(sc.strs) == 0 {
+		t.Errorf("scanner does not intern after Reset (table holds %d)", len(sc.strs))
+	}
 }

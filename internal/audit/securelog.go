@@ -1,12 +1,14 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/policy"
@@ -151,6 +153,120 @@ func appendObjectField(dst []byte, o policy.Object) []byte {
 		dst = append(dst, p...)
 	}
 	return dst
+}
+
+// ParseCanonicalEntry is the inverse of AppendCanonicalEntry: it
+// rebuilds the entry that b commits to, its time in UTC (the canonical
+// bytes keep the instant, not the zone), as wal's record decoder does.
+// It accepts exactly the byte strings AppendCanonicalEntry writes, so
+// AppendCanonicalEntry(nil, e) reproduces b for the entry e it returns.
+// The entry's strings share one copy of b.
+//
+// The object field is "[subject]path" flattened, so it is split back
+// the way policy.ParseObject reads the wire form: a leading "[...]"
+// with a non-empty subject, then the path on "/". Every object the
+// wire accepts comes back unchanged; any other comes back as an object
+// with the same rendering, hence the same bytes.
+func ParseCanonicalEntry(b []byte) (Entry, error) {
+	var f [8]string
+	rest := string(b)
+	for i := range f {
+		var ok bool
+		if f[i], rest, ok = cutCanonicalField(rest); !ok {
+			return Entry{}, fmt.Errorf("audit: canonical entry: malformed field %d", i+1)
+		}
+	}
+	if rest != "" {
+		return Entry{}, fmt.Errorf("audit: canonical entry: %d trailing bytes", len(rest))
+	}
+	e := Entry{User: f[0], Role: f[1], Action: f[2], Object: canonicalObject(f[3]), Task: f[4], Case: f[5]}
+	t, ok := parseCanonicalTime(f[6])
+	if !ok {
+		return Entry{}, fmt.Errorf("audit: canonical entry: malformed time %q", f[6])
+	}
+	e.Time = t
+	switch f[7] {
+	case "success":
+	case "failure":
+		e.Status = Failure
+	default:
+		return Entry{}, fmt.Errorf("audit: canonical entry: unknown status %q", f[7])
+	}
+	return e, nil
+}
+
+// cutCanonicalField splits one "<byte length>:<bytes>" field off s.
+// The length must be written as appendField writes it: decimal digits
+// without a leading zero.
+func cutCanonicalField(s string) (field, rest string, ok bool) {
+	colon := strings.IndexByte(s, ':')
+	if colon < 1 || colon > 10 || (s[0] == '0' && colon > 1) {
+		return "", "", false
+	}
+	n := 0
+	for i := 0; i < colon; i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return "", "", false
+		}
+		n = n*10 + int(c-'0')
+	}
+	s = s[colon+1:]
+	if n > len(s) {
+		return "", "", false
+	}
+	return s[:n], s[n:], true
+}
+
+// canonicalObject reads an object field back (see ParseCanonicalEntry).
+func canonicalObject(s string) policy.Object {
+	var o policy.Object
+	if len(s) > 2 && s[0] == '[' {
+		if end := strings.IndexByte(s, ']'); end > 1 {
+			o.Subject, s = s[1:end], s[end+1:]
+		}
+	}
+	if s != "" {
+		o.Path = strings.Split(s, "/")
+	}
+	return o
+}
+
+// parseCanonicalTime reads a time field: the year, then MMDDhhmmss,
+// a dot and nine fractional digits. It accepts only what
+// appendCanonicalTime writes for the instant it reads, which also rules
+// out dates that time.Date would normalize (a 30 February).
+func parseCanonicalTime(s string) (time.Time, bool) {
+	const tail = len("0102150405.000000000")
+	if len(s) <= tail || s[len(s)-10] != '.' {
+		return time.Time{}, false
+	}
+	year, err := strconv.Atoi(s[:len(s)-tail])
+	if err != nil {
+		return time.Time{}, false
+	}
+	d := s[len(s)-tail:]
+	// month, day, hour, minute, second, nanosecond
+	var v [6]int
+	for i := range v {
+		digits := d[2*i : 2*i+2]
+		if i == 5 {
+			digits = d[11:]
+		}
+		for j := 0; j < len(digits); j++ {
+			if digits[j] < '0' || digits[j] > '9' {
+				return time.Time{}, false
+			}
+			v[i] = v[i]*10 + int(digits[j]-'0')
+		}
+	}
+	t := time.Date(year, time.Month(v[0]), v[1], v[2], v[3], v[4], v[5], time.UTC)
+	var buf [64]byte
+	field := appendCanonicalTime(buf[:0], t)
+	if string(field[bytes.IndexByte(field, ':')+1:]) != s {
+		return time.Time{}, false
+	}
+	return t, true
 }
 
 // ChainStep advances the hash chain over one entry,

@@ -285,6 +285,10 @@ func (m *Monitor) Feed(e audit.Entry) (*Verdict, error) {
 // while advancing the case yields an indeterminate verdict and kills the
 // case (further feeds keep reporting it indeterminate); other monitored
 // cases are unaffected.
+//
+// Only a violation keeps the entry (Violation.Entry), and only those
+// branches copy it to the heap: e itself stays on the stack, so an
+// entry that extends its case costs no copy.
 func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -293,9 +297,10 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 	st, err := m.caseStateFor(e.Case)
 	if err != nil {
 		if errors.Is(err, errUnknownPurpose) {
+			kept := e
 			uv := &Violation{
 				Kind:   ViolationUnknownPurpose,
-				Entry:  &e,
+				Entry:  &kept,
 				Reason: fmt.Sprintf("case code %q is not bound to any registered purpose", CaseCode(e.Case)),
 			}
 			return &Verdict{
@@ -323,9 +328,10 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 		if st.cause != nil {
 			v.Indeterminate = st.cause
 		} else {
+			kept := e
 			v.Violation = &Violation{
 				Kind:   ViolationInvalidExecution,
-				Entry:  &e,
+				Entry:  &kept,
 				Reason: "case already deviated from its purpose's process",
 			}
 		}

@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,19 +66,59 @@ type Options struct {
 	OnSeal func(root SignedRoot, dur time.Duration)
 }
 
-// leaf is one appended entry with its chain hash (and optional seal).
+// leaf is one appended entry: its chain hash and where the canonical
+// bytes that hash covers sit in the arena. It holds no pointer, so the
+// leaf log costs the garbage collector nothing to mark however much
+// history it keeps. Leaf LSNs are dense from 1, so leaf i is LSN i+1.
 type leaf struct {
-	entry audit.Entry
-	lsn   uint64
-	chain [32]byte
-	seal  []byte
+	chain      [32]byte
+	chunk, off uint32 // arena chunk and offset of the canonical bytes
+	n          uint32 // their length
 }
 
-// sealedBatch is a closed batch: its leaves and its signed root.
-type sealedBatch struct {
-	root   SignedRoot
-	leaves []leaf
+// leafChunk is the leaf log's unit of growth: a chunk, once allocated,
+// is never copied, so appending costs the same at any ledger size.
+const leafChunk = 1024
+
+// leafLog is the ledger's append-only leaf sequence.
+type leafLog struct {
+	chunks []*[leafChunk]leaf
+	n      int
 }
+
+func (g *leafLog) append(lf leaf) {
+	if g.n == len(g.chunks)*leafChunk {
+		g.chunks = append(g.chunks, new([leafChunk]leaf))
+	}
+	g.chunks[g.n/leafChunk][g.n%leafChunk] = lf
+	g.n++
+}
+
+func (g *leafLog) at(i int) *leaf { return &g.chunks[i/leafChunk][i%leafChunk] }
+
+// arenaChunk is the canonical-bytes arena's unit of growth; an entry
+// larger than it gets a chunk of its own.
+const arenaChunk = 64 << 10
+
+// arena holds the leaves' canonical bytes. Chunks only grow within
+// their capacity, so bytes once written never move.
+type arena struct {
+	chunks [][]byte
+}
+
+// add copies b into the arena and returns where it landed.
+func (a *arena) add(b []byte) (chunk, off uint32) {
+	last := len(a.chunks) - 1
+	if last < 0 || len(a.chunks[last])+len(b) > cap(a.chunks[last]) {
+		a.chunks = append(a.chunks, make([]byte, 0, max(arenaChunk, len(b))))
+		last++
+	}
+	off = uint32(len(a.chunks[last]))
+	a.chunks[last] = append(a.chunks[last], b...)
+	return uint32(last), off
+}
+
+func (a *arena) bytes(lf *leaf) []byte { return a.chunks[lf.chunk][lf.off : lf.off+lf.n] }
 
 // Ledger is the batched Merkle audit ledger. Safe for concurrent use.
 type Ledger struct {
@@ -96,11 +135,17 @@ type Ledger struct {
 	scratch []byte
 	hashes  [][32]byte
 
-	batches []*sealedBatch // batches[i].root.Seq == i+1
-	tree    batchTree      // over the batches' chain hashes, in Seq order
-	head    SignedHead     // last signed tree head (Size 0 = none yet)
-	open    []leaf
-	lastLSN uint64
+	// leaves holds every leaf, sealed or open; canon their canonical
+	// bytes and seals their HMAC seals (only with Options.SealKey).
+	leaves leafLog
+	canon  arena
+	seals  [][32]byte
+	// batches[i] is the signed root of batch Seq i+1, which covers the
+	// leaves of LSNs FirstLSN..FirstLSN+Leaves-1; the leaves past the
+	// last batch are the open batch.
+	batches []SignedRoot
+	tree    batchTree           // over the batches' chain hashes, in Seq order
+	head    SignedHead          // last signed tree head (Size 0 = none yet)
 	byCase  map[string][]uint64 // case → leaf LSNs, ascending
 
 	timer    *time.Timer
@@ -150,16 +195,17 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 	if l.closed {
 		return errors.New("ledger: closed")
 	}
+	last := l.lastLSNLocked()
 	if firstLSN == 0 {
-		firstLSN = l.lastLSN + 1
+		firstLSN = last + 1
 	}
-	if firstLSN != l.lastLSN+1 {
-		return fmt.Errorf("ledger: leaf sequence gap: append at LSN %d, want %d", firstLSN, l.lastLSN+1)
+	if firstLSN != last+1 {
+		return fmt.Errorf("ledger: leaf sequence gap: append at LSN %d, want %d", firstLSN, last+1)
 	}
 	for i := range entries {
-		wasEmpty := len(l.open) == 0
-		l.open = append(l.open, l.chainLeafLocked(entries[i], firstLSN+uint64(i)))
-		if len(l.open) >= l.opts.Batch {
+		wasEmpty := l.openLocked() == 0
+		l.chainLeafLocked(&entries[i])
+		if l.openLocked() >= l.opts.Batch {
 			l.sealLocked()
 		} else if wasEmpty && l.opts.Wait > 0 {
 			l.armTimerLocked()
@@ -168,24 +214,45 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 	return nil
 }
 
-// chainLeafLocked advances the leaf chain over e, records it as leaf
-// lsn in the case index and returns the leaf.
-func (l *Ledger) chainLeafLocked(e audit.Entry, lsn uint64) leaf {
-	l.chain, l.scratch = audit.ChainStep(l.scratch, l.chain, e)
-	lf := leaf{entry: e, lsn: lsn, chain: l.chain}
+// chainLeafLocked advances the leaf chain over e and appends it as the
+// next leaf: the canonical bytes the chain step hashed go to the arena,
+// and the leaf's LSN to the case index.
+func (l *Ledger) chainLeafLocked(e *audit.Entry) {
+	l.chain, l.scratch = audit.ChainStep(l.scratch, l.chain, *e)
+	canon := l.scratch[len(l.chain):]
+	chunk, off := l.canon.add(canon)
+	l.leaves.append(leaf{chain: l.chain, chunk: chunk, off: off, n: uint32(len(canon))})
 	if l.hmacKey != nil {
-		lf.seal = audit.SealChain(l.hmacKey, l.chain[:])
+		l.seals = append(l.seals, [32]byte(audit.SealChain(l.hmacKey, l.chain[:])))
 		l.hmacKey = audit.EvolveKey(l.hmacKey)
 	}
-	l.byCase[e.Case] = append(l.byCase[e.Case], lsn)
-	l.lastLSN = lsn
-	return lf
+	l.byCase[e.Case] = append(l.byCase[e.Case], l.lastLSNLocked())
 }
 
-// leafHashes appends the Merkle leaf hash of every leaf to dst.
-func leafHashes(dst [][32]byte, leaves []leaf) [][32]byte {
-	for i := range leaves {
-		dst = append(dst, leafHash(&leaves[i].chain))
+// lastLSNLocked is the LSN of the last leaf: leaf LSNs are dense from 1.
+func (l *Ledger) lastLSNLocked() uint64 { return uint64(l.leaves.n) }
+
+// openLocked counts the leaves appended but not yet sealed.
+func (l *Ledger) openLocked() int { return l.leaves.n - int(l.sealedLeaves) }
+
+// entryLocked rebuilds leaf i's entry from its canonical bytes.
+func (l *Ledger) entryLocked(i int) (audit.Entry, error) {
+	return audit.ParseCanonicalEntry(l.canon.bytes(l.leaves.at(i)))
+}
+
+// entryJSONLocked renders leaf i's entry in the JSONL wire form.
+func (l *Ledger) entryJSONLocked(i int) (json.RawMessage, error) {
+	e, err := l.entryLocked(i)
+	if err != nil {
+		return nil, err
+	}
+	return encodeEntryJSON(e)
+}
+
+// leafHashes appends the Merkle leaf hash of leaves [from, to) to dst.
+func (l *Ledger) leafHashes(dst [][32]byte, from, to int) [][32]byte {
+	for i := from; i < to; i++ {
+		dst = append(dst, leafHash(&l.leaves.at(i).chain))
 	}
 	return dst
 }
@@ -198,7 +265,7 @@ func (l *Ledger) armTimerLocked() {
 	l.timer = time.AfterFunc(l.opts.Wait, func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		if l.closed || gen != l.timerGen || len(l.open) == 0 {
+		if l.closed || gen != l.timerGen || l.openLocked() == 0 {
 			return
 		}
 		l.sealLocked()
@@ -206,34 +273,33 @@ func (l *Ledger) armTimerLocked() {
 }
 
 // sealLocked closes the open batch: Merkle root, chain link, signature.
+// The batch is the index range of its leaves; nothing is copied.
 func (l *Ledger) sealLocked() {
 	start := time.Now()
-	// The batch keeps an exact-size copy; the open slice's array is
-	// reused by the next batch.
-	leaves := slices.Clone(l.open)
-	l.open = l.open[:0]
+	first, n := int(l.sealedLeaves), l.openLocked()
 	l.timerGen++
 	if l.timer != nil {
 		l.timer.Stop()
 		l.timer = nil
 	}
-	l.hashes = leafHashes(l.hashes[:0], leaves)
+	l.hashes = l.leafHashes(l.hashes[:0], first, first+n)
 	root := merkleRoot(l.hashes)
 	seq := uint64(len(l.batches)) + 1
-	ch := rootChainHash(&l.prevRootChain, seq, leaves[0].lsn, len(leaves), &root)
+	firstLSN := uint64(first) + 1
+	ch := rootChainHash(&l.prevRootChain, seq, firstLSN, n, &root)
 	sr := SignedRoot{
 		Seq:       seq,
-		FirstLSN:  leaves[0].lsn,
-		Leaves:    len(leaves),
+		FirstLSN:  firstLSN,
+		Leaves:    n,
 		Root:      hex.EncodeToString(root[:]),
 		PrevChain: hex.EncodeToString(l.prevRootChain[:]),
 		ChainHash: hex.EncodeToString(ch[:]),
 		Sig:       hex.EncodeToString(ed25519.Sign(l.opts.Key, ch[:])),
 	}
-	l.batches = append(l.batches, &sealedBatch{root: sr, leaves: leaves})
+	l.batches = append(l.batches, sr)
 	l.tree.append(&ch)
 	l.prevRootChain = ch
-	l.sealedLeaves += uint64(len(leaves))
+	l.sealedLeaves += uint64(n)
 	if l.opts.OnSeal != nil {
 		l.opts.OnSeal(sr, time.Since(start))
 	}
@@ -243,7 +309,7 @@ func (l *Ledger) sealLocked() {
 func (l *Ledger) Cut() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.open) > 0 {
+	if l.openLocked() > 0 {
 		l.sealLocked()
 	}
 }
@@ -267,7 +333,7 @@ func (l *Ledger) Head() (SignedRoot, bool) {
 	if len(l.batches) == 0 {
 		return SignedRoot{}, false
 	}
-	return l.batches[len(l.batches)-1].root, true
+	return l.batches[len(l.batches)-1], true
 }
 
 // TreeView is one consistent read of the ledger for a root follower
@@ -293,7 +359,7 @@ type TreeView struct {
 func (l *Ledger) TreeHead(since uint64) TreeView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v := TreeView{Batches: len(l.batches), Leaves: l.sealedLeaves, Open: len(l.open)}
+	v := TreeView{Batches: len(l.batches), Leaves: l.sealedLeaves, Open: l.openLocked()}
 	if len(l.batches) == 0 {
 		return v
 	}
@@ -302,9 +368,7 @@ func (l *Ledger) TreeHead(since uint64) TreeView {
 	if since > 0 && since < head.Size {
 		v.Consistency = hexHashes(l.tree.consistency(since, head.Size))
 	}
-	for _, b := range l.batches[min(since, head.Size):] {
-		v.Roots = append(v.Roots, b.root)
-	}
+	v.Roots = append(v.Roots, l.batches[min(since, head.Size):]...)
 	return v
 }
 
@@ -328,59 +392,49 @@ func (l *Ledger) headLocked() SignedHead {
 func (l *Ledger) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lastLSN
+	return l.lastLSNLocked()
 }
 
 // LastSealedLSN returns the LSN of the last leaf inside a signed root.
 func (l *Ledger) LastSealedLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lastSealedLSNLocked()
-}
-
-func (l *Ledger) lastSealedLSNLocked() uint64 {
-	if len(l.batches) == 0 {
-		return 0
-	}
-	b := l.batches[len(l.batches)-1]
-	return b.root.FirstLSN + uint64(b.root.Leaves) - 1
+	return l.sealedLeaves
 }
 
 // Stats returns sealed batch/leaf counts, open leaves, and forced cuts.
 func (l *Ledger) Stats() (batches int, sealedLeaves uint64, open int, forcedCuts uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.batches), l.sealedLeaves, len(l.open), l.forcedCuts
+	return len(l.batches), l.sealedLeaves, l.openLocked(), l.forcedCuts
 }
 
 // SealedEntries returns every leaf as a SecureLog-compatible sealed
-// entry (seals are empty unless Options.SealKey was set). Open leaves
-// are included: the chain covers them even before a root does.
+// entry (seals are empty unless Options.SealKey was set), its entry
+// rebuilt from the canonical bytes, so in UTC. Open leaves are
+// included: the chain covers them even before a root does.
 func (l *Ledger) SealedEntries() []audit.SealedEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []audit.SealedEntry
-	emit := func(lf leaf) {
-		out = append(out, audit.SealedEntry{
-			Entry: lf.entry,
-			Chain: hex.EncodeToString(lf.chain[:]),
-			Seal:  hex.EncodeToString(lf.seal),
-		})
-	}
-	for _, b := range l.batches {
-		for _, lf := range b.leaves {
-			emit(lf)
+	out := make([]audit.SealedEntry, l.leaves.n)
+	for i := range out {
+		// The arena holds only what AppendCanonicalEntry wrote.
+		e, err := l.entryLocked(i)
+		if err != nil {
+			panic(fmt.Sprintf("ledger: leaf %d: %v", i, err))
 		}
-	}
-	for _, lf := range l.open {
-		emit(lf)
+		out[i] = audit.SealedEntry{Entry: e, Chain: hex.EncodeToString(l.leaves.at(i).chain[:])}
+		if l.seals != nil {
+			out[i].Seal = hex.EncodeToString(l.seals[i][:])
+		}
 	}
 	return out
 }
 
 // ProveCase builds the inclusion proof for every leaf of the case. If
 // the case has leaves in the open batch, the batch is sealed first (a
-// forced cut) so the proof covers everything recorded.
+// forced cut) so the proof covers everything recorded. Entries render
+// from their canonical bytes, so their times are in UTC.
 func (l *Ledger) ProveCase(caseID string) (*CaseProof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -388,7 +442,7 @@ func (l *Ledger) ProveCase(caseID string) (*CaseProof, error) {
 	if len(lsns) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCase, caseID)
 	}
-	if len(l.open) > 0 && lsns[len(lsns)-1] >= l.open[0].lsn {
+	if lsns[len(lsns)-1] > l.sealedLeaves {
 		l.forcedCuts++
 		l.sealLocked()
 	}
@@ -403,55 +457,46 @@ func (l *Ledger) ProveCase(caseID string) (*CaseProof, error) {
 			return nil, fmt.Errorf("ledger: no sealed batch covers LSN %d", lsns[i])
 		}
 		b := l.batches[bi]
-		end := b.root.FirstLSN + uint64(b.root.Leaves)
+		first := int(b.FirstLSN) - 1 // leaf index of the batch's first leaf
 		idx = idx[:0]
-		for ; i < len(lsns) && lsns[i] < end; i++ {
+		for ; i < len(lsns) && lsns[i] < b.FirstLSN+uint64(b.Leaves); i++ {
 			lsn := lsns[i]
-			k := int(lsn - b.root.FirstLSN)
-			raw, err := encodeEntryJSON(b.leaves[k].entry)
+			k := int(lsn - b.FirstLSN)
+			raw, err := l.entryJSONLocked(first + k)
 			if err != nil {
 				return nil, err
 			}
-			ep := EntryProof{Entry: raw, LSN: lsn, Batch: b.root.Seq, Index: k}
+			ep := EntryProof{Entry: raw, LSN: lsn, Batch: b.Seq, Index: k}
 			if n := len(p.Entries); n == 0 || p.Entries[n-1].LSN+1 != lsn {
-				prev := l.prevChainLocked(bi, k)
+				prev := audit.ChainSeed()
+				if first+k > 0 {
+					prev = l.leaves.at(first + k - 1).chain
+				}
 				ep.PrevChain = hex.EncodeToString(prev[:])
 			}
 			p.Entries = append(p.Entries, ep)
 			idx = append(idx, k)
 		}
-		p.Roots = append(p.Roots, b.root)
+		p.Roots = append(p.Roots, b)
 		p.Batches = append(p.Batches, BatchProof{
 			Inclusion: hexHashes(l.tree.inclusion(uint64(bi), head.Size)),
-			Siblings:  hexHashes(buildTree(leafHashes(nil, b.leaves)).multiproof(idx)),
+			Siblings:  hexHashes(buildTree(l.leafHashes(nil, first, first+b.Leaves)).multiproof(idx)),
 		})
 	}
 	return p, nil
-}
-
-// prevChainLocked is the leaf chain hash before leaf k of batch bi.
-func (l *Ledger) prevChainLocked(bi, k int) [32]byte {
-	switch {
-	case k > 0:
-		return l.batches[bi].leaves[k-1].chain
-	case bi > 0:
-		before := l.batches[bi-1].leaves
-		return before[len(before)-1].chain
-	}
-	return audit.ChainSeed()
 }
 
 // batchForLocked finds the sealed batch containing lsn (-1 if open or
 // out of range).
 func (l *Ledger) batchForLocked(lsn uint64) int {
 	i := sort.Search(len(l.batches), func(i int) bool {
-		return l.batches[i].root.FirstLSN > lsn
+		return l.batches[i].FirstLSN > lsn
 	}) - 1
 	if i < 0 {
 		return -1
 	}
 	b := l.batches[i]
-	if lsn >= b.root.FirstLSN+uint64(b.root.Leaves) {
+	if lsn >= b.FirstLSN+uint64(b.Leaves) {
 		return -1
 	}
 	return i

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,82 @@ func TestLedgerConformsToSecureLog(t *testing.T) {
 	}
 	if err := audit.Verify(key, got, len(entries)); err != nil {
 		t.Fatalf("audit.Verify rejected the ledger's sealed entries: %v", err)
+	}
+}
+
+// TestLeafHoldsNoPointers: the leaf log keeps every entry the ledger
+// has ever seen, so a leaf must stay pointer-free; otherwise the
+// garbage collector would re-mark the whole history on every cycle.
+func TestLeafHoldsNoPointers(t *testing.T) {
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !walk(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		}
+		return false
+	}
+	if ty := reflect.TypeFor[leaf](); !walk(ty) {
+		t.Errorf("ledger leaf %v holds a pointer", ty)
+	}
+}
+
+// TestLeafLogSpansChunks appends past a leaf chunk and an arena chunk,
+// one entry alone larger than an arena chunk, and requires every case
+// to prove and the state to round-trip: leaves and their canonical
+// bytes are found wherever they landed.
+func TestLeafLogSpansChunks(t *testing.T) {
+	l, err := New(Options{Key: testKey(t), Batch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []string{"HT-1", "HT-2", "HT-3", "HT-4", "HT-5"}
+	entries := mkEntries(leafChunk+700, cases...)
+	entries[leafChunk/2].User = strings.Repeat("u", arenaChunk+1)
+	if err := l.Append(entries, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(l.canon.chunks); n < 3 {
+		t.Fatalf("%d arena chunks, want several", n)
+	}
+	for _, id := range cases {
+		p, err := l.ProveCase(id)
+		if err != nil {
+			t.Fatalf("ProveCase(%s): %v", id, err)
+		}
+		if err := VerifyCaseProof(l.PublicKey(), p); err != nil {
+			t.Fatalf("VerifyCaseProof(%s): %v", id, err)
+		}
+	}
+	for i, se := range l.SealedEntries() {
+		if want := entries[i]; !reflect.DeepEqual(se.Entry, want) {
+			t.Fatalf("leaf %d rebuilt as %+v, want %+v", i, se.Entry, want)
+		}
+	}
+	st, err := l.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Options{Key: testKey(t), Batch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadState(st); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	if !reflect.DeepEqual(fresh.TreeHead(0), l.TreeHead(0)) {
+		t.Error("restored ledger's tree head differs")
 	}
 }
 

@@ -1,7 +1,8 @@
 package ledger
 
 // Checkpoint persistence. The exported state carries only the sealed
-// batches — each root plus its entries in wire form; chains, Merkle
+// batches — each root plus its entries in wire form, rendered from the
+// leaves' canonical bytes (so in UTC); chains, Merkle
 // trees, the batch tree and the case index are recomputed on load and checked against
 // the stored roots and signatures, so a tampered checkpoint refuses
 // to restore instead of silently re-serving edited history. Open
@@ -47,10 +48,10 @@ func (l *Ledger) ExportState() (*State, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := &State{Version: stateVersion}
-	for _, b := range l.batches {
-		bs := BatchState{Root: b.root, Entries: make([]json.RawMessage, len(b.leaves))}
-		for i := range b.leaves {
-			raw, err := encodeEntryJSON(b.leaves[i].entry)
+	for _, r := range l.batches {
+		bs := BatchState{Root: r, Entries: make([]json.RawMessage, r.Leaves)}
+		for i := range bs.Entries {
+			raw, err := l.entryJSONLocked(int(r.FirstLSN) - 1 + i)
 			if err != nil {
 				return nil, fmt.Errorf("ledger: exporting state: %w", err)
 			}
@@ -74,7 +75,7 @@ func (l *Ledger) LoadState(st *State) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.lastLSN != 0 || len(l.batches) > 0 {
+	if l.leaves.n != 0 {
 		return errors.New("ledger: state must load into an empty ledger")
 	}
 	// One scanner decodes every checkpointed entry: its fast path and
@@ -88,21 +89,21 @@ func (l *Ledger) LoadState(st *State) error {
 		if len(bs.Entries) != r.Leaves {
 			return fmt.Errorf("ledger: state batch seq %d has %d entries, root says %d", r.Seq, len(bs.Entries), r.Leaves)
 		}
-		if r.FirstLSN != l.lastLSN+1 {
-			return fmt.Errorf("ledger: state batch seq %d starts at LSN %d, want %d", r.Seq, r.FirstLSN, l.lastLSN+1)
+		if r.FirstLSN != l.lastLSNLocked()+1 {
+			return fmt.Errorf("ledger: state batch seq %d starts at LSN %d, want %d", r.Seq, r.FirstLSN, l.lastLSNLocked()+1)
 		}
 		if r.PrevChain != hex.EncodeToString(l.prevRootChain[:]) {
 			return fmt.Errorf("ledger: state batch seq %d breaks the root chain", r.Seq)
 		}
-		leaves := make([]leaf, len(bs.Entries))
+		first := l.leaves.n
 		for i, raw := range bs.Entries {
 			e, err := dec.Decode(raw)
 			if err != nil {
 				return fmt.Errorf("ledger: state batch seq %d entry %d: %w", r.Seq, i, err)
 			}
-			leaves[i] = l.chainLeafLocked(e, r.FirstLSN+uint64(i))
+			l.chainLeafLocked(&e)
 		}
-		l.hashes = leafHashes(l.hashes[:0], leaves)
+		l.hashes = l.leafHashes(l.hashes[:0], first, l.leaves.n)
 		root := merkleRoot(l.hashes)
 		if hex.EncodeToString(root[:]) != r.Root {
 			return fmt.Errorf("ledger: state batch seq %d root mismatch (checkpoint tampered?)", r.Seq)
@@ -115,10 +116,10 @@ func (l *Ledger) LoadState(st *State) error {
 		if err != nil || len(sig) != ed25519.SignatureSize || !ed25519.Verify(l.pub, ch[:], sig) {
 			return fmt.Errorf("ledger: state batch seq %d signature invalid under the configured key", r.Seq)
 		}
-		l.batches = append(l.batches, &sealedBatch{root: r, leaves: leaves})
+		l.batches = append(l.batches, r)
 		l.tree.append(&ch)
 		l.prevRootChain = ch
-		l.sealedLeaves += uint64(len(leaves))
+		l.sealedLeaves += uint64(r.Leaves)
 	}
 	return nil
 }

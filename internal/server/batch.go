@@ -69,8 +69,12 @@ func (s *Server) newBatcher(sc obs.SpanContext) batcher {
 
 // add routes one entry (at 1-based body line line). false means a
 // saturated shard stopped the ingest: accepted holds the entries
-// enqueued so far and rejectedLine the line to resend from.
+// enqueued so far and rejectedLine the line to resend from. The entry
+// is taken in UTC: the WAL and the ledger keep the instant, not the
+// zone, so a crash replays it in UTC, and verdict views and
+// explanations must read the same before and after a crash.
 func (b *batcher) add(e audit.Entry, line int) bool {
+	e.Time = e.Time.UTC()
 	sh := b.s.shardFor(e.Case)
 	if b.buf != nil && (sh != b.sh || len(*b.buf) >= b.cap) {
 		if !b.flush() {

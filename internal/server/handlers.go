@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -227,14 +228,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ingestNDJSON consumes one JSON entry per line through the
+// scannerPool recycles the NDJSON request scanners, so a POST neither
+// allocates a fresh read buffer nor starts with cold intern tables.
+var scannerPool = sync.Pool{New: func() any {
+	return audit.NewEntryScanner(nil, audit.DecodeOptions{Lenient: true})
+}}
+
+// ingestNDJSON consumes one JSON entry per line through a pooled
 // zero-allocation scanner, grouping consecutive same-shard runs into
 // batched dispatches. The pending batch is flushed whenever the
 // scanner is about to block on the socket, so live trickle streams
 // keep per-entry latency.
 func (s *Server) ingestNDJSON(r *http.Request, body io.Reader, spanCtx obs.SpanContext) (ingestResult, bool) {
 	var res ingestResult
-	sc := audit.NewEntryScanner(body, audit.DecodeOptions{Lenient: true})
+	sc := scannerPool.Get().(*audit.EntryScanner)
+	sc.Reset(body)
+	defer func() {
+		sc.Reset(nil)
+		scannerPool.Put(sc)
+	}()
 	b := s.newBatcher(spanCtx)
 	qseen := 0
 	drain := func() {

@@ -267,6 +267,66 @@ func TestLedgerCrashRebuildMatchesControl(t *testing.T) {
 	}
 }
 
+// TestLedgerCrashProofBytesMatchControl: a client posting timestamps
+// with a UTC offset gets the same proof bundle bytes whether the server
+// ran through or crashed and rebuilt its ledger (and its verdict state)
+// from the WAL, which keeps the instant but not the zone. Every
+// acknowledged entry is proven, and explained, in UTC.
+func TestLedgerCrashProofBytesMatchControl(t *testing.T) {
+	sc := hospitalScenario(t)
+	entries := sc.Trail.Entries()
+	zone := time.FixedZone("", 2*3600)
+	for i := range entries {
+		entries[i].Time = entries[i].Time.In(zone)
+	}
+	trail := audit.NewTrail(entries)
+	// Cut past the first violations, so replay rebuilds explanations too.
+	cut := 3 * trail.Len() / 4
+	proofs := func(url string) map[string]string {
+		out := map[string]string{}
+		for _, id := range trail.Cases() {
+			code, body := getBody(t, url+"/v1/proofs/"+id)
+			if code != http.StatusOK {
+				t.Fatalf("/v1/proofs/%s: %d %s", id, code, body)
+			}
+			out[id] = body
+		}
+		return out
+	}
+
+	// Crashed run: the head of the trail, kill without a checkpoint,
+	// reboot on the same WAL, the rest.
+	cfg := ledgerConfig(t, 2, 4)
+	srv1, ts1 := startServer(t, sc, cfg)
+	if resp, _ := post(t, ts1.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, audit.NewTrail(entries[:cut:cut]))); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("head ingest: %s", resp.Status)
+	}
+	srv1.Crash()
+	ts1.Close()
+	srv2, ts2 := startServer(t, sc, cfg)
+	if resp, _ := post(t, ts2.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, audit.NewTrail(entries[cut:]))); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("tail ingest: %s", resp.Status)
+	}
+	crashed := proofs(ts2.URL)
+
+	srv3, ts3 := startServer(t, sc, ledgerConfig(t, 2, 4))
+	ingestHalves(t, ts3.URL, trail)
+	control := proofs(ts3.URL)
+
+	for _, id := range trail.Cases() {
+		if crashed[id] != control[id] {
+			t.Errorf("case %s: proof bundle differs across the crash\ncrashed: %s\ncontrol: %s", id, crashed[id], control[id])
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, srv := range []*Server{srv2, srv3} {
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLedgerCheckpointRoundTrip: a clean shutdown seals the open tail
 // and persists every batch; the next boot restores them from the
 // checkpoint alone (the WAL was truncated past them) and extends the

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -91,6 +93,59 @@ func TestDurableIngestOverhead(t *testing.T) {
 		if ratio > 2 {
 			t.Errorf("%s ingest is %.2fx the %s path, want <= 2x", a.name, ratio, a.vs)
 		}
+	}
+}
+
+// TestIngestAllocs bounds the heap allocations of durable ingest: a
+// warm 256-line NDJSON ?wait=1 POST through Server.Handler(), with the
+// interval-fsync WAL, a batch-64 ledger and a compiled checker, makes
+// fewer than two allocations per entry, counted across every goroutine
+// the request wakes (handler, shard workers, WAL, ledger). The entry
+// itself is never a heap object of its own: not per fed entry, not per
+// ledger leaf, and the request scanner is pooled.
+func TestIngestAllocs(t *testing.T) {
+	const body, warm, runs = 256, 8, 16
+	sc := hospitalScenario(t)
+	trail, _, err := workload.HospitalDay(sc.Registry, hospital.TreatmentCode, 12000, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(ndjson(t, trail), []byte("\n"))
+	if len(lines) < (warm+runs+1)*body {
+		t.Fatalf("trail has %d lines, want %d", len(lines), (warm+runs+1)*body)
+	}
+	checker := hospitalChecker(sc)
+	checker.UseCompiled = true
+	srv := New(sc.Registry, checker, Config{
+		Shards: 2, QueueDepth: 1 << 16,
+		WALDir: t.TempDir(), WALFsync: wal.FsyncInterval,
+		LedgerKey: ledgerTestKey(), LedgerBatch: 64,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	next := 0
+	postBody := func() {
+		doc := bytes.Join(lines[next*body:(next+1)*body], nil)
+		next++
+		req := httptest.NewRequest(http.MethodPost, "/v1/events?wait=1", bytes.NewReader(doc))
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST body %d: %d %s", next, rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		postBody()
+	}
+	perEntry := testing.AllocsPerRun(runs, postBody) / body
+	t.Logf("%.2f allocations per entry", perEntry)
+	if perEntry >= 2 {
+		t.Errorf("durable ingest allocates %.2f times per entry, want < 2", perEntry)
 	}
 }
 

@@ -230,6 +230,84 @@ func TestConcurrentShardedIngest(t *testing.T) {
 	assertOutcomes(t, getCases(t, ts.URL+"/v1/cases"), expectedOutcomes(t, sc, sc.Trail))
 }
 
+// TestPooledScannersConcurrentIngest posts NDJSON bodies that mix
+// clean, slow-path and quarantined lines from several goroutines at
+// once, so pooled request scanners pass between requests mid-stream
+// (run under -race). Every response must count what a fresh scanner
+// counts on the same body: no position, quarantine record or memo of
+// one request may leak into another's.
+func TestPooledScannersConcurrentIngest(t *testing.T) {
+	sc := hospitalScenario(t)
+	srv, ts := startServer(t, sc, Config{Shards: 4, QueueDepth: 1 << 16})
+	defer srv.Shutdown(context.Background())
+	clean := bytes.SplitAfter(ndjson(t, sc.Trail), []byte("\n"))
+	clean = clean[:len(clean)-1] // the empty tail after the last newline
+	bad := []string{"not json\n", "{\"user\":\n", "\n", "{\"user\":\"u\",\"time\":\"yesterday\"}\n"}
+	body := func(k int) []byte {
+		var b bytes.Buffer
+		repeat := 1
+		if k%6 == 0 {
+			repeat = 30 // past the scanner's 64 KiB read window
+		}
+		for r := 0; r < repeat; r++ {
+			for i, line := range clean {
+				if (k+i)%5 == 0 {
+					b.WriteString(bad[(k+i)%len(bad)])
+				}
+				if (k+i)%7 == 0 {
+					// An escape sends the line down the slow path.
+					line = bytes.Replace(line, []byte(`"success"`), []byte(`"succ\u0065ss"`), 1)
+				}
+				b.Write(line)
+			}
+		}
+		return b.Bytes()
+	}
+	type counts struct{ accepted, quarantined, rejectedAt int }
+	fresh := func(doc []byte) counts {
+		s := audit.NewEntryScanner(bytes.NewReader(doc), audit.DecodeOptions{Lenient: true})
+		var c counts
+		for s.Scan() {
+			c.accepted++
+		}
+		if err := s.Err(); err != nil {
+			t.Error(err)
+		}
+		c.quarantined = len(s.Quarantine().Records)
+		return c
+	}
+
+	const workers, posts = 4, 12
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := 0; p < posts; p++ {
+				k := w*posts + p
+				doc := body(k)
+				want := fresh(doc)
+				resp, err := http.Post(ts.URL+"/v1/events", "application/x-ndjson", bytes.NewReader(doc))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var res ingestResult
+				err = json.NewDecoder(resp.Body).Decode(&res)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Errorf("body %d: %s (%v)", k, resp.Status, err)
+					return
+				}
+				if got := (counts{res.Accepted, res.Quarantined, res.RejectedAtLine}); got != want {
+					t.Errorf("body %d: response counts %+v, a fresh scanner counts %+v", k, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestBackpressure saturates a 1-deep single shard (workers not
 // started, so nothing drains) and checks the 429 contract: Retry-After
 // set, RejectedAtLine pointing at the first unaccepted line.

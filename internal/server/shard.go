@@ -328,7 +328,7 @@ func (sh *shard) feedPending() {
 		if sh.pendingLSN > 0 {
 			lsn = sh.pendingLSN + uint64(i)
 		}
-		sh.feed(entries[i], sh.pendingSC, lsn)
+		sh.feed(&entries[i], sh.pendingSC, lsn)
 	}
 	if sh.pendingStages != nil {
 		sh.pendingStages.Add(obs.StageReplay, time.Since(replayStart))
@@ -514,10 +514,11 @@ func (sh *shard) dump() shardDump {
 // case view and the metrics. lsn is the entry's WAL record number (0
 // without a WAL), stamped into the view for boot replay. When the
 // entry's ingest carried trace context, the feed is recorded as a
-// child span in the caller's trace.
-func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
+// child span in the caller's trace. e points into the pending batch;
+// nothing keeps it past the call.
+func (sh *shard) feed(e *audit.Entry, sc obs.SpanContext, lsn uint64) {
 	if sh.panicHook != nil {
-		sh.panicHook(&e)
+		sh.panicHook(e)
 	}
 	var span *obs.ActiveSpan
 	if sc.IsValid() {
@@ -526,7 +527,7 @@ func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
 		span.SetAttr("case", e.Case)
 		span.SetAttr("task", e.Task)
 	}
-	v, err := sh.mon.Feed(e)
+	v, err := sh.mon.Feed(*e)
 	if lsn > 0 {
 		// Stored only after Feed returns: an entry that panics mid-feed
 		// stays ABOVE the truncation clamp (walSafeLSN), so the WAL
@@ -546,7 +547,7 @@ func (sh *shard) feed(e audit.Entry, sc obs.SpanContext, lsn uint64) {
 		return
 	}
 	sh.metrics.countEngine(v.Engine)
-	outcome := sh.applyVerdict(&e, v, sc, lsn)
+	outcome := sh.applyVerdict(e, v, sc, lsn)
 
 	if span != nil {
 		span.SetAttr("outcome", outcome)

@@ -95,10 +95,11 @@ func (s *Server) replayWAL() error {
 	if s.ledger != nil {
 		ledgerFrom = s.ledger.LastLSN()
 	}
+	// one holds the record being replayed, for the ledger and the feed.
 	var one [1]audit.Entry
 	err := s.wal.Replay(1, func(lsn uint64, e audit.Entry) error {
+		one[0] = e
 		if s.ledger != nil && lsn > ledgerFrom {
-			one[0] = e
 			if err := s.ledger.Append(one[:], lsn); err != nil {
 				return fmt.Errorf("rebuilding ledger: %w", err)
 			}
@@ -106,7 +107,7 @@ func (s *Server) replayWAL() error {
 		if lsn <= skip[e.Case] {
 			return nil // already inside the restored checkpoint's cut
 		}
-		s.shardFor(e.Case).feed(e, obs.SpanContext{}, lsn)
+		s.shardFor(e.Case).feed(&one[0], obs.SpanContext{}, lsn)
 		replayed++
 		return nil
 	})
