@@ -457,6 +457,13 @@ crash_smoke() {
 		cat "$dump" >&2
 		exit 1
 	}
+	# The reboot replayed violating WAL records, so the dump holds
+	# verdict events carrying their provenance: WAL LSN and engine.
+	tr -d ' \n' <"$dump" | grep -q '"kind":"verdict"[^}]*"lsn":[1-9][0-9]*,"engine":"[a-z]' || {
+		echo "flight dump has no verdict event with a WAL LSN and an engine:" >&2
+		cat "$dump" >&2
+		exit 1
+	}
 	curl -sf "http://$addr/readyz" >/dev/null || {
 		echo "auditd stopped serving after SIGQUIT" >&2
 		exit 1

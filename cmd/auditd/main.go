@@ -57,17 +57,24 @@
 // consistency proof from tree size N), /debug/flightrecorder (live
 // flight-recorder ring), /metrics (Prometheus text), /healthz, /readyz.
 //
-// -stage-sample times the pipeline stages (decode, WAL append/fsync,
-// queue wait, replay, ledger seal) on 1-in-N batches into the
-// auditd_stage_latency_seconds histograms (DESIGN.md §17); traced
-// requests are always timed. -flight-dir / -flight-events configure
-// the per-shard flight recorder, whose ring dumps to a timestamped
-// JSON file on shard panic, WAL failure, or SIGQUIT (the process keeps
-// serving; SIGINT/SIGTERM still shut down).
+// Telemetry is one stream of pipeline events (DESIGN.md §17): each
+// shard emits one batch_fed event per batch and one verdict event per
+// case leaving compliant (with its WAL LSN and engine), and one emitter
+// fans them out to the flight recorder, GET /v1/watch, the deviation
+// log, the stage histograms and GET /v1/traces. A request carrying a
+// W3C traceparent gets one feed span per batch, with the stage
+// durations and verdict transitions as span events. -stage-sample
+// times the pipeline stages (decode, WAL append/fsync, queue wait,
+// replay, ledger seal) on 1-in-N batches into the
+// auditd_stage_latency_seconds histograms; traced requests are always
+// timed. The flight recorder keeps the last 256 events per shard and
+// dumps them to a timestamped JSON file under -flight-dir on shard
+// panic, WAL failure, or SIGQUIT (the process keeps serving;
+// SIGINT/SIGTERM still shut down). The span ring behind /v1/traces
+// holds 256 spans.
 //
 // -debug-addr serves net/http/pprof on a second listener, kept off the
-// public surface (profiles leak internals); -trace-buffer bounds the
-// span ring behind /v1/traces.
+// public surface (profiles leak internals).
 //
 // -addr-file writes the actually bound address (useful with :0 in
 // scripts). SIGINT/SIGTERM drain the shard queues, write a final
@@ -99,16 +106,14 @@ import (
 // options carries everything main parses from the command line into
 // run; one struct instead of a positional-parameter avalanche.
 type options struct {
-	addr        string
-	addrFile    string
-	debugAddr   string
-	shards      int
-	queue       int
-	traceBuffer int
+	addr      string
+	addrFile  string
+	debugAddr string
+	shards    int
+	queue     int
 
-	stageSample  int
-	flightDir    string
-	flightEvents int
+	stageSample int
+	flightDir   string
 
 	checkpoint      string
 	checkpointEvery time.Duration
@@ -157,10 +162,8 @@ func main() {
 	flag.IntVar(&o.ledgerBatch, "ledger-batch", 0, "seal a ledger batch at this many entries (0 = default 64; 1 = a signed root per entry)")
 	flag.DurationVar(&o.ledgerWait, "ledger-wait", 500*time.Millisecond, "seal a partial batch this long after its first entry (0 = size/shutdown cuts only)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-	flag.IntVar(&o.traceBuffer, "trace-buffer", 0, "spans held in the /v1/traces ring buffer (0 = default)")
 	flag.IntVar(&o.stageSample, "stage-sample", 0, "time pipeline stages on 1-in-N batches (0 = default 64, 1 = every batch, negative = off; traced requests are always timed)")
 	flag.StringVar(&o.flightDir, "flight-dir", "", "directory for flight-recorder dump files (empty = system temp dir)")
-	flag.IntVar(&o.flightEvents, "flight-events", 0, "flight-recorder events held per shard ring (0 = default)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Var(&procs, "proc", cli.ProcUsage)
 	flag.Parse()
@@ -310,10 +313,8 @@ func run(log *slog.Logger, o options) error {
 		WALFsync:        o.walFsync,
 		WALSegmentBytes: o.walSegmentBytes,
 		WALFailure:      o.walFailure,
-		TraceBuffer:     o.traceBuffer,
 		StageSample:     o.stageSample,
 		FlightDir:       o.flightDir,
-		FlightEvents:    o.flightEvents,
 		LedgerKey:       ledgerKey,
 		LedgerBatch:     o.ledgerBatch,
 		LedgerWait:      o.ledgerWait,

@@ -11,35 +11,43 @@ import (
 	"time"
 )
 
-// FlightEvent is one entry in the flight recorder: a coarse pipeline
-// event a crashed shard leaves behind for the post-mortem. Seq is a
-// recorder-global monotonic ordering (assigned by Record); Shard is
-// the originating shard, or -1 for server-level events (WAL failure,
-// readiness transitions).
-type FlightEvent struct {
-	Seq    uint64    `json:"seq"`
-	Time   time.Time `json:"time"`
-	Shard  int       `json:"shard"`
-	Kind   string    `json:"kind"`
-	Case   string    `json:"case,omitempty"`
-	Detail string    `json:"detail,omitempty"`
-	N      int       `json:"n,omitempty"`
-	LSN    uint64    `json:"lsn,omitempty"`
+// Event is one pipeline event. auditd emits every event through one
+// sink, which fans it out to the flight recorder and, by kind, to GET
+// /v1/watch, the deviation log, the stage histograms and the trace
+// ring. Seq is a recorder-global monotonic ordering (assigned by
+// Record); Shard is the originating shard, or -1 for server-level
+// events (WAL failure, readiness transitions).
+type Event struct {
+	Seq     uint64    `json:"seq"`
+	Time    time.Time `json:"time"`
+	Shard   int       `json:"shard"`
+	Kind    string    `json:"kind"`
+	Case    string    `json:"case,omitempty"`
+	Purpose string    `json:"purpose,omitempty"`
+	Outcome string    `json:"outcome,omitempty"`
+	Detail  string    `json:"detail,omitempty"`
+	N       int       `json:"n,omitempty"`
+	LSN     uint64    `json:"lsn,omitempty"`
+	Engine  string    `json:"engine,omitempty"`
+	// Stages is a batch_fed event's timing record (nil when unsampled);
+	// Span is the batch's open feed span (nil when untraced), on its
+	// batch_fed and verdict events. Neither is serialized.
+	Stages *StageRecord `json:"-"`
+	Span   *ActiveSpan  `json:"-"`
 }
 
-// Flight-event kinds. Kept as plain strings in the JSON dump so the
-// format is greppable without this package.
+// Event kinds. Kept as plain strings in the JSON dump so the format is
+// greppable without this package.
 const (
-	FlightBatchFed   = "batch_fed"        // a batch finished replaying (N = entries, LSN = first)
-	FlightVerdict    = "verdict"          // a case's outcome transitioned
-	FlightHighWater  = "queue_high_water" // queue occupancy reached a new high-water mark (N = entries)
-	FlightPanic      = "panic"            // shard worker panicked; Case/Detail name the poisoned entry
-	FlightRestart    = "restart"          // supervisor restarted the shard worker (N = restart count)
-	FlightShardFail  = "shard_failed"     // restart budget exhausted, shard is draining
-	FlightWALError   = "wal_error"        // WAL append failed
-	FlightLedgerErr  = "ledger_error"     // Merkle seal failed
-	FlightReadiness  = "readiness"        // server readiness transitioned (Detail = ready|not_ready)
-	FlightCheckpoint = "checkpoint"       // notable checkpoint event (Detail)
+	FlightBatchFed  = "batch_fed"        // a batch finished replaying (N = entries, LSN = first)
+	FlightVerdict   = "verdict"          // a case left compliant (LSN and Engine of the deciding entry)
+	FlightHighWater = "queue_high_water" // queue occupancy reached a new high-water mark (N = entries)
+	FlightPanic     = "panic"            // shard worker panicked; Case/Detail name the poisoned entry
+	FlightRestart   = "restart"          // supervisor restarted the shard worker (N = restart count)
+	FlightShardFail = "shard_failed"     // restart budget exhausted, shard is draining
+	FlightWALError  = "wal_error"        // a durable append (WAL or ledger seal) failed
+	FlightLedgerErr = "ledger_error"     // Merkle seal failed
+	FlightReadiness = "readiness"        // server readiness transitioned (Detail = ready|not_ready)
 )
 
 // FlightRecorder is an always-on bounded ring of recent pipeline
@@ -49,7 +57,7 @@ const (
 // write per *batch* — not per entry — so it stays far off the hot
 // path's critical nanoseconds.
 type FlightRecorder struct {
-	rings []flightRing
+	rings []ring[Event]
 	dir   string
 	seq   atomic.Uint64
 	dumps atomic.Int64
@@ -58,76 +66,49 @@ type FlightRecorder struct {
 	lastDump string
 }
 
-type flightRing struct {
-	mu   sync.Mutex
-	buf  []FlightEvent
-	next int
-	n    int
-}
-
-// DefaultFlightEvents is the per-ring event capacity when the
-// configuration leaves it at zero.
+// DefaultFlightEvents is the per-ring event capacity auditd runs with.
 const DefaultFlightEvents = 256
 
 // NewFlightRecorder builds a recorder with one ring per shard plus a
 // server ring, each holding up to perRing events. Dumps are written
 // under dir (os.TempDir() when empty).
 func NewFlightRecorder(shards, perRing int, dir string) *FlightRecorder {
-	if perRing <= 0 {
-		perRing = DefaultFlightEvents
-	}
 	if dir == "" {
 		dir = os.TempDir()
 	}
-	f := &FlightRecorder{rings: make([]flightRing, shards+1), dir: dir}
+	f := &FlightRecorder{rings: make([]ring[Event], shards+1), dir: dir}
 	for i := range f.rings {
-		f.rings[i].buf = make([]FlightEvent, perRing)
+		f.rings[i].buf = make([]Event, perRing)
 	}
 	return f
 }
 
-// Record stores the event in the originating shard's ring (shard -1 →
+// Record stores the event in the ring of ev.Shard (-1 or out of range →
 // the server ring), stamping Seq and, if unset, Time. Nil-safe.
-func (f *FlightRecorder) Record(shard int, ev FlightEvent) {
+func (f *FlightRecorder) Record(ev Event) {
 	if f == nil {
 		return
 	}
-	ring := &f.rings[len(f.rings)-1]
-	if shard >= 0 && shard < len(f.rings)-1 {
-		ring = &f.rings[shard]
+	r := &f.rings[len(f.rings)-1]
+	if ev.Shard >= 0 && ev.Shard < len(f.rings)-1 {
+		r = &f.rings[ev.Shard]
 	}
-	ev.Shard = shard
 	ev.Seq = f.seq.Add(1)
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
-	ring.mu.Lock()
-	ring.buf[ring.next] = ev
-	ring.next = (ring.next + 1) % len(ring.buf)
-	if ring.n < len(ring.buf) {
-		ring.n++
-	}
-	ring.mu.Unlock()
+	r.Record(ev)
 }
 
 // Snapshot merges every ring's held events, ordered by Seq (oldest
 // first). Nil-safe (returns nil).
-func (f *FlightRecorder) Snapshot() []FlightEvent {
+func (f *FlightRecorder) Snapshot() []Event {
 	if f == nil {
 		return nil
 	}
-	var out []FlightEvent
+	var out []Event
 	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		start := r.next - r.n
-		if start < 0 {
-			start += len(r.buf)
-		}
-		for j := 0; j < r.n; j++ {
-			out = append(out, r.buf[(start+j)%len(r.buf)])
-		}
-		r.mu.Unlock()
+		out = append(out, f.rings[i].Snapshot()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -140,10 +121,8 @@ func (f *FlightRecorder) Stats() (held int, total uint64, dumps int64) {
 		return 0, 0, 0
 	}
 	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		held += r.n
-		r.mu.Unlock()
+		n, _ := f.rings[i].Stats()
+		held += n
 	}
 	return held, f.seq.Load(), f.dumps.Load()
 }
@@ -161,9 +140,9 @@ func (f *FlightRecorder) LastDump() string {
 // FlightDump is the on-disk dump format: why it was taken, when, and
 // the merged event snapshot (oldest first).
 type FlightDump struct {
-	Reason   string        `json:"reason"`
-	DumpedAt time.Time     `json:"dumped_at"`
-	Events   []FlightEvent `json:"events"`
+	Reason   string    `json:"reason"`
+	DumpedAt time.Time `json:"dumped_at"`
+	Events   []Event   `json:"events"`
 }
 
 // Dump writes the merged snapshot to a timestamped JSON file named

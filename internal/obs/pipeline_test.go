@@ -139,10 +139,10 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	f := obs.NewFlightRecorder(2, 8, dir)
 
-	f.Record(0, obs.FlightEvent{Kind: obs.FlightBatchFed, Case: "HT-1", N: 3, LSN: 10})
-	f.Record(1, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "HT-2", Detail: "violation: wrong task"})
-	f.Record(-1, obs.FlightEvent{Kind: obs.FlightReadiness, Detail: "ready"})
-	f.Record(99, obs.FlightEvent{Kind: obs.FlightWALError}) // out of range → server ring
+	f.Record(obs.Event{Shard: 0, Kind: obs.FlightBatchFed, Case: "HT-1", N: 3, LSN: 10})
+	f.Record(obs.Event{Shard: 1, Kind: obs.FlightVerdict, Case: "HT-2", Outcome: "violation", Detail: "wrong task"})
+	f.Record(obs.Event{Shard: -1, Kind: obs.FlightReadiness, Detail: "ready"})
+	f.Record(obs.Event{Shard: 99, Kind: obs.FlightWALError}) // out of range → server ring
 
 	snap := f.Snapshot()
 	if len(snap) != 4 {
@@ -176,7 +176,7 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
-	if dump.Reason != "test" || len(dump.Events) != 4 || dump.Events[1].Case != "HT-2" {
+	if dump.Reason != "test" || len(dump.Events) != 4 || dump.Events[1].Case != "HT-2" || dump.Events[1].Outcome != "violation" {
 		t.Errorf("dump = %+v", dump)
 	}
 	if _, _, dumps := f.Stats(); dumps != 1 || f.LastDump() != path {
@@ -188,9 +188,9 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 // one shard flooding its ring does not evict another shard's history.
 func TestFlightRecorderEviction(t *testing.T) {
 	f := obs.NewFlightRecorder(2, 4, t.TempDir())
-	f.Record(1, obs.FlightEvent{Kind: obs.FlightVerdict, Case: "KEEP"})
+	f.Record(obs.Event{Shard: 1, Kind: obs.FlightVerdict, Case: "KEEP"})
 	for i := 0; i < 10; i++ {
-		f.Record(0, obs.FlightEvent{Kind: obs.FlightBatchFed, N: i})
+		f.Record(obs.Event{Shard: 0, Kind: obs.FlightBatchFed, N: i})
 	}
 	snap := f.Snapshot()
 	if len(snap) != 5 { // 4 newest from shard 0 + shard 1's event
@@ -212,7 +212,7 @@ func TestFlightRecorderEviction(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *obs.FlightRecorder
-	f.Record(0, obs.FlightEvent{Kind: obs.FlightPanic})
+	f.Record(obs.Event{Kind: obs.FlightPanic})
 	if f.Snapshot() != nil {
 		t.Error("nil Snapshot")
 	}

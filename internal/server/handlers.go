@@ -159,7 +159,7 @@ type ingestResult struct {
 // quarantine in both modes — lenient ingestion, not rejection.
 //
 // When the request carries a valid W3C traceparent header, the ingest
-// is recorded as a span in the caller's trace and every entry's feed
+// is recorded as a span in the caller's trace and every batch's feed
 // becomes a child span of it; untraced requests record nothing.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.walRefusing() {
@@ -395,7 +395,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraces dumps the span ring, oldest-first. ?trace_id= narrows
-// to one trace; ?case= to spans tagged with that case (feed spans).
+// to one trace; ?case= to spans whose case attribute, or one of whose
+// events' (a feed span's verdict transitions), names that case.
 // Held/Total/Dropped always describe the whole ring, so a filtered
 // read still shows whether eviction may have eaten matching spans.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -408,7 +409,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			if traceID != "" && sp.TraceID.String() != traceID {
 				continue
 			}
-			if caseID != "" && sp.Attrs["case"] != caseID {
+			if caseID != "" && !spanNamesCase(sp, caseID) {
 				continue
 			}
 			filtered = append(filtered, sp)
@@ -422,6 +423,18 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Dropped uint64     `json:"dropped"`
 		Spans   []obs.Span `json:"spans"`
 	}{Held: held, Total: total, Dropped: s.ring.Dropped(), Spans: spans})
+}
+
+func spanNamesCase(sp obs.Span, caseID string) bool {
+	if sp.Attrs["case"] == caseID {
+		return true
+	}
+	for _, ev := range sp.Events {
+		if ev.Attrs["case"] == caseID {
+			return true
+		}
+	}
+	return false
 }
 
 // purposeInfo is one row of GET /v1/purposes.

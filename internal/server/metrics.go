@@ -161,33 +161,24 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 // write renders the histogram with cumulative buckets, as Prometheus
-// expects.
-func (h *histogram) write(w io.Writer, name string) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+// expects. A label (e.g. stage="decode") goes inside every series'
+// braces, and the caller writes the family's # TYPE header once;
+// without one, write emits the header itself.
+func (h *histogram) write(w io.Writer, name, label string) {
+	le, sel := label+",le=", "{"+label+"}"
+	if label == "" {
+		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+		le, sel = "le=", ""
+	}
 	cum := int64(0)
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum)
+		fmt.Fprintf(w, "%s_bucket{%s%q} %d\n", name, le, formatBound(b), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumNano.Load())/1e9)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.n.Load())
-}
-
-// writeLabeled renders the histogram's series with an extra label
-// (e.g. stage="decode") inside the braces. The caller writes the
-// shared # TYPE header once for the whole family.
-func (h *histogram) writeLabeled(w io.Writer, name, label string) {
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, label, formatBound(b), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, label, float64(h.sumNano.Load())/1e9)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, label, h.n.Load())
+	fmt.Fprintf(w, "%s_bucket{%s\"+Inf\"} %d\n", name, le, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, float64(h.sumNano.Load())/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, h.n.Load())
 }
 
 func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
@@ -275,14 +266,14 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// the configured 1-in-N).
 	fmt.Fprintf(w, "# HELP auditd_stage_latency_seconds Per-batch pipeline stage latency (deterministic 1-in-N batch sampling).\n# TYPE auditd_stage_latency_seconds histogram\n")
 	for _, st := range obs.Stages() {
-		m.stageLatency[st].writeLabeled(w, "auditd_stage_latency_seconds", fmt.Sprintf("stage=%q", st.String()))
+		m.stageLatency[st].write(w, "auditd_stage_latency_seconds", fmt.Sprintf("stage=%q", st.String()))
 	}
 	gauge(w, "auditd_stage_sample_every", "Configured 1-in-N stage sampling (0 = off; traced requests always timed).", float64(s.stages.Every()))
 
 	// Log suppression: hot-path warnings dropped by the token-bucket
 	// limiters.
 	fmt.Fprintf(w, "# HELP auditd_log_suppressed_total Hot-path log statements suppressed by rate limiting.\n# TYPE auditd_log_suppressed_total counter\n")
-	fmt.Fprintf(w, "auditd_log_suppressed_total{class=\"verdict\"} %d\n", s.limVerdict.Suppressed())
+	fmt.Fprintf(w, "auditd_log_suppressed_total{class=\"verdict\"} %d\n", s.warnLim.Suppressed())
 	fmt.Fprintf(w, "auditd_log_suppressed_total{class=\"quarantine\"} %d\n", s.limQuar.Suppressed())
 	fmt.Fprintf(w, "auditd_log_suppressed_total{class=\"wal\"} %d\n", s.limWAL.Suppressed())
 
@@ -291,6 +282,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	gauge(w, "auditd_flight_events_held", "Flight-recorder events currently held across all rings.", float64(fHeld))
 	counter(w, "auditd_flight_events_total", "Flight-recorder events recorded since boot.", int64(fTotal))
 	counter(w, "auditd_flight_dumps_total", "Flight-recorder dump files written.", fDumps)
+	counter(w, "auditd_watch_events_dropped_total", "Verdict events lost to /v1/watch subscribers with full buffers.", s.watch.dropped.Load())
 
 	// Go runtime gauges: enough to spot leaks and GC pressure without
 	// a client library.
@@ -325,13 +317,13 @@ func (s *Server) writeMetrics(w io.Writer) {
 		gauge(w, "auditd_ledger_sealed_leaves", "Entries covered by sealed batches, including restored ones.", float64(leaves))
 		gauge(w, "auditd_ledger_open_leaves", "Entries appended but not yet sealed.", float64(open))
 		gauge(w, "auditd_ledger_sealed_lsn", "Highest WAL LSN covered by a sealed batch.", float64(s.ledger.LastSealedLSN()))
-		m.ledgerSealDuration.write(w, "auditd_ledger_seal_duration_seconds")
+		m.ledgerSealDuration.write(w, "auditd_ledger_seal_duration_seconds", "")
 	}
 	counter(w, "auditd_shard_panics_total", "Shard worker panics recovered by the supervisor.", m.shardPanics.Load())
 	gauge(w, "auditd_shards_failed", "Shards whose restart budget is exhausted.", float64(m.shardsFailed.Load()))
 	counter(w, "auditd_entries_dropped_total", "Accepted entries dropped by shard panics or failed shards (recoverable from the WAL).", m.entriesDropped.Load())
 
-	m.snapshotDuration.write(w, "auditd_snapshot_duration_seconds")
+	m.snapshotDuration.write(w, "auditd_snapshot_duration_seconds", "")
 	counter(w, "auditd_snapshots_total", "Checkpoint snapshots written.", m.snapshots.Load())
 	counter(w, "auditd_snapshot_errors_total", "Checkpoint snapshots that failed.", m.snapshotErrors.Load())
 	if last := m.lastSnapshotNano.Load(); last > 0 {

@@ -1,7 +1,7 @@
 package server
 
 // Observability-surface tests (DESIGN.md §12): the explain endpoint,
-// trace propagation from a caller's traceparent into per-entry feed
+// trace propagation from a caller's traceparent into per-batch feed
 // spans, the new metrics series, and explanation persistence across a
 // checkpoint round trip.
 
@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -112,22 +113,30 @@ func getTraces(t *testing.T, url string) traceReply {
 }
 
 // TestTraceparentPropagation: an ingest carrying W3C trace context
-// produces one ingest span, one feed span per entry, and one "stages"
-// span per batch (traced requests are always stage-timed), all in the
-// caller's trace; an untraced ingest records nothing.
+// produces one ingest span and one feed span per batch, both in the
+// caller's trace; the feed span carries the batch's stage breakdown
+// and its verdict transition as span events. An untraced ingest
+// records nothing.
 func TestTraceparentPropagation(t *testing.T) {
 	sc := hospitalScenario(t)
 	_, ts := startServer(t, sc, Config{Shards: 4})
 
-	// Untraced bulk load first: the ring must stay empty.
-	if resp, _ := post(t, ts.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, sc.Trail)); resp.StatusCode != http.StatusAccepted {
+	// Untraced bulk load of every other case first: the ring must stay
+	// empty, and HT-10 is still compliant for the traced ingest.
+	var rest []audit.Entry
+	for _, e := range sc.Trail.View() {
+		if e.Case != "HT-10" {
+			rest = append(rest, e)
+		}
+	}
+	if resp, _ := post(t, ts.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, audit.NewTrail(rest))); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest: %s", resp.Status)
 	}
 	if tr := getTraces(t, ts.URL+"/v1/traces"); tr.Total != 0 {
 		t.Fatalf("untraced ingest recorded %d spans", tr.Total)
 	}
 
-	// Traced ingest of HT-10's entries.
+	// Traced ingest of HT-10's entries: one batch on one shard.
 	sub := sc.Trail.ByCase("HT-10")
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/events?wait=1",
@@ -147,7 +156,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 
 	tr := getTraces(t, ts.URL+"/v1/traces")
-	var ingests, feeds, stages int
+	var ingests, feeds int
 	for _, sp := range tr.Spans {
 		if sp.TraceID.String() != traceID {
 			t.Errorf("span %q left the caller's trace: %s", sp.Name, sp.TraceID)
@@ -160,23 +169,29 @@ func TestTraceparentPropagation(t *testing.T) {
 			}
 		case "feed":
 			feeds++
-			if sp.Attrs["case"] != "HT-10" {
+			if sp.Attrs["case"] != "HT-10" || sp.Attrs["entries"] != fmt.Sprint(sub.Len()) {
 				t.Errorf("feed span attrs: %v", sp.Attrs)
 			}
-		case "stages":
-			stages++
-			// The stage breakdown rides as span events, one per stage.
-			if len(sp.Events) != int(obs.NumStages) {
-				t.Errorf("stages span has %d events, want %d: %+v", len(sp.Events), obs.NumStages, sp.Events)
+			// One event per stage plus the case's one transition.
+			if len(sp.Events) != int(obs.NumStages)+1 {
+				t.Errorf("feed span has %d events, want %d: %+v", len(sp.Events), obs.NumStages+1, sp.Events)
+			}
+			var transitions int
+			for _, ev := range sp.Events {
+				if ev.Name == "transition" {
+					transitions++
+					if ev.Attrs["case"] != "HT-10" || ev.Attrs["outcome"] != outcomeViolation || ev.Attrs["lsn"] == "" {
+						t.Errorf("transition event attrs: %v", ev.Attrs)
+					}
+				}
+			}
+			if transitions != 1 {
+				t.Errorf("feed span has %d transition events, want 1", transitions)
 			}
 		}
 	}
-	if ingests != 1 || feeds != sub.Len() || stages < 1 {
-		t.Errorf("%d ingest + %d feed + %d stages spans, want 1 + %d + ≥1",
-			ingests, feeds, stages, sub.Len())
-	}
-	if want := sub.Len() + 1 + stages; tr.Held != want {
-		t.Errorf("%d spans held, want %d (ingest + one feed per entry + stages per batch)", tr.Held, want)
+	if ingests != 1 || feeds != 1 || tr.Held != 2 {
+		t.Errorf("%d ingest + %d feed spans (%d held), want 1 + 1 (2 held)", ingests, feeds, tr.Held)
 	}
 }
 

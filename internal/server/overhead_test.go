@@ -155,7 +155,7 @@ func TestIngestAllocs(t *testing.T) {
 // here as the batch_fed flight events shard workers record per message.
 func TestBatchedDispatchOneMessagePerRun(t *testing.T) {
 	sc := hospitalScenario(t)
-	srv, _ := startServer(t, sc, Config{Shards: 2, FlightEvents: 1024})
+	srv, _ := startServer(t, sc, Config{Shards: 2})
 	defer srv.Shutdown(context.Background())
 	// Runs of runLen entries alternate between cases on different shards.
 	cases := [2]string{"HT-1", "HT-2"}

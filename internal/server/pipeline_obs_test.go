@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -225,11 +226,13 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 // TestWatchSSE: a /v1/watch subscriber sees verdict transitions as SSE
-// events while the trail streams in, and its subscription is reaped
-// the moment the client disconnects.
+// events while the trail streams in, each the same verdict event the
+// flight recorder holds (case, outcome, WAL LSN, engine), and its
+// subscription is reaped the moment the client disconnects.
 func TestWatchSSE(t *testing.T) {
 	sc := hospitalScenario(t)
-	srv, ts := startServer(t, sc, Config{Shards: 2})
+	cfg, _ := walConfig(t, 2)
+	srv, ts := startServer(t, sc, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -263,7 +266,17 @@ func TestWatchSSE(t *testing.T) {
 	type sse struct{ event, data string }
 	deadline := time.AfterFunc(10*time.Second, cancel)
 	defer deadline.Stop()
-	var got *watchEvent
+	type payload struct {
+		Case    string `json:"case"`
+		Purpose string `json:"purpose"`
+		Outcome string `json:"outcome"`
+		Detail  string `json:"detail"`
+		Entries int    `json:"entries"`
+		LSN     uint64 `json:"lsn"`
+		Engine  string `json:"engine"`
+	}
+	var got *payload
+	var raw string
 	cur := sse{}
 	for got == nil {
 		line, err := r.ReadString('\n')
@@ -277,20 +290,36 @@ func TestWatchSSE(t *testing.T) {
 		case strings.HasPrefix(line, "data: "):
 			cur.data = strings.TrimPrefix(line, "data: ")
 		case line == "" && cur.event == "verdict":
-			var ev watchEvent
+			var ev payload
 			if err := json.Unmarshal([]byte(cur.data), &ev); err != nil {
 				t.Fatalf("bad SSE payload %q: %v", cur.data, err)
 			}
 			if ev.Case == "HT-10" {
-				got = &ev
+				got, raw = &ev, cur.data
 			}
 			cur = sse{}
 		case line == "":
 			cur = sse{}
 		}
 	}
-	if got.Outcome != outcomeViolation || got.Entries == 0 || got.Detail == "" {
+	if got.Outcome != outcomeViolation || got.Entries == 0 || got.Detail == "" ||
+		got.Purpose == "" || got.LSN == 0 || got.Engine == "" {
 		t.Errorf("HT-10 transition = %+v", got)
+	}
+	for _, key := range []string{"case", "purpose", "outcome", "detail", "entries", "shard", "time", "lsn", "engine"} {
+		if !strings.Contains(raw, `"`+key+`":`) {
+			t.Errorf("SSE payload lacks %q: %s", key, raw)
+		}
+	}
+	// The stream and the flight ring carry one event, not two accounts.
+	var flight *obs.Event
+	for _, ev := range srv.flight.Snapshot() {
+		if ev.Kind == obs.FlightVerdict && ev.Case == "HT-10" {
+			flight = &ev
+		}
+	}
+	if flight == nil || flight.Outcome != got.Outcome || flight.LSN != got.LSN || flight.Engine != got.Engine {
+		t.Errorf("flight verdict event %+v disagrees with SSE %+v", flight, got)
 	}
 
 	// Disconnect: the hub must drop the subscription promptly.
@@ -416,5 +445,109 @@ func TestQuarantineWarnSuppression(t *testing.T) {
 	_, metrics := getBody(t, ts.URL+"/metrics")
 	if v := metricValue(t, metrics, `auditd_log_suppressed_total{class="quarantine"}`); v == 0 {
 		t.Error("suppression not exported")
+	}
+}
+
+// TestWatchDropsCounted: a subscriber that never reads loses every
+// verdict event, and the loss is exported rather than silent.
+func TestWatchDropsCounted(t *testing.T) {
+	sc := hospitalScenario(t)
+	srv, ts := startServer(t, sc, Config{Shards: 2})
+	id, _ := srv.watch.subscribe(0)
+	defer srv.watch.unsubscribe(id)
+
+	if resp, _ := post(t, ts.URL+"/v1/events?wait=1", "application/x-ndjson", ndjson(t, sc.Trail)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: %s", resp.Status)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	if n := metricValue(t, body, "auditd_watch_events_dropped_total"); n < 5 {
+		t.Errorf("auditd_watch_events_dropped_total = %v, want >= 5 (one per Figure 4 infringement)", n)
+	}
+}
+
+// blockingHandler is a slog handler whose "case violated" record
+// blocks until release is closed, signalling entered first: a log sink
+// stalled on slow I/O.
+type blockingHandler struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *blockingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *blockingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *blockingHandler) WithGroup(string) slog.Handler            { return h }
+func (h *blockingHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "case violated" {
+		select {
+		case h.entered <- struct{}{}:
+		default:
+		}
+		<-h.release
+	}
+	return nil
+}
+
+// TestDeviationLogOutsideViewLock: a stalled log sink must not stall
+// GET /v1/cases. The deviation warning is written after the shard
+// releases its view lock, so a view read returns while the handler is
+// still blocked.
+func TestDeviationLogOutsideViewLock(t *testing.T) {
+	sc := hospitalScenario(t)
+	h := &blockingHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv, _ := startServer(t, sc, Config{Shards: 1, Logger: slog.New(h)})
+	defer close(h.release)
+
+	if n, ok := srv.IngestEntries(sc.Trail.ByCase("HT-10").View()); !ok {
+		t.Fatalf("ingest accepted %d entries", n)
+	}
+	select {
+	case <-h.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no deviation warning for HT-10")
+	}
+	read := make(chan CaseView, 1)
+	go func() {
+		v, _ := srv.shardFor("HT-10").view("HT-10")
+		read <- v
+	}()
+	select {
+	case v := <-read:
+		if v.Outcome != outcomeViolation {
+			t.Errorf("HT-10 outcome = %q while its warning is being logged", v.Outcome)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("view read blocked behind the deviation log")
+	}
+}
+
+// TestTracesCaseFilterMatchesTransitions: a feed span covering several
+// cases names none of them, but ?case= still finds it through the
+// verdict transition event it carries.
+func TestTracesCaseFilterMatchesTransitions(t *testing.T) {
+	sc := hospitalScenario(t)
+	_, ts := startServer(t, sc, Config{Shards: 1})
+	var both []audit.Entry
+	both = append(both, sc.Trail.ByCase("HT-1").View()...)
+	both = append(both, sc.Trail.ByCase("HT-11").View()...)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/events?wait=1", bytes.NewReader(ndjson(t, audit.NewTrail(both))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	req.Header.Set("traceparent", "00-dddd3333dddd3333dddd3333dddd3333-00f067aa0ba902b7-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("traced ingest: %s", resp.Status)
+	}
+	byCase := getTraces(t, ts.URL+"/v1/traces?case=HT-11")
+	if len(byCase.Spans) != 1 || byCase.Spans[0].Name != "feed" || byCase.Spans[0].Attrs["case"] != "" {
+		t.Fatalf("?case=HT-11 matched %+v, want the one multi-case feed span", byCase.Spans)
+	}
+	if none := getTraces(t, ts.URL+"/v1/traces?case=HT-1"); len(none.Spans) != 0 {
+		t.Errorf("?case=HT-1 (no transition, not the span's case) matched %d spans", len(none.Spans))
 	}
 }

@@ -49,9 +49,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// QuarantineKeep bounds the held quarantine records (default 1024).
 	QuarantineKeep int
-	// TraceBuffer bounds the in-memory span ring served at GET
-	// /v1/traces (default obs.DefaultRingCapacity).
-	TraceBuffer int
 	// Logger receives structured request/verdict logs (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -103,9 +100,6 @@ type Config struct {
 	// FlightDir is where flight-recorder dumps are written (default
 	// os.TempDir()).
 	FlightDir string
-	// FlightEvents bounds each shard's flight-recorder ring (default
-	// obs.DefaultFlightEvents).
-	FlightEvents int
 }
 
 // WAL failure policies (Config.WALFailure).
@@ -130,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.QuarantineKeep <= 0 {
 		c.QuarantineKeep = 1024
 	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = obs.DefaultRingCapacity
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -145,26 +136,21 @@ func (c Config) withDefaults() Config {
 	if c.StageSample == 0 {
 		c.StageSample = obs.DefaultStageSample
 	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = obs.DefaultFlightEvents
-	}
 	return c
 }
 
 // Server is the auditd engine. Build with New, then Start, serve
 // Handler over any http.Server, and Shutdown to drain and snapshot.
 type Server struct {
-	cfg     Config
-	reg     *core.Registry
-	shards  []*shard
-	metrics *metrics
-	quar    *quarantine
-	mux     *http.ServeMux
-	log     *slog.Logger
-	// ring holds the most recent spans (GET /v1/traces); tracer writes
-	// into it and is handed to every shard for per-entry feed spans.
-	ring   *obs.Ring
-	tracer *obs.Tracer
+	// The embedded sink is the pipeline-event emitter every shard
+	// shares; it also carries the server's metrics, logger, span ring,
+	// flight recorder and watch hub (sink.go).
+	*sink
+	cfg    Config
+	reg    *core.Registry
+	shards []*shard
+	quar   *quarantine
+	mux    *http.ServeMux
 
 	// ingest gate: handlers register in-flight ingests so Shutdown can
 	// wait for them before closing the shard queues.
@@ -195,24 +181,17 @@ type Server struct {
 	ledger        *ledger.Ledger
 	ledgerCkptLSN atomic.Uint64
 
-	// Operational telemetry (DESIGN.md §17). stages decides which
-	// batches carry a timing record; flight is the always-on event
-	// recorder dumped when something goes wrong; watch fans verdict
-	// transitions out to GET /v1/watch subscribers. walErrDumped makes
-	// the WAL-failure flight dump a one-shot (the error is sticky, so
-	// every later batch would re-trigger it).
-	stages       *obs.StageSampler
-	flight       *obs.FlightRecorder
-	watch        *watchHub
-	walErrDumped atomic.Bool
-	startTime    time.Time
+	// stages decides which batches carry a timing record (DESIGN.md
+	// §17).
+	stages    *obs.StageSampler
+	startTime time.Time
 
 	// Hot-path log limiters: a poison stream that makes every entry
 	// warn must not drown the log (suppressed counts are exported as
-	// auditd_log_suppressed_total).
-	limVerdict *obs.LogLimiter
-	limQuar    *obs.LogLimiter
-	limWAL     *obs.LogLimiter
+	// auditd_log_suppressed_total; the deviation log's limiter is the
+	// sink's warnLim).
+	limQuar *obs.LogLimiter
+	limWAL  *obs.LogLimiter
 }
 
 // New builds a server over the registry's purposes. The checker
@@ -221,32 +200,18 @@ type Server struct {
 func New(reg *core.Registry, checker *core.Checker, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     reg,
-		metrics: newMetrics(),
-		quar:    newQuarantine(cfg.QuarantineKeep),
-		mux:     http.NewServeMux(),
-		log:     cfg.Logger,
-		ring:    obs.NewRing(cfg.TraceBuffer),
+		sink:      newSink(cfg.Shards, cfg.FlightDir, newMetrics(), cfg.Logger),
+		cfg:       cfg,
+		reg:       reg,
+		quar:      newQuarantine(cfg.QuarantineKeep),
+		mux:       http.NewServeMux(),
+		stages:    obs.NewStageSampler(cfg.StageSample),
+		startTime: time.Now(),
+		limQuar:   obs.NewLogLimiter(warnBurst, warnPerSec),
+		limWAL:    obs.NewLogLimiter(warnBurst, warnPerSec),
 	}
-	s.tracer = &obs.Tracer{Rec: s.ring}
-	s.stages = obs.NewStageSampler(cfg.StageSample)
-	s.flight = obs.NewFlightRecorder(cfg.Shards, cfg.FlightEvents, cfg.FlightDir)
-	s.watch = newWatchHub()
-	s.startTime = time.Now()
-	s.limVerdict = obs.NewLogLimiter(warnBurst, warnPerSec)
-	s.limQuar = obs.NewLogLimiter(warnBurst, warnPerSec)
-	s.limWAL = obs.NewLogLimiter(warnBurst, warnPerSec)
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, checker, cfg.QueueDepth, s.metrics, s.log, reg.PurposeOf, s.tracer)
-		// Telemetry wiring happens here rather than in newShard so the
-		// constructor's signature stays stable for tests; all of it is
-		// set before Start launches the workers.
-		sh.flight = s.flight
-		sh.watch = s.watch
-		sh.warnLim = s.limVerdict
-		sh.onDump = func(reason string) { s.DumpFlightRecorder(reason) }
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, newShard(i, checker, cfg.QueueDepth, s.sink, reg.PurposeOf))
 	}
 	s.routes()
 	return s
@@ -259,18 +224,6 @@ const (
 	warnBurst  = 10
 	warnPerSec = 1.0
 )
-
-// DumpFlightRecorder writes a flight-recorder dump file (used by the
-// SIGQUIT handler, failure paths and tests) and returns its path.
-func (s *Server) DumpFlightRecorder(reason string) (string, error) {
-	path, err := s.flight.Dump(reason)
-	if err != nil {
-		s.log.Error("flight recorder dump failed", "reason", reason, "err", err)
-		return "", err
-	}
-	s.log.Info("flight recorder dumped", "reason", reason, "path", path)
-	return path, nil
-}
 
 // sampleStages decides whether the batch being opened gets a stage
 // timing record: always for traced requests (the caller asked to see
@@ -478,7 +431,7 @@ func (s *Server) setReady(v bool) {
 		if v {
 			detail = "ready"
 		}
-		s.flight.Record(-1, obs.FlightEvent{Kind: obs.FlightReadiness, Detail: detail})
+		s.emit(obs.Event{Kind: obs.FlightReadiness, Shard: -1, Detail: detail})
 	}
 }
 

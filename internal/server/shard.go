@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,12 +55,12 @@ type shard struct {
 	// dropped per panic, and its credits are still returned.
 	pending    *[]audit.Entry
 	pendingIdx int
-	pendingSC  obs.SpanContext
-	pendingLSN uint64
-	// pendingStages is the batch's stage timing record (nil when
-	// unsampled); it lives on the shard so replay time keeps
-	// accumulating across a panic-resume.
-	pendingStages *obs.StageRecord
+	// fed is the pending batch's batch_fed event, opened at dequeue: LSN
+	// is the batch's first WAL LSN (0 without a WAL), Stages its timing
+	// record (nil when unsampled), Span its feed span (nil when
+	// untraced). It lives here so replay timing and the span survive a
+	// panic-resume.
+	fed obs.Event
 	// panicHook, when set (tests only), runs before each feed — the
 	// injection point for supervisor chaos tests.
 	panicHook func(*audit.Entry)
@@ -80,23 +79,12 @@ type shard struct {
 	mon     *core.Monitor
 	metrics *metrics
 	log     *slog.Logger
-	// tracer records per-entry feed spans — only for entries whose
-	// ingest carried W3C trace context (see feed), so untraced bulk
-	// loads cost nothing and the ring isn't flooded.
-	tracer *obs.Tracer
+	// sink receives the shard's pipeline events (sink.go).
+	sink *sink
 	// purposeOf resolves a case id to its purpose name (registry
 	// lookup), for the view's Purpose field.
 	purposeOf func(string) string
 
-	// Operational telemetry, wired by the server after construction
-	// (before Start). flight records coarse per-batch pipeline events;
-	// onDump triggers a flight-recorder dump (panic, shard failure);
-	// watch receives verdict transitions for GET /v1/watch; warnLim
-	// rate-limits the per-entry deviation warnings.
-	flight  *obs.FlightRecorder
-	onDump  func(reason string)
-	watch   *watchHub
-	warnLim *obs.LogLimiter
 	// highWater is the worst queue occupancy seen (entries), reported
 	// by /v1/status; hwRecorded is the occupancy at the last flight
 	// event, so the ring gets step-sized marks instead of one event per
@@ -123,7 +111,7 @@ type shardMsg struct {
 	firstLSN uint64
 	// sc is the ingest span's context when the submitting request
 	// carried a traceparent header; the zero value otherwise. It rides
-	// the queue so the feed span lands in the caller's trace.
+	// the queue so the batch's feed span lands in the caller's trace.
 	sc obs.SpanContext
 	// stages is the batch's stage timing record (nil when unsampled);
 	// it rides the queue so the worker can close the queue-wait stage
@@ -184,17 +172,17 @@ const (
 	outcomeIndeterminate = "indeterminate"
 )
 
-func newShard(id int, checker *core.Checker, depth int, m *metrics, log *slog.Logger, purposeOf func(string) string, tracer *obs.Tracer) *shard {
+func newShard(id int, checker *core.Checker, depth int, k *sink, purposeOf func(string) string) *shard {
 	sh := &shard{
 		id:        id,
 		queue:     make(chan shardMsg, depth),
 		done:      make(chan struct{}),
 		depth:     int64(depth),
 		mon:       core.NewMonitor(checker.Clone()),
-		metrics:   m,
-		log:       log,
+		metrics:   k.metrics,
+		log:       k.log,
+		sink:      k,
 		purposeOf: purposeOf,
-		tracer:    tracer,
 		views:     map[string]*CaseView{},
 	}
 	sh.credits.Store(sh.depth)
@@ -226,10 +214,7 @@ func (sh *shard) run(restartLimit int) {
 			sh.metrics.shardsFailed.Add(1)
 			sh.log.Error("shard failed: restart budget exhausted, draining without feeding",
 				"shard", sh.id, "restarts", n-1)
-			sh.flight.Record(sh.id, obs.FlightEvent{Kind: obs.FlightShardFail, N: int(n - 1)})
-			if sh.onDump != nil {
-				sh.onDump("shard_failed")
-			}
+			sh.sink.emit(obs.Event{Kind: obs.FlightShardFail, Shard: sh.id, N: int(n - 1)})
 			sh.drainFailed()
 			return
 		}
@@ -238,7 +223,7 @@ func (sh *shard) run(restartLimit int) {
 		backoff := (5 * time.Millisecond) << min(uint(n-1), 6)
 		sh.log.Warn("shard worker restarting after panic",
 			"shard", sh.id, "restart", n, "backoff", backoff)
-		sh.flight.Record(sh.id, obs.FlightEvent{Kind: obs.FlightRestart, N: int(n), Detail: backoff.String()})
+		sh.sink.emit(obs.Event{Kind: obs.FlightRestart, Shard: sh.id, N: int(n), Detail: backoff.String()})
 		time.Sleep(backoff)
 	}
 }
@@ -250,7 +235,7 @@ func (sh *shard) run(restartLimit int) {
 func (sh *shard) runOnce() (clean bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			ev := obs.FlightEvent{Kind: obs.FlightPanic, Detail: fmt.Sprint(r)}
+			ev := obs.Event{Kind: obs.FlightPanic, Shard: sh.id, Detail: fmt.Sprint(r)}
 			if sh.pending != nil {
 				// Exactly the entry being fed is lost; feedPending
 				// already advanced past it.
@@ -261,17 +246,14 @@ func (sh *shard) runOnce() (clean bool) {
 					e := (*sh.pending)[i]
 					ev.Case = e.Case
 					ev.Detail = fmt.Sprintf("task=%s: %v", e.Task, r)
-					if sh.pendingLSN > 0 {
-						ev.LSN = sh.pendingLSN + uint64(i)
+					if sh.fed.LSN > 0 {
+						ev.LSN = sh.fed.LSN + uint64(i)
 					}
 				}
 			}
-			sh.flight.Record(sh.id, ev)
 			sh.log.Error("shard worker panicked",
 				"shard", sh.id, "panic", r, "stack", string(debug.Stack()))
-			if sh.onDump != nil {
-				sh.onDump("shard_panic")
-			}
+			sh.sink.emit(ev)
 		}
 	}()
 	if sh.pending != nil {
@@ -281,8 +263,9 @@ func (sh *shard) runOnce() (clean bool) {
 		switch {
 		case msg.batch != nil:
 			msg.stages.MarkDequeued()
-			sh.pending, sh.pendingIdx, sh.pendingSC, sh.pendingLSN = msg.batch, 0, msg.sc, msg.firstLSN
-			sh.pendingStages = msg.stages
+			sh.pending, sh.pendingIdx = msg.batch, 0
+			sh.fed = obs.Event{Kind: obs.FlightBatchFed, Shard: sh.id, LSN: msg.firstLSN,
+				Stages: msg.stages, Span: sh.sink.openFeedSpan(msg.sc, sh.id, *msg.batch)}
 			sh.feedPending()
 		case msg.barrier != nil:
 			close(msg.barrier)
@@ -311,60 +294,37 @@ func (sh *shard) serveSnap(ch chan<- shardDump) {
 	sent = true
 }
 
-// feedPending feeds the in-progress batch from its cursor, then
-// returns its credits and recycles it. The cursor advances BEFORE each
-// feed, so when a feed panics the supervisor's resume skips exactly
-// the poisonous entry instead of re-feeding it into another panic.
+// feedPending feeds the in-progress batch from its cursor, emits its
+// batch_fed event, then returns its credits and recycles it. The cursor
+// advances BEFORE each feed, so when a feed panics the supervisor's
+// resume skips exactly the poisonous entry instead of re-feeding it
+// into another panic.
 func (sh *shard) feedPending() {
 	entries := *sh.pending
 	var replayStart time.Time
-	if sh.pendingStages != nil {
+	if sh.fed.Stages != nil {
 		replayStart = time.Now()
 	}
 	for sh.pendingIdx < len(entries) {
 		i := sh.pendingIdx
 		sh.pendingIdx++
 		var lsn uint64
-		if sh.pendingLSN > 0 {
-			lsn = sh.pendingLSN + uint64(i)
+		if sh.fed.LSN > 0 {
+			lsn = sh.fed.LSN + uint64(i)
 		}
-		sh.feed(&entries[i], sh.pendingSC, lsn)
+		sh.feed(&entries[i], lsn)
 	}
-	if sh.pendingStages != nil {
-		sh.pendingStages.Add(obs.StageReplay, time.Since(replayStart))
-		sh.finishStages(len(entries))
-		sh.pendingStages = nil
+	if sh.fed.Stages != nil {
+		sh.fed.Stages.Add(obs.StageReplay, time.Since(replayStart))
 	}
 	if len(entries) > 0 {
-		sh.flight.Record(sh.id, obs.FlightEvent{
-			Kind: obs.FlightBatchFed, Case: entries[0].Case,
-			N: len(entries), LSN: sh.pendingLSN,
-		})
+		sh.fed.Case, sh.fed.N = entries[0].Case, len(entries)
+		sh.sink.emit(sh.fed)
 	}
+	sh.fed = obs.Event{}
 	sh.credits.Add(int64(len(entries)))
 	putBatch(sh.pending)
 	sh.pending = nil
-}
-
-// finishStages folds a completed batch's timing record into the stage
-// histograms and — when the ingest was traced — into a "stages" child
-// span whose events carry the per-stage breakdown.
-func (sh *shard) finishStages(n int) {
-	rec := sh.pendingStages
-	sh.metrics.observeStages(rec)
-	if !sh.pendingSC.IsValid() {
-		return
-	}
-	sp := sh.tracer.StartSpan(sh.pendingSC, "stages")
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("shard", strconv.Itoa(sh.id))
-	sp.SetAttr("entries", strconv.Itoa(n))
-	for _, st := range obs.Stages() {
-		sp.AddEvent(st.String(), "dur", rec.Dur(st).String())
-	}
-	sp.End()
 }
 
 // drainFailed is the terminal loop of a failed shard: every batch is
@@ -378,7 +338,7 @@ func (sh *shard) drainFailed() {
 		sh.credits.Add(int64(len(entries)))
 		putBatch(sh.pending)
 		sh.pending = nil
-		sh.pendingStages = nil
+		sh.fed = obs.Event{}
 	}
 	for msg := range sh.queue {
 		switch {
@@ -454,7 +414,7 @@ func (sh *shard) noteHighWater() {
 		}
 		last := sh.hwRecorded.Load()
 		if (p >= last+step || p >= sh.depth) && sh.hwRecorded.CompareAndSwap(last, p) {
-			sh.flight.Record(sh.id, obs.FlightEvent{Kind: obs.FlightHighWater, N: int(p)})
+			sh.sink.emit(obs.Event{Kind: obs.FlightHighWater, Shard: sh.id, N: int(p)})
 		}
 		return
 	}
@@ -510,22 +470,14 @@ func (sh *shard) dump() shardDump {
 	return shardDump{state: sh.mon.State(), views: views}
 }
 
-// feed advances one case by one entry and folds the verdict into the
-// case view and the metrics. lsn is the entry's WAL record number (0
-// without a WAL), stamped into the view for boot replay. When the
-// entry's ingest carried trace context, the feed is recorded as a
-// child span in the caller's trace. e points into the pending batch;
-// nothing keeps it past the call.
-func (sh *shard) feed(e *audit.Entry, sc obs.SpanContext, lsn uint64) {
+// feed advances one case by one entry, folds the verdict into the case
+// view and the metrics, and emits a verdict event when the case leaves
+// compliant. lsn is the entry's WAL record number (0 without a WAL),
+// stamped into the view for boot replay. e points into the pending
+// batch; nothing keeps it past the call.
+func (sh *shard) feed(e *audit.Entry, lsn uint64) {
 	if sh.panicHook != nil {
 		sh.panicHook(e)
-	}
-	var span *obs.ActiveSpan
-	if sc.IsValid() {
-		span = sh.tracer.StartSpan(sc, "feed")
-		span.SetAttr("shard", strconv.Itoa(sh.id))
-		span.SetAttr("case", e.Case)
-		span.SetAttr("task", e.Task)
 	}
 	v, err := sh.mon.Feed(*e)
 	if lsn > 0 {
@@ -541,25 +493,23 @@ func (sh *shard) feed(e *audit.Entry, sc obs.SpanContext, lsn uint64) {
 		// feed-errors counter makes visible.
 		sh.metrics.feedErrors.Add(1)
 		sh.log.Error("feed failed", "shard", sh.id, "case", e.Case, "err", err,
-			"trace_id", traceField(sc))
-		span.SetAttr("error", err.Error())
-		span.End()
+			"trace_id", traceField(sh.fed.Span.Context()))
 		return
 	}
 	sh.metrics.countEngine(v.Engine)
-	outcome := sh.applyVerdict(e, v, sc, lsn)
-
-	if span != nil {
-		span.SetAttr("outcome", outcome)
-		span.End()
+	if ev := sh.applyVerdict(e, v, lsn); ev.Kind != "" {
+		sh.sink.emit(ev)
 	}
 }
 
 // applyVerdict folds one verdict into the case view under the view
-// lock. It is its own function so the lock is released by defer even
-// if something under it panics — the supervisor must never inherit a
-// poisoned mutex.
-func (sh *shard) applyVerdict(e *audit.Entry, v *core.Verdict, sc obs.SpanContext, lsn uint64) string {
+// lock and returns the verdict event when the case just left compliant
+// (the zero Event otherwise). The caller emits it after the lock is
+// released: the sink logs and publishes, and none of that may stall
+// the GET /v1/cases readers waiting on the lock. It is its own function
+// so the lock is released by defer even if something under it panics —
+// the supervisor must never inherit a poisoned mutex.
+func (sh *shard) applyVerdict(e *audit.Entry, v *core.Verdict, lsn uint64) obs.Event {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	view, ok := sh.views[e.Case]
@@ -579,6 +529,7 @@ func (sh *shard) applyVerdict(e *audit.Entry, v *core.Verdict, sc obs.SpanContex
 	if v.Engine != "" {
 		view.Engine = v.Engine
 	}
+	was, detail := view.Outcome, ""
 	switch {
 	case v.OK:
 		sh.metrics.verdictsOK.Add(1)
@@ -590,8 +541,7 @@ func (sh *shard) applyVerdict(e *audit.Entry, v *core.Verdict, sc obs.SpanContex
 			view.Outcome = outcomeIndeterminate
 			view.Indeterminate = v.Indeterminate.String()
 			view.Explanation = v.Explanation
-			sh.warnDeviation("case indeterminate", e.Case, "cause", v.Indeterminate.Cause.String(), sc)
-			sh.noteTransition(view, v.Indeterminate.Cause.String())
+			detail = v.Indeterminate.Cause.String()
 		}
 	case v.Violation != nil:
 		sh.metrics.verdictsViolation.Add(1)
@@ -600,49 +550,17 @@ func (sh *shard) applyVerdict(e *audit.Entry, v *core.Verdict, sc obs.SpanContex
 			view.Outcome = outcomeViolation
 			view.Violation = v.Violation.String()
 			view.Explanation = v.Explanation
-			sh.warnDeviation("case violated", e.Case, "reason", v.Violation.Reason, sc)
-			sh.noteTransition(view, v.Violation.Reason)
+			detail = v.Violation.Reason
 		}
 	}
-	return view.Outcome
-}
-
-// warnDeviation logs a deviation warning through the token-bucket
-// limiter: a poison stream that deviates on every entry gets a bounded
-// log rate plus a suppressed=N summary instead of a line per entry.
-func (sh *shard) warnDeviation(msg, caseID, k, v string, sc obs.SpanContext) {
-	ok, suppressed := sh.warnLim.Allow()
-	if !ok {
-		return
+	if view.Outcome == was {
+		return obs.Event{}
 	}
-	args := []any{"shard", sh.id, "case", caseID, k, v, "trace_id", traceField(sc)}
-	if suppressed > 0 {
-		args = append(args, "suppressed", suppressed)
+	return obs.Event{
+		Kind: obs.FlightVerdict, Shard: sh.id, Case: view.Case, Purpose: view.Purpose,
+		Outcome: view.Outcome, Detail: detail, N: view.Entries,
+		LSN: view.WalLSN, Engine: view.Engine, Span: sh.fed.Span,
 	}
-	sh.log.Warn(msg, args...)
-}
-
-// noteTransition records a verdict transition in the flight ring and
-// fans it out to GET /v1/watch subscribers. Called under sh.mu, but
-// both sinks are non-blocking (ring write / channel try-send).
-func (sh *shard) noteTransition(view *CaseView, detail string) {
-	sh.flight.Record(sh.id, obs.FlightEvent{
-		Kind: obs.FlightVerdict, Case: view.Case,
-		Detail: view.Outcome + ": " + detail, N: view.Entries,
-	})
-	sh.watch.publish(watchEvent{
-		Case: view.Case, Purpose: view.Purpose, Outcome: view.Outcome,
-		Entries: view.Entries, Shard: sh.id, Detail: detail, Time: time.Now(),
-	})
-}
-
-// traceField renders the trace id for log correlation; empty when the
-// entry was untraced (slog drops nothing, so empty is fine).
-func traceField(sc obs.SpanContext) string {
-	if !sc.IsValid() {
-		return ""
-	}
-	return sc.TraceID.String()
 }
 
 // view returns a copy of one case's view.

@@ -160,10 +160,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	held, total, dumps := s.flight.Stats()
 	writeJSON(w, http.StatusOK, struct {
-		Held     int               `json:"held"`
-		Total    uint64            `json:"total"`
-		Dumps    int64             `json:"dumps"`
-		LastDump string            `json:"last_dump,omitempty"`
-		Events   []obs.FlightEvent `json:"events"`
+		Held     int         `json:"held"`
+		Total    uint64      `json:"total"`
+		Dumps    int64       `json:"dumps"`
+		LastDump string      `json:"last_dump,omitempty"`
+		Events   []obs.Event `json:"events"`
 	}{Held: held, Total: total, Dumps: dumps, LastDump: s.flight.LastDump(), Events: s.flight.Snapshot()})
 }

@@ -107,7 +107,7 @@ func (s *Server) replayWAL() error {
 		if lsn <= skip[e.Case] {
 			return nil // already inside the restored checkpoint's cut
 		}
-		s.shardFor(e.Case).feed(&one[0], obs.SpanContext{}, lsn)
+		s.shardFor(e.Case).feed(&one[0], lsn)
 		replayed++
 		return nil
 	})
@@ -148,7 +148,7 @@ func (s *Server) enqueueBatch(sh *shard, b *[]audit.Entry, sc obs.SpanContext, r
 	if err != nil {
 		sh.enqMu.Unlock()
 		sh.credits.Add(n)
-		s.walFailure(err)
+		s.walFailure(err, len(*b))
 		return false
 	}
 	if rec != nil {
@@ -182,7 +182,6 @@ func (s *Server) walAppend(entries []audit.Entry, rec *obs.StageRecord) (uint64,
 	defer s.inflight.mu.Unlock()
 	first, _, err := s.wal.Append(entries)
 	if err != nil {
-		s.flight.Record(-1, obs.FlightEvent{Kind: obs.FlightWALError, Detail: err.Error(), N: len(entries)})
 		return 0, err
 	}
 	if s.ledger != nil {
@@ -194,7 +193,7 @@ func (s *Server) walAppend(entries []audit.Entry, rec *obs.StageRecord) (uint64,
 			// The entries are durable but unsealed; refuse the batch so
 			// the acknowledged ⇒ provable contract holds (replay re-seals
 			// them at next boot).
-			s.flight.Record(-1, obs.FlightEvent{Kind: obs.FlightLedgerErr, Detail: err.Error(), LSN: first})
+			s.emit(obs.Event{Kind: obs.FlightLedgerErr, Shard: -1, Detail: err.Error(), LSN: first})
 			return 0, fmt.Errorf("ledger append: %w", err)
 		}
 		if rec != nil {
@@ -264,19 +263,16 @@ func (s *Server) walSafeLSN(lsn uint64) uint64 {
 	return lsn
 }
 
-// walFailure applies the configured write-failure policy. Append
-// errors are sticky in the log itself, so under WALShed every affected
-// request keeps getting refused (503) while queries and checkpoints
-// continue; under WALFailstop the whole ingest surface is wedged and
-// readiness fails, pulling the node.
-func (s *Server) walFailure(err error) {
+// walFailure applies the configured write-failure policy to a failed
+// append of n entries. Append errors are sticky in the log itself, so
+// under WALShed every affected request keeps getting refused (503)
+// while queries and checkpoints continue; under WALFailstop the whole
+// ingest surface is wedged and readiness fails, pulling the node. The
+// wal_error event is emitted here, outside the append lock, because
+// the first one dumps the flight recorder.
+func (s *Server) walFailure(err error, n int) {
 	s.metrics.walAppendErrors.Add(1)
-	// One flight dump per sticky failure: the first failed append
-	// captures the rings, later ones (the error is sticky) don't
-	// re-dump.
-	if s.walErrDumped.CompareAndSwap(false, true) {
-		s.DumpFlightRecorder("wal_error")
-	}
+	s.emit(obs.Event{Kind: obs.FlightWALError, Shard: -1, Detail: err.Error(), N: n})
 	if s.cfg.WALFailure == WALShed {
 		// Every batch of every later request hits this under a sticky
 		// error; the limiter keeps it to a bounded rate with a

@@ -7,45 +7,35 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // GET /v1/watch: a Server-Sent-Events stream of verdict transitions —
-// the moment a case leaves "compliant" an event goes out, so an
-// operator (or purposectl top) sees deviations as they happen instead
-// of polling /v1/cases. Publishing is strictly non-blocking: the shard
+// the moment a case leaves "compliant" the sink publishes its verdict
+// event, so an operator sees deviations as they happen instead of
+// polling /v1/cases. Publishing is strictly non-blocking: the shard
 // worker must never wait on a slow SSE client, so a subscriber whose
-// buffer is full loses events (counted) rather than stalling replay.
+// buffer is full loses events (auditd_watch_events_dropped_total)
+// rather than stalling replay.
 
-// watchEvent is one SSE payload: a case's first transition out of
-// compliant.
-type watchEvent struct {
-	Case    string    `json:"case"`
-	Purpose string    `json:"purpose,omitempty"`
-	Outcome string    `json:"outcome"`
-	Detail  string    `json:"detail,omitempty"`
-	Entries int       `json:"entries"`
-	Shard   int       `json:"shard"`
-	Time    time.Time `json:"time"`
-}
-
-// watchHub fans verdict transitions out to subscribers.
+// watchHub fans verdict events out to subscribers.
 type watchHub struct {
 	mu   sync.Mutex
-	subs map[int]chan watchEvent
+	subs map[int]chan obs.Event
 	next int
 
-	published atomic.Int64
-	dropped   atomic.Int64 // events lost to full subscriber buffers
+	dropped atomic.Int64 // events lost to full subscriber buffers
 }
 
 func newWatchHub() *watchHub {
-	return &watchHub{subs: map[int]chan watchEvent{}}
+	return &watchHub{subs: map[int]chan obs.Event{}}
 }
 
 // subscribe registers a buffered subscriber and returns its id and
 // channel.
-func (h *watchHub) subscribe(buf int) (int, <-chan watchEvent) {
-	ch := make(chan watchEvent, buf)
+func (h *watchHub) subscribe(buf int) (int, <-chan obs.Event) {
+	ch := make(chan obs.Event, buf)
 	h.mu.Lock()
 	id := h.next
 	h.next++
@@ -70,12 +60,7 @@ func (h *watchHub) count() int {
 }
 
 // publish offers the event to every subscriber without blocking.
-// Nil-safe so shards constructed outside a server can skip wiring.
-func (h *watchHub) publish(ev watchEvent) {
-	if h == nil {
-		return
-	}
-	h.published.Add(1)
+func (h *watchHub) publish(ev obs.Event) {
 	h.mu.Lock()
 	for _, ch := range h.subs {
 		select {
@@ -123,7 +108,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if outcome != "" && ev.Outcome != outcome {
 				continue
 			}
-			data, err := json.Marshal(ev)
+			// The payload is the verdict event plus "entries" (= N), the
+			// field /v1/watch clients read.
+			data, err := json.Marshal(struct {
+				obs.Event
+				Entries int `json:"entries"`
+			}{ev, ev.N})
 			if err != nil {
 				continue
 			}
