@@ -25,7 +25,7 @@
 #   sh ci.sh fuzz       # every fuzz target, FUZZ_TIME each (also `make fuzz`)
 #   sh ci.sh cover      # coverage ratchet (internal/core, internal/automaton, internal/obs, internal/encode, internal/ledger, internal/scenario) + one CheckTrailCases run
 #   sh ci.sh scenarios  # declarative purpose-test corpus (purposectl test ./scenarios/...)
-#   sh ci.sh benchguard # quick P1/P3/P4/P5/P6 run vs BENCH_baseline.json
+#   sh ci.sh benchguard # quick P1/P3/P4/P5 run vs BENCH_baseline.json
 #   sh ci.sh perfbench  # serving-path benchmark smoke test (cd perfbench && go test .)
 #   sh ci.sh smoke      # auditd server smoke (also `make smoke`)
 #   sh ci.sh proofs     # ledger proof smoke: fetch, verify offline, tamper
@@ -599,8 +599,9 @@ lint() {
 # cover ratchets statement coverage of the packages that decide and
 # explain verdicts: the interpreter (internal/core), the table compiler
 # (internal/automaton), the observability layer (internal/obs), the
-# artifact codec (internal/encode — it deserializes what the automata
-# trust), the tamper-evidence layer (internal/ledger — it signs what
+# BPMN-to-COWS encoding and WAL record framing (internal/encode — the
+# terms every engine replays and the frames recovery trusts), the
+# tamper-evidence layer (internal/ledger — it signs what
 # auditors rely on) and the scenario framework (internal/scenario — it
 # decides what the corpus asserts). The combined figure must stay
 # >= COVER_MIN. One iteration of BenchmarkCheckTrailCases rides along
@@ -648,15 +649,14 @@ scenarios() {
 # P4 (compiled vs interpreted) and P5 (observer overhead) series in
 # quick mode and fails if any long-trail row's ns/entry regressed more
 # than BENCH_SLACK vs the checked-in baseline. The P1/P4 nil-observer
-# replay rows are held to 5%: a disabled observer must stay free. P6
-# prints its artifact-boot row, which counts 45 states as entries and
-# so falls under the 100-entry cutoff: reported, not compared. The
-# serving path (decode, dispatch, WAL, ledger, stage sampling,
-# restore) is measured by perfbench and its ratio claims are tier-1
-# tests in internal/server.
+# replay rows are held to 5%: a disabled observer must stay free. Rows
+# under 100 entries are reported, not compared. The serving path
+# (decode, dispatch, WAL, ledger, stage sampling, restore) is measured
+# by perfbench and its ratio claims are tier-1 tests in
+# internal/server.
 benchguard() {
-	echo "== benchguard (P1, P3, P4, P5, P6 vs BENCH_baseline.json) =="
-	go run ./cmd/benchtab -exp P1,P3,P4,P5,P6 -quick \
+	echo "== benchguard (P1, P3, P4, P5 vs BENCH_baseline.json) =="
+	go run ./cmd/benchtab -exp P1,P3,P4,P5 -quick \
 		-guard BENCH_baseline.json \
 		-guard-slack "$BENCH_SLACK" -guard-slack-exp P1=0.05,P4=0.05
 }

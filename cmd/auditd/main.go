@@ -14,7 +14,7 @@
 //	       [-wal-dir /var/lib/auditd/wal] [-fsync always|interval|off] \
 //	       [-wal-segment-bytes N] [-wal-failure failstop|shed] \
 //	       [-addr-file /run/auditd.addr] \
-//	       [-compiled] [-automata-dir /var/lib/auditd/automata] \
+//	       [-compiled] \
 //	       [-ledger] [-ledger-key /var/lib/auditd/ledger.key] \
 //	       [-ledger-batch 64] [-ledger-wait 500ms]
 //
@@ -28,13 +28,12 @@
 // so the node is pulled; shed returns per-request 503s while queries
 // keep serving.
 //
-// -compiled replays on ahead-of-time determinized purpose automata
-// (DESIGN.md §11); purposes that cannot be compiled stay on the
-// interpreter, per case. -automata-dir (implies -compiled) is a
-// content-addressed cache of gzip+JSON artifacts: matching artifacts
-// load instead of recompiling, fresh compiles are saved for the next
-// boot. Checkpoints are JSON (DESIGN.md §13 records why there is one
-// format of each).
+// -compiled replays on determinized purpose automata (DESIGN.md §11),
+// each compiled in process from its registered purpose before the
+// server starts; purposes that cannot be compiled stay on the
+// interpreter, per case, with the cause logged. Checkpoints are JSON
+// (DESIGN.md §13 records why there is one format of each and why no
+// automaton is stored).
 //
 // -ledger (requires -wal-dir) seals every WAL-appended entry into a
 // tamper-evident Merkle ledger (DESIGN.md §15): batches of -ledger-batch
@@ -98,7 +97,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/encode"
 	"repro/internal/policy"
 	"repro/internal/server"
 )
@@ -128,8 +126,7 @@ type options struct {
 	builtin    string
 	procs      []string
 
-	compiled    bool
-	automataDir string
+	compiled bool
 
 	ledger      bool
 	ledgerKey   string
@@ -141,9 +138,9 @@ func main() {
 	var (
 		o        options
 		procs    cli.ProcList
-		comp     = flag.Bool("compiled", false, "replay on ahead-of-time compiled purpose automata (interpreter fallback per purpose)")
 		segBytes = flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size in bytes (0 = 64 MiB default)")
 	)
+	flag.BoolVar(&o.compiled, "compiled", false, "replay on purpose automata compiled at boot (interpreter fallback per purpose)")
 	flag.StringVar(&o.addr, "addr", ":8443", "listen address (use :0 for an ephemeral port)")
 	flag.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	flag.IntVar(&o.shards, "shards", 8, "monitor shards (cases are hash-partitioned)")
@@ -156,7 +153,6 @@ func main() {
 	flag.StringVar(&o.policyFile, "policy", "", "policy file (textual format; supplies the role hierarchy)")
 	flag.StringVar(&o.builtin, "builtin", "", "use a built-in scenario: 'hospital' (Figures 1-4)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max wait for queues to drain on shutdown (expired: partial checkpoint, stragglers stay in the WAL)")
-	flag.StringVar(&o.automataDir, "automata-dir", "", "artifact cache for compiled automata: load matching artifacts at boot, save fresh compiles (implies -compiled)")
 	flag.BoolVar(&o.ledger, "ledger", false, "seal WAL-appended entries into a signed Merkle ledger (requires -wal-dir; serves /v1/proofs and /v1/roots)")
 	flag.StringVar(&o.ledgerKey, "ledger-key", "", "ed25519 seed file for root signing (hex; created if absent, public key written alongside as <file>.pub)")
 	flag.IntVar(&o.ledgerBatch, "ledger-batch", 0, "seal a ledger batch at this many entries (0 = default 64; 1 = a signed root per entry)")
@@ -173,7 +169,6 @@ func main() {
 	}
 	o.procs = procs
 	o.walSegmentBytes = *segBytes
-	o.compiled = *comp || o.automataDir != ""
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(log)
@@ -221,42 +216,20 @@ func buildRegistry(builtin, polFile string, procs []string) (*core.Registry, *po
 	return reg, roles, nil
 }
 
-// setupCompiled switches the checker onto the table-driven fast path:
-// per purpose it probes the artifact cache by content address, installs
-// a hit, compiles (and saves) on a miss, and leaves non-compilable
-// purposes on the interpreter with the cause logged. Boot never fails
+// setupCompiled switches the checker onto the table-driven fast path
+// and compiles every purpose eagerly, so boot pays for subset
+// construction instead of the first request. Non-compilable purposes
+// stay on the interpreter with the cause logged. Boot never fails
 // because of the automata — the interpreter is always a valid engine.
-func setupCompiled(log *slog.Logger, c *core.Checker, reg *core.Registry, dir string) {
+func setupCompiled(log *slog.Logger, c *core.Checker, reg *core.Registry) {
 	c.UseCompiled = true
 	for _, name := range reg.Purposes() {
-		if dir != "" {
-			fp, err := c.AutomatonFingerprint(name)
-			if err != nil {
-				log.Warn("automaton fingerprint", "purpose", name, "err", err)
-				continue
-			}
-			if d, err := encode.LoadAutomaton(dir, fp); err == nil {
-				if err := c.SetCompiled(name, d); err == nil {
-					log.Info("automaton loaded", "purpose", name, "fingerprint", fp[:12], "states", len(d.States))
-					continue
-				}
-			} else if !errors.Is(err, os.ErrNotExist) {
-				log.Warn("automaton artifact unreadable, recompiling", "purpose", name, "err", err)
-			}
-		}
 		d, err := c.EnsureCompiled(name)
 		if err != nil {
 			log.Warn("purpose stays interpreted", "purpose", name, "cause", err)
 			continue
 		}
 		log.Info("automaton compiled", "purpose", name, "fingerprint", d.Fingerprint[:12], "states", len(d.States))
-		if dir != "" {
-			if path, err := encode.SaveAutomaton(dir, d); err != nil {
-				log.Warn("automaton artifact not saved", "purpose", name, "err", err)
-			} else {
-				log.Info("automaton saved", "purpose", name, "path", path)
-			}
-		}
 	}
 }
 
@@ -290,7 +263,7 @@ func run(log *slog.Logger, o options) error {
 	}
 	checker := core.NewChecker(reg, roles)
 	if o.compiled {
-		setupCompiled(log, checker, reg, o.automataDir)
+		setupCompiled(log, checker, reg)
 	}
 
 	var ledgerKey ed25519.PrivateKey

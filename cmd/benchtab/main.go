@@ -96,7 +96,7 @@ func main() {
 		{"P3", expP3, "parallel case checking"},
 		{"P4", expP4, "Algorithm 1 vs naive enumeration; compiled automaton vs interpreter"},
 		{"P5", expP5, "detection & cost vs token replay; observer overhead"},
-		{"P6", expP6, "OR fan-out growth; automaton artifact boot"},
+		{"P6", expP6, "OR fan-out growth"},
 		{"P7", expP7, "well-foundedness detection"},
 		{"P8", expP8, "mimicry requires collusion"},
 	}
@@ -210,10 +210,6 @@ func parseSlackByExp(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// guardMinOpNs is the op time from which guard compares a row with
-// fewer than 100 entries.
-const guardMinOpNs = int64(time.Millisecond)
-
 // guard compares this run's timed rows against a checked-in baseline.
 // Only rows measured by both sides are compared, so a guard run may
 // select any experiment subset. CI wall-clock noise is absorbed by the
@@ -251,10 +247,8 @@ func guard(rows []benchRow, baseline string, slack float64, slackByExp map[strin
 		}
 		// Sub-100-entry points time in single-digit microseconds, where
 		// quick mode's fixed iteration count is scheduler noise, not
-		// signal; the long-trail rows are the regression detectors. A
-		// row whose single op takes a millisecond or more (artifact
-		// boot) is signal whatever its entry count.
-		if r.Entries < 100 && r.NsPerOp < guardMinOpNs {
+		// signal; the long-trail rows are the regression detectors.
+		if r.Entries < 100 {
 			continue
 		}
 		compared++
@@ -982,82 +976,7 @@ func expP6() error {
 		}
 		fmt.Printf("%-10d %-13d %-12v\n", branches, rep.PeakConfigurations, d)
 	}
-
-	// The serving path's raw-speed claims (decode, dispatch, replay,
-	// restore) are held by tier-1 tests and perfbench; artifact load is
-	// timed only here.
-	return expP6boot()
-}
-
-// minTimed runs f five times and keeps the smallest duration it
-// reports (like bench()'s quick mode) — f times only the section under
-// test.
-func minTimed(f func() (time.Duration, error)) (time.Duration, error) {
-	best := time.Duration(-1)
-	for r := 0; r < 5; r++ {
-		d, err := f()
-		if err != nil {
-			return 0, err
-		}
-		if best < 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// expP6boot times loading the gzip+JSON automaton artifact.
-func expP6boot() error {
-	p, err := hospital.Treatment()
-	if err != nil {
-		return err
-	}
-	roles, err := hospital.Roles()
-	if err != nil {
-		return err
-	}
-	d, err := encode.CompileProcess(p, roles)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "benchtab-p6-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path, err := encode.SaveAutomaton(dir, d)
-	if err != nil {
-		return err
-	}
-	const loads = 25
-	dJSON, err := minTimed(func() (time.Duration, error) {
-		t0 := time.Now()
-		for i := 0; i < loads; i++ {
-			if _, err := encode.LoadAutomaton(dir, d.Fingerprint); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0) / loads, nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nartifact boot (%d states, %d symbols):\n", d.NumStates(), d.NumSymbols())
-	fmt.Printf("%-16s %-12s %s\n", "format", "time/load", "bytes")
-	fmt.Printf("%-16s %-12v %d\n", "gzip+json", dJSON, fileSize(path))
-	record(benchRow{
-		Exp: "P6", Name: "boot/artifact-json", Entries: d.NumStates(), NsPerOp: dJSON.Nanoseconds(),
-		NsPerEntry: float64(dJSON.Nanoseconds()) / float64(d.NumStates()),
-	})
 	return nil
-}
-
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return -1
-	}
-	return fi.Size()
 }
 
 func expP7() error {

@@ -34,30 +34,18 @@ func TestFigureExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestGuardComparesSlowRows: the guard skips short microsecond rows but
-// compares a row whose single op takes a millisecond or more, such as
-// the 45-state artifact boot, at the default slack.
+// TestGuardComparesSlowRows: the guard skips short microsecond rows
+// (fewer than 100 entries), where quick mode's fixed iteration count is
+// scheduler noise.
 func TestGuardComparesSlowRows(t *testing.T) {
 	baseline := filepath.Join(t.TempDir(), "baseline.json")
 	doc := `{"rows":[
-{"exp":"P1","name":"steps=10","entries":9,"ns_per_op":1200,"ns_per_entry":133.3},
-{"exp":"P6","name":"boot/artifact-json","entries":45,"ns_per_op":6140184,"ns_per_entry":136448.5}]}`
+{"exp":"P1","name":"steps=10","entries":9,"ns_per_op":1200,"ns_per_entry":133.3}]}`
 	if err := os.WriteFile(baseline, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	short := benchRow{Exp: "P1", Name: "steps=10", Entries: 9, NsPerOp: 2400, NsPerEntry: 266.7}
-	boot := func(nsPerOp int64) benchRow {
-		return benchRow{Exp: "P6", Name: "boot/artifact-json", Entries: 45, NsPerOp: nsPerOp,
-			NsPerEntry: float64(nsPerOp) / 45}
-	}
 	if err := guard([]benchRow{short}, baseline, 0.25, nil); err == nil || !strings.Contains(err.Error(), "no timed rows") {
 		t.Errorf("a 9-entry microsecond row was compared: %v", err)
-	}
-	if err := guard([]benchRow{short, boot(7_000_000)}, baseline, 0.25, nil); err != nil {
-		t.Errorf("boot row 14%% over its baseline failed the 25%% guard: %v", err)
-	}
-	err := guard([]benchRow{short, boot(9_000_000)}, baseline, 0.25, nil)
-	if err == nil || !strings.Contains(err.Error(), "boot/artifact-json") {
-		t.Errorf("boot row 47%% over its baseline passed the 25%% guard: %v", err)
 	}
 }

@@ -8,13 +8,14 @@
 //	ltsdump -proc process.json [-dot out.dot] [-traces 20] [-max 5000]
 //	ltsdump -builtin treatment -dot fig1.dot
 //	ltsdump -builtin clinicaltrial -stats
-//	ltsdump -proc process.json [-policy pol.txt] -compile ./automata
+//	ltsdump -proc process.json -policy pol.txt -stats
 //
 // -stats determinizes the process into the table-driven replay
-// automaton (DESIGN.md §11) and prints its table sizes; -compile DIR
-// additionally saves the content-addressed artifact under DIR for
-// auditd -automata-dir. -policy supplies the role hierarchy so the
-// fingerprint matches a checker running under the same policy.
+// automaton (DESIGN.md §11) exactly as the checker does — the purpose
+// registered alone, compiled under the checker's default flags — and
+// prints its table sizes and fingerprint. -policy supplies the role
+// hierarchy, so the fingerprint matches the one auditd -compiled logs
+// under the same policy.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 
 	"repro/internal/bpmn"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/cows"
 	"repro/internal/encode"
 	"repro/internal/hospital"
@@ -44,7 +46,6 @@ func main() {
 		maxState = flag.Int("max", 10000, "state budget for exploration")
 		depth    = flag.Int("depth", 40, "trace depth bound")
 		stats    = flag.Bool("stats", false, "determinize into the replay automaton and print table statistics")
-		compile  = flag.String("compile", "", "compile the replay automaton and save the content-addressed artifact under this directory")
 		polFile  = flag.String("policy", "", "policy file supplying the role hierarchy for automaton compilation")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
@@ -54,13 +55,13 @@ func main() {
 		return
 	}
 
-	if err := run(*cowsSrc, *procFile, *builtin, *dotOut, *procDot, *traces, *maxState, *depth, *stats, *compile, *polFile); err != nil {
+	if err := run(*cowsSrc, *procFile, *builtin, *dotOut, *procDot, *traces, *maxState, *depth, *stats, *polFile); err != nil {
 		fmt.Fprintln(os.Stderr, "ltsdump:", err)
 		os.Exit(2)
 	}
 }
 
-func run(cowsSrc, procFile, builtin, dotOut, procDot string, traces, maxState, depth int, stats bool, compileDir, polFile string) error {
+func run(cowsSrc, procFile, builtin, dotOut, procDot string, traces, maxState, depth int, stats bool, polFile string) error {
 	var (
 		service cows.Service
 		obs     lts.Observability
@@ -123,9 +124,9 @@ func run(cowsSrc, procFile, builtin, dotOut, procDot string, traces, maxState, d
 		return fmt.Errorf("need one of -cows, -proc, -builtin")
 	}
 
-	if stats || compileDir != "" {
+	if stats {
 		if proc == nil {
-			return fmt.Errorf("-stats/-compile need a BPMN process (-proc or -builtin)")
+			return fmt.Errorf("-stats needs a BPMN process (-proc or -builtin)")
 		}
 		var roles *policy.RoleHierarchy
 		if polFile != "" {
@@ -140,19 +141,16 @@ func run(cowsSrc, procFile, builtin, dotOut, procDot string, traces, maxState, d
 			}
 			roles = p.Roles
 		}
-		d, err := encode.CompileProcess(proc, roles)
+		reg := core.NewRegistry()
+		if _, err := reg.Register(proc, proc.Name); err != nil {
+			return err
+		}
+		d, err := core.NewChecker(reg, roles).EnsureCompiled(proc.Name)
 		if err != nil {
 			return fmt.Errorf("compiling %s: %w", proc.Name, err)
 		}
 		fmt.Println(d.Stats())
 		fmt.Printf("fingerprint: %s\n", d.Fingerprint)
-		if compileDir != "" {
-			path, err := encode.SaveAutomaton(compileDir, d)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 	}
 
 	y := lts.NewSystem(obs)

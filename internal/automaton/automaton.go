@@ -54,11 +54,8 @@ import (
 	"sync"
 )
 
-// FormatVersion is the artifact schema version (see internal/encode).
-const FormatVersion = 1
-
-// CompilerVersion participates in the content address: artifacts
-// compiled by a different compiler never collide with ours.
+// CompilerVersion participates in the fingerprint: a table laid out
+// by a different compiler never shares an identity with ours.
 const CompilerVersion = "purpose-automaton/1"
 
 // DefaultMaxConfigurations mirrors the interpreter's configuration-set
@@ -83,8 +80,8 @@ var ErrNotCompilable = errors.New("automaton: purpose is not compilable")
 // ActiveTask mirrors core.ActiveTask: one element of a configuration's
 // active-task set.
 type ActiveTask struct {
-	Role string `json:"role"`
-	Task string `json:"task"`
+	Role string
+	Task string
 }
 
 // String renders the display form used in reports.
@@ -93,8 +90,8 @@ func (a ActiveTask) String() string { return a.Role + "·" + a.Task }
 // Offer is a startable or active task exposed by a state (the worklist
 // the Monitor serves).
 type Offer struct {
-	Role string `json:"role"`
-	Task string `json:"task"`
+	Role string
+	Task string
 }
 
 // Config is one member configuration of a DFA state: a COWS state (by
@@ -102,8 +99,8 @@ type Offer struct {
 // active-set table). Snapshots taken under the DFA are materialized
 // from these tables, so a checkpoint resumes under either engine.
 type Config struct {
-	Term   int32 `json:"term"`
-	Active int32 `json:"active"`
+	Term   int32
+	Active int32
 }
 
 // State is one determinized configuration set with its precomputed
@@ -111,56 +108,55 @@ type Config struct {
 type State struct {
 	// Members lists the member configurations (indices into Configs),
 	// sorted ascending.
-	Members []int32 `json:"members"`
+	Members []int32
 	// CanComplete is the end-of-trail acceptance bit: some member can
 	// silently reach quiescence.
-	CanComplete bool `json:"can_complete,omitempty"`
+	CanComplete bool
 	// Expected lists the observable labels the members offer, rendered
 	// exactly as the interpreter's violation diagnostics render them.
-	Expected []string `json:"expected,omitempty"`
+	Expected []string
 	// ActiveTasks lists the members' active tasks in display form,
 	// sorted (violation diagnostics).
-	ActiveTasks []string `json:"active_tasks,omitempty"`
+	ActiveTasks []string
 	// Active lists the distinct active (role, task) pairs (worklists).
-	Active []Offer `json:"active,omitempty"`
+	Active []Offer
 	// Fire lists the distinct startable tasks (worklists).
-	Fire []Offer `json:"fire,omitempty"`
+	Fire []Offer
 }
 
-// DFA is the compiled automaton. All exported fields are serialized by
-// internal/encode; the unexported ones are rebuilt by Finish.
+// DFA is the compiled automaton. Compile builds it in process from
+// the purpose; the unexported lookup fields are derived by finish.
 //
-// A DFA is immutable after Compile/Finish and safe for concurrent use.
+// A DFA is immutable after Compile and safe for concurrent use.
 type DFA struct {
-	// Compiler and Fingerprint identify the artifact: Fingerprint is
-	// the content address (hash of the canonical COWS term, the
-	// compiler version and every semantic knob — see Fingerprint).
-	Compiler    string `json:"compiler"`
-	Fingerprint string `json:"fingerprint"`
+	// Fingerprint identifies the automaton: a hash of the canonical
+	// COWS term, the compiler version and every semantic knob (see
+	// Fingerprint).
+	Fingerprint string
 	// Purpose names the purpose the automaton replays.
-	Purpose string `json:"purpose"`
+	Purpose string
 
 	// Strict / NoAbsorption record the checker flags baked into the
 	// table; a checker with different flags must not use it.
-	Strict       bool `json:"strict"`
-	NoAbsorption bool `json:"no_absorption,omitempty"`
+	Strict       bool
+	NoAbsorption bool
 	// MaxConfigurations is the configuration-set cap the compile
 	// honored; no reachable state exceeds it.
-	MaxConfigurations int `json:"max_configurations"`
+	MaxConfigurations int
 
 	// Tasks is the task axis of the alphabet (sorted); TaskRoles is the
 	// parallel pool-role list.
-	Tasks     []string `json:"tasks"`
-	TaskRoles []string `json:"task_roles"`
+	Tasks     []string
+	TaskRoles []string
 	// PoolRoles are the distinct pool roles; role-class masks index
 	// into this list bit by bit.
-	PoolRoles []string `json:"pool_roles"`
+	PoolRoles []string
 	// Classes are the distinct role-class masks; RoleClass maps every
 	// pool and hierarchy role to its class. Unlisted roles fall into
 	// ZeroClass (they match no pool role).
-	Classes   []uint64         `json:"classes"`
-	RoleClass map[string]int32 `json:"role_class"`
-	ZeroClass int32            `json:"zero_class"`
+	Classes   []uint64
+	RoleClass map[string]int32
+	ZeroClass int32
 
 	// Terms is the deduplicated table of canonical COWS terms (the
 	// alpha-invariant Canon form used as the ConfigID lookup key);
@@ -168,17 +164,17 @@ type DFA struct {
 	// engine-neutral snapshot export. ActiveSets is the deduplicated
 	// active-task sets; Configs the (term, active) member
 	// configurations.
-	Terms      []string       `json:"terms"`
-	Texts      []string       `json:"texts"`
-	ActiveSets [][]ActiveTask `json:"active_sets"`
-	Configs    []Config       `json:"configs"`
+	Terms      []string
+	Texts      []string
+	ActiveSets [][]ActiveTask
+	Configs    []Config
 
 	// States are the determinized configuration sets; Start is the
 	// initial state; Delta is the dense transition table, row-major
 	// (state*NumSymbols + symbol), with Reject marking deviations.
-	States []State `json:"states"`
-	Start  int32   `json:"start"`
-	Delta  []int32 `json:"delta"`
+	States []State
+	Start  int32
+	Delta  []int32
 
 	taskIndex  map[string]int32
 	numSymbols int32
@@ -197,12 +193,9 @@ func (d *DFA) NumSymbols() int { return int(d.numSymbols) }
 
 func (d *DFA) failBase() int32 { return int32(len(d.Tasks) * len(d.Classes)) }
 
-// Finish rebuilds the derived lookup structures and validates the
-// tables; it must be called after deserialization (Compile calls it).
-func (d *DFA) Finish() error {
-	if d.Compiler != CompilerVersion {
-		return fmt.Errorf("automaton: artifact compiled by %q, this compiler is %q", d.Compiler, CompilerVersion)
-	}
+// finish derives the lookup structures and validates the tables
+// Compile built.
+func (d *DFA) finish() error {
 	if len(d.TaskRoles) != len(d.Tasks) {
 		return fmt.Errorf("automaton: %d tasks but %d task roles", len(d.Tasks), len(d.TaskRoles))
 	}

@@ -11,9 +11,9 @@ import (
 	"repro/internal/hospital"
 )
 
-// compileProcess assembles a CompileInput from a BPMN process the same
+// compileInput assembles an Input from a BPMN process the same
 // way core.Checker does and compiles it.
-func compileInput(t *testing.T, p *bpmn.Process, mut func(*automaton.CompileInput)) automaton.CompileInput {
+func compileInput(t *testing.T, p *bpmn.Process, mut func(*automaton.Input)) automaton.Input {
 	t.Helper()
 	initial, err := encode.Encode(p)
 	if err != nil {
@@ -23,7 +23,7 @@ func compileInput(t *testing.T, p *bpmn.Process, mut func(*automaton.CompileInpu
 	if err != nil {
 		t.Fatalf("roles: %v", err)
 	}
-	in := automaton.CompileInput{
+	in := automaton.Input{
 		Purpose:    p.Name,
 		Initial:    initial,
 		Observable: encode.Observability(p),
@@ -38,7 +38,7 @@ func compileInput(t *testing.T, p *bpmn.Process, mut func(*automaton.CompileInpu
 	return in
 }
 
-func compileProcess(t *testing.T, p *bpmn.Process, mut func(*automaton.CompileInput)) *automaton.DFA {
+func compileProcess(t *testing.T, p *bpmn.Process, mut func(*automaton.Input)) *automaton.DFA {
 	t.Helper()
 	d, err := automaton.Compile(compileInput(t, p, mut))
 	if err != nil {
@@ -187,13 +187,13 @@ func TestNotCompilableBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = automaton.Compile(compileInput(t, p, func(in *automaton.CompileInput) {
+	_, err = automaton.Compile(compileInput(t, p, func(in *automaton.Input) {
 		in.MaxStates = 2
 	}))
 	if !errors.Is(err, automaton.ErrNotCompilable) {
 		t.Fatalf("MaxStates=2: err = %v, want ErrNotCompilable", err)
 	}
-	_, err = automaton.Compile(compileInput(t, p, func(in *automaton.CompileInput) {
+	_, err = automaton.Compile(compileInput(t, p, func(in *automaton.Input) {
 		in.MaxSilentDepth = 1
 	}))
 	if !errors.Is(err, automaton.ErrNotCompilable) {
@@ -236,7 +236,7 @@ func TestStrictFailureSymbols(t *testing.T) {
 		t.Fatal(err)
 	}
 	lenient := compileProcess(t, p, nil)
-	strict := compileProcess(t, p, func(in *automaton.CompileInput) {
+	strict := compileProcess(t, p, func(in *automaton.Input) {
 		in.StrictFailureTask = true
 	})
 	if lenient.NumSymbols() >= strict.NumSymbols() {

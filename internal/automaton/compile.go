@@ -19,12 +19,12 @@ type TaskSpec struct {
 	Role string
 }
 
-// CompileInput is everything the compiler needs about a purpose. The
-// caller (core.Checker, ltsdump) assembles it from the registered
-// purpose plus its own flags, so the resulting automaton bakes in
-// exactly the semantics the interpreter would apply.
-type CompileInput struct {
-	// Purpose is the purpose name (reporting and content addressing).
+// Input is everything the compiler needs about a purpose. core.Checker
+// assembles it from the registered purpose plus its own flags, so the
+// resulting automaton bakes in exactly the semantics the interpreter
+// would apply.
+type Input struct {
+	// Purpose is the purpose name (reporting and the fingerprint).
 	Purpose string
 	// Initial is the encoded COWS service of one fresh case.
 	Initial cows.Service
@@ -53,13 +53,13 @@ type CompileInput struct {
 	System *lts.System
 }
 
-// Fingerprint computes the artifact content address without running
-// subset construction: a hash of the canonical COWS term, the compiler
+// Fingerprint computes the automaton's identity without running subset
+// construction: a hash of the canonical COWS term, the compiler
 // version, and every semantic knob (flags, caps, task alphabet, role
 // classes). Two inputs with equal fingerprints compile to semantically
-// identical automata, so the fingerprint is both the cache key and the
-// load-time compatibility check.
-func Fingerprint(in CompileInput) string {
+// identical automata; auditd's boot log and ltsdump -stats print it so
+// two runs can tell whether they replay on the same table.
+func Fingerprint(in Input) string {
 	maxConfigs := in.MaxConfigurations
 	if maxConfigs <= 0 {
 		maxConfigs = DefaultMaxConfigurations
@@ -165,7 +165,7 @@ type csucc struct {
 }
 
 type compiler struct {
-	in         CompileInput
+	in         Input
 	sys        *lts.System
 	maxConfigs int
 	maxStates  int
@@ -197,7 +197,7 @@ type compiler struct {
 // configuration-set overflow, a state-count overflow — are returned
 // wrapped in ErrNotCompilable; the caller falls back to the interpreter
 // and records the cause.
-func Compile(in CompileInput) (*DFA, error) {
+func Compile(in Input) (*DFA, error) {
 	c := &compiler{in: in, maxConfigs: in.MaxConfigurations, maxStates: in.MaxStates}
 	if c.maxConfigs <= 0 {
 		c.maxConfigs = DefaultMaxConfigurations
@@ -221,7 +221,7 @@ func Compile(in CompileInput) (*DFA, error) {
 		return nil, err
 	}
 	d.Fingerprint = Fingerprint(in)
-	if err := d.Finish(); err != nil {
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -565,7 +565,6 @@ func (c *compiler) construct() (*DFA, error) {
 		configs[i] = Config{Term: cf.termRef, Active: cf.activeID}
 	}
 	return &DFA{
-		Compiler:          CompilerVersion,
 		Purpose:           c.in.Purpose,
 		Strict:            c.in.StrictFailureTask,
 		NoAbsorption:      c.in.DisableAbsorption,

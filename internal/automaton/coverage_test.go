@@ -85,7 +85,7 @@ func TestCoverageSetPerDFA(t *testing.T) {
 		t.Fatal(err)
 	}
 	dense := compileProcess(t, p, nil)
-	strict := compileProcess(t, p, func(in *automaton.CompileInput) { in.StrictFailureTask = true })
+	strict := compileProcess(t, p, func(in *automaton.Input) { in.StrictFailureTask = true })
 
 	set := automaton.NewCoverageSet()
 	if set.For(dense) != set.For(dense) {

@@ -16,8 +16,8 @@ import (
 var Version = "dev"
 
 // CompilerFingerprint identifies the automaton compiler baked into
-// this binary — whether two builds produce interchangeable
-// content-addressed artifacts, at a glance.
+// this binary — whether two builds give a purpose the same automaton
+// fingerprint, at a glance.
 func CompilerFingerprint() string { return automaton.CompilerVersion }
 
 // VersionString renders the canonical one-line -version output for a

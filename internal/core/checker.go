@@ -178,9 +178,9 @@ type purposeRT struct {
 	configs sync.Map // uint64 (confKey) -> *Configuration
 
 	// compiled is the purpose's ahead-of-time automaton slot (DESIGN.md
-	// §11): one compile attempt (or installed artifact) shared by every
-	// checker cloned from the same runtime. compiledMu serializes the
-	// lazy compile; readers go through the atomic pointer.
+	// §11): one compile attempt shared by every checker cloned from the
+	// same runtime. compiledMu serializes the lazy compile; readers go
+	// through the atomic pointer.
 	compiledMu sync.Mutex
 	compiled   atomic.Pointer[compiledResult]
 }
@@ -249,11 +249,11 @@ type Checker struct {
 
 	// UseCompiled enables the ahead-of-time automaton fast path
 	// (DESIGN.md §11): replay becomes one table lookup per entry. The
-	// automaton is compiled lazily on first use (or installed via
-	// SetCompiled); when it is absent — the purpose is not compilable,
-	// compilation exceeded its budgets, or the checker's flags differ
-	// from the automaton's — the interpreter runs instead and the
-	// report records the fallback cause.
+	// automaton is compiled lazily on first use (or eagerly via
+	// EnsureCompiled); when it is absent — the purpose is not
+	// compilable, compilation exceeded its budgets, or the checker's
+	// flags differ from the automaton's — the interpreter runs instead
+	// and the report records the fallback cause.
 	UseCompiled bool
 
 	// MaxAutomatonStates bounds subset construction when compiling

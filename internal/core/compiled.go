@@ -5,11 +5,11 @@ package core
 // task/error labels, so Algorithm 1's configuration-set machine can be
 // determinized once, ahead of time (internal/automaton), and replay
 // becomes one dense-table lookup per entry. The checker compiles each
-// purpose lazily on first use (or accepts a preloaded artifact via
-// SetCompiled) and falls back to the interpreter — recording the cause
-// — whenever the automaton is absent: the purpose is not compilable
-// within its budgets, the checker's semantic flags differ from the
-// automaton's, or a TraceFn needs live configuration sets.
+// purpose in process, on first use or eagerly via EnsureCompiled, and
+// falls back to the interpreter — recording the cause — whenever the
+// automaton is absent: the purpose is not compilable within its
+// budgets, the checker's semantic flags differ from the automaton's, or
+// a TraceFn needs live configuration sets.
 
 import (
 	"context"
@@ -46,9 +46,10 @@ func (c *Checker) effectiveMaxConfigurations() int {
 }
 
 // automatonInput assembles the compiler input for a purpose under this
-// checker's semantic flags, reusing the warm shared LTS.
-func (c *Checker) automatonInput(pur *Purpose, rt *purposeRT) automaton.CompileInput {
-	in := automaton.CompileInput{
+// checker's semantic flags, reusing the warm shared LTS. It is the one
+// place compiler input is built.
+func (c *Checker) automatonInput(pur *Purpose, rt *purposeRT) automaton.Input {
+	in := automaton.Input{
 		Purpose:           pur.Name,
 		Initial:           pur.Initial,
 		Observable:        pur.Observable,
@@ -66,7 +67,7 @@ func (c *Checker) automatonInput(pur *Purpose, rt *purposeRT) automaton.CompileI
 	return in
 }
 
-// purposeByName resolves a registered purpose for the compiled-artifact
+// purposeByName resolves a registered purpose for the compiled-engine
 // API surface.
 func (c *Checker) purposeByName(name string) (*Purpose, error) {
 	pur := c.registry.Purpose(name)
@@ -74,18 +75,6 @@ func (c *Checker) purposeByName(name string) (*Purpose, error) {
 		return nil, fmt.Errorf("core: unknown purpose %q", name)
 	}
 	return pur, nil
-}
-
-// AutomatonFingerprint returns the content address a compiled automaton
-// for the purpose would have under this checker's current flags —
-// computable without compiling, so callers can probe an artifact cache
-// (encode.LoadAutomaton) before paying for subset construction.
-func (c *Checker) AutomatonFingerprint(purpose string) (string, error) {
-	pur, err := c.purposeByName(purpose)
-	if err != nil {
-		return "", err
-	}
-	return automaton.Fingerprint(c.automatonInput(pur, c.runtime(pur))), nil
 }
 
 // EnsureCompiled compiles the purpose's automaton under the checker's
@@ -105,33 +94,6 @@ func (c *Checker) EnsureCompiled(purpose string) (*automaton.DFA, error) {
 		return r.dfa, r.err
 	}
 	return c.compileLocked(pur, rt)
-}
-
-// SetCompiled installs a previously compiled automaton (typically
-// loaded from an artifact via encode.LoadAutomaton) for the purpose.
-// The automaton's fingerprint must equal the one this checker would
-// compile to under its current flags; a mismatched artifact is refused
-// so a stale cache can never change verdicts.
-func (c *Checker) SetCompiled(purpose string, d *automaton.DFA) error {
-	pur, err := c.purposeByName(purpose)
-	if err != nil {
-		return err
-	}
-	rt := c.runtime(pur)
-	want := automaton.Fingerprint(c.automatonInput(pur, rt))
-	if d.Fingerprint != want {
-		return fmt.Errorf("core: automaton fingerprint %.12s does not match purpose %q under current flags (want %.12s)",
-			d.Fingerprint, purpose, want)
-	}
-	rt.compiledMu.Lock()
-	defer rt.compiledMu.Unlock()
-	rt.compiled.Store(&compiledResult{
-		dfa:          d,
-		strict:       c.StrictFailureTask,
-		noAbsorption: c.DisableAbsorption,
-		maxConfigs:   c.effectiveMaxConfigurations(),
-	})
-	return nil
 }
 
 // CompiledStatus reports the purpose's automaton table sizes, or the

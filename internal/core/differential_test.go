@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/encode"
 	"repro/internal/hospital"
 	"repro/internal/loan"
 	"repro/internal/policy"
@@ -350,48 +349,5 @@ func TestCompiledFlagMismatchFallsBack(t *testing.T) {
 	}
 	if rep.Engine != core.EngineCompiled {
 		t.Fatalf("original lost the fast path: %+v", rep)
-	}
-}
-
-func TestCompiledArtifactInstall(t *testing.T) {
-	reg, roles := loanRegistry(t)
-	src := core.NewChecker(reg, roles)
-	src.UseCompiled = true
-	d, err := src.EnsureCompiled(loan.PurposeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := encode.SaveAutomaton(dir, d); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh checker loads the artifact by its own fingerprint and
-	// must produce identical verdicts without ever compiling.
-	reg2, roles2 := loanRegistry(t)
-	dst := core.NewChecker(reg2, roles2)
-	dst.UseCompiled = true
-	fp, err := dst.AutomatonFingerprint(loan.PurposeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != d.Fingerprint {
-		t.Fatalf("fingerprint drift: %s vs %s", fp, d.Fingerprint)
-	}
-	loaded, err := encode.LoadAutomaton(dir, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.SetCompiled(loan.PurposeName, loaded); err != nil {
-		t.Fatal(err)
-	}
-	p := enginePair{interp: core.NewChecker(reg, roles), compiled: dst}
-	requireSameReports(t, p, loan.Trail())
-
-	// A flag change invalidates the fingerprint, so a stale artifact is
-	// refused.
-	dst.StrictFailureTask = false
-	if err := dst.SetCompiled(loan.PurposeName, loaded); err == nil {
-		t.Fatal("stale artifact accepted after flag change")
 	}
 }

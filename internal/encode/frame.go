@@ -13,7 +13,6 @@ package encode
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 )
 
@@ -25,7 +24,7 @@ const FrameOverhead = 8
 
 // ErrFrameTruncated reports a frame that extends past the available
 // bytes — the expected shape of a torn tail after a crash, distinct
-// from corruption (which is an ErrArtifactMismatch).
+// from corruption (any other ReadRecordFrame error).
 var ErrFrameTruncated = errors.New("encode: record frame truncated")
 
 // AppendRecordFrame appends one framed record to dst and returns the
@@ -42,7 +41,7 @@ func AppendRecordFrame(dst, payload []byte) []byte {
 // payload (aliasing data) and the total frame size. A frame that runs
 // past the end of data — or a zero length, which a torn zero-filled
 // tail produces — is ErrFrameTruncated; a complete frame whose CRC does
-// not match is corruption and fails as ErrArtifactMismatch.
+// not match is corruption and fails with a CRC mismatch error.
 func ReadRecordFrame(data []byte) (payload []byte, n int, err error) {
 	if len(data) < FrameOverhead {
 		return nil, 0, ErrFrameTruncated
@@ -57,7 +56,7 @@ func ReadRecordFrame(data []byte) (payload []byte, n int, err error) {
 	}
 	payload = data[FrameOverhead:n]
 	if crc := binary.LittleEndian.Uint32(data[4:]); crc != crc32.Checksum(payload, frameCRC) {
-		return nil, 0, fmt.Errorf("%w: record frame CRC mismatch", ErrArtifactMismatch)
+		return nil, 0, errors.New("encode: record frame CRC mismatch")
 	}
 	return payload, n, nil
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/encode"
 	"repro/internal/wal"
 )
 
@@ -145,8 +144,8 @@ func TestWALReplaySkipsCheckpointedPrefix(t *testing.T) {
 }
 
 // TestWALCorruptionRefusesBoot flips a payload byte inside an interior
-// WAL record and requires Start to fail with the artifact-mismatch
-// error — booting past silent corruption would fabricate verdicts.
+// WAL record and requires Start to fail with wal.ErrCorrupt — booting
+// past silent corruption would fabricate verdicts.
 func TestWALCorruptionRefusesBoot(t *testing.T) {
 	sc := hospitalScenario(t)
 	cfg, _ := walConfig(t, 2)
@@ -179,8 +178,8 @@ func TestWALCorruptionRefusesBoot(t *testing.T) {
 	if err == nil {
 		t.Fatal("Start succeeded on a corrupt WAL")
 	}
-	if !errors.Is(err, encode.ErrArtifactMismatch) {
-		t.Errorf("Start error = %v, want artifact mismatch", err)
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Errorf("Start error = %v, want wal.ErrCorrupt", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/audit"
-	"repro/internal/encode"
 	"repro/internal/faultinject"
 )
 
@@ -14,7 +13,7 @@ import (
 // and asserts the invariant the durability model stands on: damage is
 // either (a) repaired as a torn tail — in which case every surviving
 // record is bit-exact and the log stays appendable — or (b) reported
-// loudly as ErrCorrupt / ErrArtifactMismatch. Silent loss or silently
+// loudly as ErrCorrupt. Silent loss or silently
 // altered records are never acceptable outcomes.
 func TestChaosCorruptTails(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
@@ -57,7 +56,7 @@ func TestChaosCorruptTails(t *testing.T) {
 			l2, err := Open(dir, Options{})
 			if err != nil {
 				// Outcome (b): loud failure, properly classified.
-				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, encode.ErrArtifactMismatch) {
+				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("corruption at %v surfaced as unclassified error: %v", offsets, err)
 				}
 				return
@@ -79,7 +78,7 @@ func TestChaosCorruptTails(t *testing.T) {
 				return nil
 			})
 			if err != nil {
-				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, encode.ErrArtifactMismatch) {
+				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("replay after corruption surfaced as unclassified error: %v", err)
 				}
 				return

@@ -20,8 +20,8 @@
 // past EOF (or a zero-filled tail) is the expected shape of a crash
 // mid-append — it was never acknowledged — and is truncated away. A
 // complete record whose CRC does not match is a different animal:
-// corruption of acknowledged data. That fails loudly as ErrCorrupt
-// (wrapping encode.ErrArtifactMismatch), never a silent loss.
+// corruption of acknowledged data. That fails loudly as ErrCorrupt,
+// never a silent loss.
 //
 // Fsync policy trades durability for ingest latency:
 //
@@ -49,10 +49,8 @@ import (
 )
 
 // ErrCorrupt reports acknowledged WAL data that fails its integrity
-// check. It wraps encode.ErrArtifactMismatch, so either sentinel
-// matches with errors.Is — corruption is the same class of failure as
-// a damaged automaton artifact and gets the same loud treatment.
-var ErrCorrupt = fmt.Errorf("wal: corrupt segment: %w", encode.ErrArtifactMismatch)
+// check.
+var ErrCorrupt = errors.New("wal: corrupt segment")
 
 // Fsync policies.
 const (
