@@ -668,7 +668,9 @@ benchguard() {
 # share the scanner's memos), the COWS parser and lexer round-trip,
 # the COWS step engine (selective unfolding) and canonicalizer match
 # their eager reference implementations, the compiled engine matches
-# the interpreter, and ledger multiproofs match per-entry paths.
+# the interpreter, ledger multiproofs match per-entry paths, and a
+# checkpointed batch's canonical bytes either refuse to load or load
+# and re-export byte-identically.
 fuzz() {
 	echo "== fuzz smoke (${FUZZ_TIME} per target) =="
 	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry FuzzDecodeJSONLStream; do
@@ -678,7 +680,9 @@ fuzz() {
 		go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
 	go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime "$FUZZ_TIME"
-	go test ./internal/ledger/ -run '^$' -fuzz '^FuzzMultiProof$' -fuzztime "$FUZZ_TIME"
+	for target in FuzzMultiProof FuzzLedgerStateCanon; do
+		go test ./internal/ledger/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
+	done
 }
 
 # perfbench runs the serving-path benchmark's own smoke test: every

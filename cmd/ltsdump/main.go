@@ -15,7 +15,9 @@
 // registered alone, compiled under the checker's default flags — and
 // prints its table sizes and fingerprint. -policy supplies the role
 // hierarchy, so the fingerprint matches the one auditd -compiled logs
-// under the same policy.
+// under the same policy; a -builtin process without -policy takes the
+// hospital's hierarchy, so its fingerprint is the one auditd -builtin
+// hospital -compiled logs.
 package main
 
 import (
@@ -129,7 +131,8 @@ func run(cowsSrc, procFile, builtin, dotOut, procDot string, traces, maxState, d
 			return fmt.Errorf("-stats needs a BPMN process (-proc or -builtin)")
 		}
 		var roles *policy.RoleHierarchy
-		if polFile != "" {
+		switch {
+		case polFile != "":
 			f, err := os.Open(polFile)
 			if err != nil {
 				return err
@@ -140,6 +143,12 @@ func run(cowsSrc, procFile, builtin, dotOut, procDot string, traces, maxState, d
 				return err
 			}
 			roles = p.Roles
+		case builtin != "":
+			// The builtins are the hospital's purposes: compile them
+			// under its role hierarchy, as auditd -builtin hospital does.
+			if roles, err = hospital.Roles(); err != nil {
+				return err
+			}
 		}
 		reg := core.NewRegistry()
 		if _, err := reg.Register(proc, proc.Name); err != nil {

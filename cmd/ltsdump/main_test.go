@@ -82,7 +82,8 @@ func TestRunErrors(t *testing.T) {
 // TestStatsReportsReplayAutomaton: -stats prints the automaton the
 // replay engines use — the table core.Checker compiles under its
 // default (strict failure) flags, with one failure symbol per task —
-// not a table built under other flags.
+// not a table built under other flags. A builtin compiles under the
+// hospital's role hierarchy.
 func TestStatsReportsReplayAutomaton(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return run("", "", "treatment", "", "", 0, 3000, 10, true, "")
@@ -92,9 +93,13 @@ func TestStatsReportsReplayAutomaton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	roles, err := hospital.Roles()
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := core.NewRegistry()
 	reg.MustRegister(p, hospital.TreatmentCode)
-	want, err := core.NewChecker(reg, nil).EnsureCompiled(p.Name)
+	want, err := core.NewChecker(reg, roles).EnsureCompiled(p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +111,37 @@ func TestStatsReportsReplayAutomaton(t *testing.T) {
 	}
 	if !strings.Contains(out, "fingerprint: "+want.Fingerprint+"\n") {
 		t.Errorf("-stats fingerprint differs from the checker's %s:\n%s", want.Fingerprint, out)
+	}
+}
+
+// TestStatsBuiltinsMatchAuditd: without -policy, -stats on either
+// builtin compiles under the hospital's role hierarchy, so it prints
+// the fingerprint auditd -builtin hospital -compiled logs at boot: the
+// checker over the hospital scenario's registry and policy roles
+// (treatment f1d7074637b7…, clinical trial b3068e88af78…).
+func TestStatsBuiltinsMatchAuditd(t *testing.T) {
+	sc, err := hospital.NewScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checker := core.NewChecker(sc.Registry, sc.Policy.Roles)
+	for _, tc := range []struct{ builtin, purpose, prefix string }{
+		{"treatment", sc.Treatment.Name, "f1d7074637b7"},
+		{"clinicaltrial", sc.Trial.Name, "b3068e88af78"},
+	} {
+		want, err := checker.EnsureCompiled(tc.purpose)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(want.Fingerprint, tc.prefix) {
+			t.Fatalf("%s: auditd's checker fingerprints %s, want %s…", tc.purpose, want.Fingerprint, tc.prefix)
+		}
+		out := captureStdout(t, func() error {
+			return run("", "", tc.builtin, "", "", 0, 3000, 10, true, "")
+		})
+		if !strings.Contains(out, "fingerprint: "+want.Fingerprint+"\n") {
+			t.Errorf("-builtin %s -stats does not print auditd's fingerprint %s:\n%s", tc.builtin, want.Fingerprint, out)
+		}
 	}
 }
 

@@ -178,7 +178,8 @@ func canonicalEntryRef(e Entry) []byte {
 // form; see wireObject), and on any other bytes (user taken as raw
 // bytes, and the canonical bytes with subject spliced in at an offset
 // drawn from nsec) a parse either errors or re-encodes to exactly its
-// input, without panicking.
+// input, without panicking. NextCanonicalEntry, the in-place check,
+// accepts the same entries and reads the same case field.
 func FuzzCanonicalEntry(f *testing.F) {
 	at := func(t time.Time) (int64, int64) { return t.Unix(), int64(t.Nanosecond()) }
 	add := func(user, role, action, subject, path, task, caseID string, t time.Time, zone int, status int8) {
@@ -252,10 +253,25 @@ func FuzzCanonicalEntry(f *testing.F) {
 		}
 		at := int(uint64(nsec) % uint64(len(want)+1))
 		spliced := append(append(append([]byte(nil), want[:at]...), subject...), want[at:]...)
-		for _, b := range [][]byte{[]byte(user), spliced} {
-			if pe, err := ParseCanonicalEntry(b); err == nil {
+		for _, b := range [][]byte{want, []byte(user), spliced} {
+			pe, err := ParseCanonicalEntry(b)
+			if err == nil {
 				if got := AppendCanonicalEntry(nil, pe); !bytes.Equal(got, b) {
 					t.Fatalf("ParseCanonicalEntry(%q) accepted bytes that re-encode to %q", b, got)
+				}
+			}
+			// The in-place check accepts the same entries, and finds
+			// the same case field.
+			n, caseField, nerr := NextCanonicalEntry(b)
+			if whole := nerr == nil && n == len(b); whole != (err == nil) {
+				t.Fatalf("NextCanonicalEntry(%q) = %d, %v; ParseCanonicalEntry error %v", b, n, nerr, err)
+			}
+			if err == nil && string(caseField) != pe.Case {
+				t.Fatalf("NextCanonicalEntry(%q) case %q, want %q", b, caseField, pe.Case)
+			}
+			if nerr == nil {
+				if _, err := ParseCanonicalEntry(b[:n]); err != nil {
+					t.Fatalf("NextCanonicalEntry(%q) accepted a %d-byte entry ParseCanonicalEntry refuses: %v", b, n, err)
 				}
 			}
 		}
@@ -267,10 +283,12 @@ func FuzzCanonicalEntry(f *testing.F) {
 // from its rendering. Canonical bytes flatten the object to that
 // rendering, so only these come back from ParseCanonicalEntry as they
 // went in ("[s]" is both a subject with no path and a one-component
-// path).
+// path). The wire form drops an object without a path, subject and
+// all; its canonical bytes come back pathless too unless the subject
+// holds a ']', which ends the subject early and leaves a path behind.
 func wireObject(o policy.Object) bool {
 	if len(o.Path) == 0 {
-		return true
+		return !strings.Contains(o.Subject, "]")
 	}
 	back, err := policy.ParseObject(o.String())
 	return err == nil && reflect.DeepEqual(back, o)

@@ -168,54 +168,94 @@ func appendObjectField(dst []byte, o policy.Object) []byte {
 // wire accepts comes back unchanged; any other comes back as an object
 // with the same rendering, hence the same bytes.
 func ParseCanonicalEntry(b []byte) (Entry, error) {
-	var f [8]string
-	rest := string(b)
-	for i := range f {
-		var ok bool
-		if f[i], rest, ok = cutCanonicalField(rest); !ok {
-			return Entry{}, fmt.Errorf("audit: canonical entry: malformed field %d", i+1)
-		}
+	c, err := scanCanonicalEntry(b)
+	if err != nil {
+		return Entry{}, err
 	}
-	if rest != "" {
-		return Entry{}, fmt.Errorf("audit: canonical entry: %d trailing bytes", len(rest))
+	if c.n != len(b) {
+		return Entry{}, fmt.Errorf("audit: canonical entry: %d trailing bytes", len(b)-c.n)
 	}
-	e := Entry{User: f[0], Role: f[1], Action: f[2], Object: canonicalObject(f[3]), Task: f[4], Case: f[5]}
-	t, ok := parseCanonicalTime(f[6])
-	if !ok {
-		return Entry{}, fmt.Errorf("audit: canonical entry: malformed time %q", f[6])
-	}
-	e.Time = t
-	switch f[7] {
-	case "success":
-	case "failure":
-		e.Status = Failure
-	default:
-		return Entry{}, fmt.Errorf("audit: canonical entry: unknown status %q", f[7])
-	}
-	return e, nil
+	s := string(b)
+	f := func(i int) string { return s[c.fields[i][0]:c.fields[i][1]] }
+	return Entry{
+		User: f(0), Role: f(1), Action: f(2), Object: canonicalObject(f(3)),
+		Task: f(4), Case: f(5), Time: c.time, Status: c.status,
+	}, nil
 }
 
-// cutCanonicalField splits one "<byte length>:<bytes>" field off s.
-// The length must be written as appendField writes it: decimal digits
-// without a leading zero.
-func cutCanonicalField(s string) (field, rest string, ok bool) {
-	colon := strings.IndexByte(s, ':')
+// NextCanonicalEntry checks the canonical entry at the start of b
+// without building it, and returns its length and its case field (a
+// subslice of b). It accepts an entry exactly when ParseCanonicalEntry
+// accepts those n bytes, and allocates nothing: a reader of
+// concatenated canonical entries (a checkpointed ledger batch) walks
+// them with it in place.
+func NextCanonicalEntry(b []byte) (n int, caseID []byte, err error) {
+	c, err := scanCanonicalEntry(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	return c.n, b[c.fields[5][0]:c.fields[5][1]], nil
+}
+
+// canonicalScan is one checked canonical entry: the value span of each
+// of its eight fields, its length, and its decoded time and status.
+type canonicalScan struct {
+	fields [8][2]int
+	n      int
+	time   time.Time
+	status Status
+}
+
+// scanCanonicalEntry checks the canonical entry at the start of b:
+// eight well-formed fields, a time field appendCanonicalTime writes and
+// a known status. Bytes past the entry are left to the caller.
+func scanCanonicalEntry(b []byte) (canonicalScan, error) {
+	var c canonicalScan
+	for i := range c.fields {
+		lo, hi, ok := cutCanonicalField(b, c.n)
+		if !ok {
+			return c, fmt.Errorf("audit: canonical entry: malformed field %d", i+1)
+		}
+		c.fields[i], c.n = [2]int{lo, hi}, hi
+	}
+	tf := b[c.fields[6][0]:c.fields[6][1]]
+	t, ok := parseCanonicalTime(tf)
+	if !ok {
+		return c, fmt.Errorf("audit: canonical entry: malformed time %q", tf)
+	}
+	c.time = t
+	switch st := b[c.fields[7][0]:c.fields[7][1]]; string(st) {
+	case "success":
+	case "failure":
+		c.status = Failure
+	default:
+		return c, fmt.Errorf("audit: canonical entry: unknown status %q", st)
+	}
+	return c, nil
+}
+
+// cutCanonicalField reads the "<byte length>:<bytes>" field that starts
+// at b[at:] and returns its value span. The length must be written as
+// appendField writes it: decimal digits without a leading zero.
+func cutCanonicalField(b []byte, at int) (lo, hi int, ok bool) {
+	s := b[at:]
+	colon := bytes.IndexByte(s, ':')
 	if colon < 1 || colon > 10 || (s[0] == '0' && colon > 1) {
-		return "", "", false
+		return 0, 0, false
 	}
 	n := 0
 	for i := 0; i < colon; i++ {
 		c := s[i]
 		if c < '0' || c > '9' {
-			return "", "", false
+			return 0, 0, false
 		}
 		n = n*10 + int(c-'0')
 	}
-	s = s[colon+1:]
-	if n > len(s) {
-		return "", "", false
+	if n > len(s)-colon-1 {
+		return 0, 0, false
 	}
-	return s[:n], s[n:], true
+	lo = at + colon + 1
+	return lo, lo + n, true
 }
 
 // canonicalObject reads an object field back (see ParseCanonicalEntry).
@@ -236,12 +276,12 @@ func canonicalObject(s string) policy.Object {
 // a dot and nine fractional digits. It accepts only what
 // appendCanonicalTime writes for the instant it reads, which also rules
 // out dates that time.Date would normalize (a 30 February).
-func parseCanonicalTime(s string) (time.Time, bool) {
+func parseCanonicalTime(s []byte) (time.Time, bool) {
 	const tail = len("0102150405.000000000")
 	if len(s) <= tail || s[len(s)-10] != '.' {
 		return time.Time{}, false
 	}
-	year, err := strconv.Atoi(s[:len(s)-tail])
+	year, err := strconv.Atoi(string(s[:len(s)-tail]))
 	if err != nil {
 		return time.Time{}, false
 	}
@@ -263,7 +303,7 @@ func parseCanonicalTime(s string) (time.Time, bool) {
 	t := time.Date(year, time.Month(v[0]), v[1], v[2], v[3], v[4], v[5], time.UTC)
 	var buf [64]byte
 	field := appendCanonicalTime(buf[:0], t)
-	if string(field[bytes.IndexByte(field, ':')+1:]) != s {
+	if !bytes.Equal(field[bytes.IndexByte(field, ':')+1:], s) {
 		return time.Time{}, false
 	}
 	return t, true
@@ -277,6 +317,13 @@ func parseCanonicalTime(s string) (time.Time, bool) {
 func ChainStep(buf []byte, prev [32]byte, e Entry) ([32]byte, []byte) {
 	buf = append(buf[:0], prev[:]...)
 	buf = AppendCanonicalEntry(buf, e)
+	return sha256.Sum256(buf), buf
+}
+
+// ChainCanonical is ChainStep over an entry already in canonical
+// form: SHA-256(prev || canon), built in buf as ChainStep does.
+func ChainCanonical(buf []byte, prev [32]byte, canon []byte) ([32]byte, []byte) {
+	buf = append(append(buf[:0], prev[:]...), canon...)
 	return sha256.Sum256(buf), buf
 }
 

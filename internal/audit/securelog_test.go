@@ -39,3 +39,29 @@ func BenchmarkChainNext(b *testing.B) {
 		prev = ChainNext(prev, e)
 	}
 }
+
+// TestNextCanonicalEntryZeroAlloc guards the checkpoint loader's
+// per-leaf check: walking concatenated canonical entries in place
+// allocates nothing, and chaining their bytes with a warm buffer gives
+// ChainStep's hash.
+func TestNextCanonicalEntryZeroAlloc(t *testing.T) {
+	e := chainBenchEntry()
+	blob := AppendCanonicalEntry(CanonicalEntry(e), e)
+	var buf []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		for b := blob; len(b) > 0; {
+			n, caseID, err := NextCanonicalEntry(b)
+			if err != nil || string(caseID) != e.Case {
+				t.Fatalf("NextCanonicalEntry: %d %q %v", n, caseID, err)
+			}
+			_, buf = ChainCanonical(buf, ChainSeed(), b[:n])
+			b = b[n:]
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("checking and chaining two entries allocates %.1f times, want 0", allocs)
+	}
+	if got, _ := ChainCanonical(nil, ChainSeed(), CanonicalEntry(e)); got != ChainNext(ChainSeed(), e) {
+		t.Error("ChainCanonical disagrees with ChainNext")
+	}
+}

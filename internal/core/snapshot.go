@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/automaton"
 	"repro/internal/cows"
@@ -40,6 +41,38 @@ type MonitorState struct {
 	States []string `json:"states,omitempty"`
 	// Cases maps case id to its live state.
 	Cases map[string]CaseSnapshot `json:"cases"`
+
+	// terms is the table's resolutions, shared by the parts Split
+	// makes (nil: LoadState resolves afresh).
+	terms *termMemo
+}
+
+// termMemo holds a state table's terms as resolved in each purpose's
+// system. Its lock is held for a whole LoadState, so parts restored
+// concurrently take turns.
+type termMemo struct {
+	mu   sync.Mutex
+	byRT map[*purposeRT][]tableState
+}
+
+// Split partitions the state's cases over n monitors the way a sharded
+// server routes them (ShardCase); part i is nil when no case routes to
+// it. The parts share the term table and its resolutions, so restoring
+// every part parses each table term once per purpose, as restoring the
+// whole state into one monitor does.
+func (st *MonitorState) Split(n int) []*MonitorState {
+	if st.terms == nil {
+		st.terms = &termMemo{}
+	}
+	parts := make([]*MonitorState, n)
+	for id, cs := range st.Cases {
+		i := ShardCase(id, n)
+		if parts[i] == nil {
+			parts[i] = &MonitorState{Version: st.Version, States: st.States, Cases: map[string]CaseSnapshot{}, terms: st.terms}
+		}
+		parts[i].Cases[id] = cs
+	}
+	return parts
 }
 
 // CaseSnapshot is one case's live state.
@@ -126,9 +159,18 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 		return fmt.Errorf("core: unsupported snapshot version %d", st.Version)
 	}
 	// Table terms resolve once per purpose, not once per configuration
-	// that references them. Interning is per purpose system, so the memo
-	// is keyed by runtime: a term two purposes share resolves in each.
-	resolved := map[*purposeRT][]tableState{}
+	// that references them (nor once per part of a Split state).
+	// Interning is per purpose system, so the memo is keyed by runtime:
+	// a term two purposes share resolves in each.
+	memo := st.terms
+	if memo == nil {
+		memo = &termMemo{}
+	}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if memo.byRT == nil {
+		memo.byRT = map[*purposeRT][]tableState{}
+	}
 	for id, cs := range st.Cases {
 		if _, dup := m.cases[id]; dup {
 			return fmt.Errorf("core: snapshot case %s already monitored", id)
@@ -147,10 +189,10 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 			ns.expl = &x
 		}
 		rt := m.checker.runtime(pur)
-		terms := resolved[rt]
+		terms := memo.byRT[rt]
 		if terms == nil {
 			terms = make([]tableState, len(st.States))
-			resolved[rt] = terms
+			memo.byRT[rt] = terms
 		}
 		for _, cfg := range cs.Configs {
 			if cfg.StateRef < 0 || cfg.StateRef >= len(st.States) {

@@ -323,3 +323,83 @@ func TestLoadStateBadTableTerm(t *testing.T) {
 		t.Fatalf("error %q names neither a referencing case of %v nor the bad character", err, users)
 	}
 }
+
+// TestSplitRestoreParsesTermsOnce restores one snapshot into one
+// monitor and, split, into eight monitors over clones of one checker,
+// as a sharded server does: every part resolves its terms into the one
+// memo the split shares, one slice per purpose, so both restores
+// resolve each table term once per purpose that references it; and the
+// eight parts together hold the same cases in the same state as the
+// single monitor.
+func TestSplitRestoreParsesTermsOnce(t *testing.T) {
+	steps := []string{"P:T1", "P:T2", "P:T3"}
+	writer := NewMonitor(sharedTableChecker(t, false))
+	for _, code := range []string{"LA", "LB"} {
+		for i := 0; i < 40; i++ {
+			for _, e := range trailOf(fmt.Sprintf("%s-%d", code, i), steps...).Entries()[:1+i%3] {
+				if _, err := writer.Feed(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	data, err := json.Marshal(writer.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(shards int) (resolved int, status []CaseStatus) {
+		t.Helper()
+		var st MonitorState
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		c := sharedTableChecker(t, false)
+		parts := st.Split(shards)
+		for i, part := range parts {
+			if part == nil {
+				continue
+			}
+			if part.terms != st.terms {
+				t.Fatalf("%d shards, part %d: does not share the split's term memo", shards, i)
+			}
+			m := NewMonitor(c.Clone())
+			if err := m.LoadState(part); err != nil {
+				t.Fatalf("%d shards, part %d: %v", shards, i, err)
+			}
+			status = append(status, statusOf(t, m)...)
+		}
+		sort.Slice(status, func(i, j int) bool { return status[i].Case < status[j].Case })
+		if len(st.terms.byRT) != 2 {
+			t.Fatalf("%d shards: memo holds %d term slices, want one per purpose (2)", shards, len(st.terms.byRT))
+		}
+		for _, terms := range st.terms.byRT {
+			for _, ts := range terms {
+				if ts.state != nil {
+					resolved++
+				}
+			}
+		}
+		return resolved, status
+	}
+	var st MonitorState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	pairs := map[string]bool{}
+	for _, cs := range st.Cases {
+		for _, cfg := range cs.Configs {
+			pairs[fmt.Sprint(cs.Purpose, cfg.StateRef)] = true
+		}
+	}
+	resolved1, status1 := restore(1)
+	resolved8, status8 := restore(8)
+	if resolved1 != len(pairs) || resolved8 != len(pairs) {
+		t.Errorf("terms resolved: %d into 1 monitor, %d into 8; want %d (one per purpose and term)", resolved1, resolved8, len(pairs))
+	}
+	if !reflect.DeepEqual(status8, status1) {
+		t.Errorf("8-part restore status differs from the 1-monitor restore:\n got %+v\nwant %+v", status8, status1)
+	}
+	if want := statusOf(t, writer); !reflect.DeepEqual(status1, want) {
+		t.Errorf("restored status differs from the writer's:\n got %+v\nwant %+v", status1, want)
+	}
+}

@@ -49,9 +49,16 @@ const (
 )
 
 // goldenStateFile is the same ledger's ExportState, written as JSON by
-// the ledger that produced the constants above: the checkpoint an
-// upgraded daemon restores from.
+// the ledger that produced the constants above (version 1, one JSON
+// entry per leaf): the checkpoint an upgraded daemon restores from. No
+// current ledger writes it; never regenerate it.
 var goldenStateFile = filepath.Join("testdata", "golden_state.json")
+
+// goldenStateV2File is the version 2 state goldenStateFile loads into
+// and re-exports: each batch's leaves as the canonical bytes they
+// hashed. Pinned when checkpoints moved to canonical bytes; the same
+// rule applies.
+var goldenStateV2File = filepath.Join("testdata", "golden_state_v2.json")
 
 // goldenProofsV1File holds the version 1 proof bundle of every case,
 // one compact JSON document per array element, written by the ledger
@@ -288,32 +295,40 @@ func TestGoldenRoots(t *testing.T) {
 	checkGolden(t, l, caseIDs(entries))
 }
 
-// TestGoldenStateLoads restores the checkpoint the reference ledger
-// wrote: it must load, re-export byte-identical JSON, and serve the
-// same roots and proofs.
+// TestGoldenStateLoads restores the checkpoints reference ledgers
+// wrote: the version 1 state (one JSON entry per leaf) and the version
+// 2 state it re-exports as (canonical bytes per batch). Each must load
+// and serve the same roots and proofs; the version 2 state round-trips
+// byte-identically.
 func TestGoldenStateLoads(t *testing.T) {
-	raw, err := os.ReadFile(goldenStateFile)
+	v2, err := os.ReadFile(goldenStateV2File)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ledger.State
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
+	for _, file := range []string{goldenStateFile, goldenStateV2File} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st ledger.State
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		l := goldenLedger(t)
+		if err := l.LoadState(&st); err != nil {
+			t.Fatalf("LoadState of %s: %v", file, err)
+		}
+		again, err := l.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, v2) {
+			t.Errorf("%s re-exports a state that differs from %s", file, goldenStateV2File)
+		}
+		checkGolden(t, l, caseIDs(goldenEntries(t)))
 	}
-	l := goldenLedger(t)
-	if err := l.LoadState(&st); err != nil {
-		t.Fatalf("LoadState of the reference checkpoint: %v", err)
-	}
-	again, err := l.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := json.Marshal(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != string(raw) {
-		t.Error("re-exported state differs from the reference checkpoint")
-	}
-	checkGolden(t, l, caseIDs(goldenEntries(t)))
 }

@@ -144,9 +144,13 @@ type Ledger struct {
 	// leaves of LSNs FirstLSN..FirstLSN+Leaves-1; the leaves past the
 	// last batch are the open batch.
 	batches []SignedRoot
-	tree    batchTree           // over the batches' chain hashes, in Seq order
-	head    SignedHead          // last signed tree head (Size 0 = none yet)
-	byCase  map[string][]uint64 // case → leaf LSNs, ascending
+	tree    batchTree  // over the batches' chain hashes, in Seq order
+	head    SignedHead // last signed tree head (Size 0 = none yet)
+	// byCase maps a case to its index in caseLSNs, which holds each
+	// case's leaf LSNs, ascending (LoadState fills caseLSNs from one
+	// array).
+	byCase   map[string]int32
+	caseLSNs [][]uint64
 
 	timer    *time.Timer
 	timerGen uint64
@@ -169,7 +173,7 @@ func New(opts Options) (*Ledger, error) {
 		pub:           opts.Key.Public().(ed25519.PublicKey),
 		chain:         audit.ChainSeed(),
 		prevRootChain: rootChainSeed(),
-		byCase:        map[string][]uint64{},
+		byCase:        map[string]int32{},
 	}
 	if opts.SealKey != nil {
 		l.hmacKey = append([]byte(nil), opts.SealKey...)
@@ -215,18 +219,37 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 }
 
 // chainLeafLocked advances the leaf chain over e and appends it as the
-// next leaf: the canonical bytes the chain step hashed go to the arena,
-// and the leaf's LSN to the case index.
+// next leaf, and the leaf's LSN to the case index.
 func (l *Ledger) chainLeafLocked(e *audit.Entry) {
 	l.chain, l.scratch = audit.ChainStep(l.scratch, l.chain, *e)
-	canon := l.scratch[len(l.chain):]
+	l.addLeafLocked(l.scratch[len(l.chain):])
+	i, ok := l.byCase[e.Case]
+	if !ok {
+		i = int32(len(l.caseLSNs))
+		l.byCase[e.Case] = i
+		l.caseLSNs = append(l.caseLSNs, nil)
+	}
+	l.caseLSNs[i] = append(l.caseLSNs[i], l.lastLSNLocked())
+}
+
+// caseLSNsLocked returns case c's leaf LSNs, ascending (nil if none).
+func (l *Ledger) caseLSNsLocked(c string) []uint64 {
+	if i, ok := l.byCase[c]; ok {
+		return l.caseLSNs[i]
+	}
+	return nil
+}
+
+// addLeafLocked appends the leaf the chain tip l.chain just hashed:
+// canon, the canonical bytes that step covered, goes to the arena, and
+// with Options.SealKey the leaf's seal is computed and the key evolved.
+func (l *Ledger) addLeafLocked(canon []byte) {
 	chunk, off := l.canon.add(canon)
 	l.leaves.append(leaf{chain: l.chain, chunk: chunk, off: off, n: uint32(len(canon))})
 	if l.hmacKey != nil {
 		l.seals = append(l.seals, [32]byte(audit.SealChain(l.hmacKey, l.chain[:])))
 		l.hmacKey = audit.EvolveKey(l.hmacKey)
 	}
-	l.byCase[e.Case] = append(l.byCase[e.Case], l.lastLSNLocked())
 }
 
 // lastLSNLocked is the LSN of the last leaf: leaf LSNs are dense from 1.
@@ -418,7 +441,8 @@ func (l *Ledger) SealedEntries() []audit.SealedEntry {
 	defer l.mu.Unlock()
 	out := make([]audit.SealedEntry, l.leaves.n)
 	for i := range out {
-		// The arena holds only what AppendCanonicalEntry wrote.
+		// The arena holds only canonical bytes: AppendCanonicalEntry's,
+		// or checkpointed ones LoadState checked to be exactly such.
 		e, err := l.entryLocked(i)
 		if err != nil {
 			panic(fmt.Sprintf("ledger: leaf %d: %v", i, err))
@@ -438,7 +462,7 @@ func (l *Ledger) SealedEntries() []audit.SealedEntry {
 func (l *Ledger) ProveCase(caseID string) (*CaseProof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsns := l.byCase[caseID]
+	lsns := l.caseLSNsLocked(caseID)
 	if len(lsns) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCase, caseID)
 	}

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/json"
 	"errors"
@@ -335,6 +336,10 @@ func TestStateExportLoad(t *testing.T) {
 	}
 }
 
+// TestStateTamperRefusesLoad edits exported states and requires each
+// edit to fail the load, with the check that caught it named in the
+// error: the version 1 JSON-entry form (converted on load) and the
+// version 2 canonical bytes alike.
 func TestStateTamperRefusesLoad(t *testing.T) {
 	key := testKey(t)
 	l, err := New(Options{Key: key, Batch: 3})
@@ -344,32 +349,91 @@ func TestStateTamperRefusesLoad(t *testing.T) {
 	if err := l.Append(mkEntries(9, "HT-1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	export := func() *State {
+	load := func(st *State) error {
+		r, _ := New(Options{Key: key, Batch: 3})
+		return r.LoadState(st)
+	}
+	refuse := func(name string, st *State, want string) {
+		t.Helper()
+		if err := load(st); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q, want it to name %q", name, err, want)
+		}
+	}
+
+	// Version 1: one JSON entry per leaf.
+	if err := load(exportV1(t, l)); err != nil {
+		t.Fatalf("untampered version 1 state: %v", err)
+	}
+	st := exportV1(t, l)
+	st.Batches[1].Entries[0] = json.RawMessage(strings.Replace(string(st.Batches[1].Entries[0]), `"read"`, `"rend"`, 1))
+	refuse("v1 tampered entry", st, "root mismatch")
+	st = exportV1(t, l)
+	st.Batches[0], st.Batches[1] = st.Batches[1], st.Batches[0]
+	refuse("v1 reordered batches", st, "has seq")
+	st = exportV1(t, l)
+	st.Batches[2].Entries = st.Batches[2].Entries[:2]
+	refuse("v1 missing entry", st, "leaf 3 of 3")
+	other, _ := New(Options{Key: ed25519.NewKeyFromSeed(make([]byte, 32)), Batch: 3})
+	if err := other.LoadState(exportV1(t, l)); err == nil {
+		t.Error("version 1 state signed by another key loaded without error")
+	}
+
+	// Version 2: each batch's leaves as concatenated canonical bytes.
+	// Batch 2 holds entries 3..5; its first leaf begins "5:user0".
+	leaf := audit.CanonicalEntry(mkEntries(9, "HT-1")[5])
+	replace := func(old, new string) func(*State) {
+		return func(st *State) {
+			c := st.Batches[1].Canon
+			if !bytes.Contains(c, []byte(old)) {
+				t.Fatalf("batch 2 has no %q: %q", old, c)
+			}
+			st.Batches[1].Canon = bytes.Replace(c, []byte(old), []byte(new), 1)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*State)
+		want string
+	}{
+		{"flipped byte", func(st *State) { st.Batches[1].Canon[3] ^= 1 }, "root mismatch"},
+		{"truncated", func(st *State) { c := st.Batches[1].Canon; st.Batches[1].Canon = c[:len(c)-1] }, "leaf 3 of 3: audit: canonical entry: malformed field 8"},
+		{"trailing bytes", func(st *State) { st.Batches[1].Canon = append(st.Batches[1].Canon, '0') }, "1 bytes past its 3 leaves"},
+		{"extra leaf", func(st *State) { st.Batches[1].Canon = append(st.Batches[1].Canon, leaf...) }, "bytes past its 3 leaves"},
+		{"missing leaf", func(st *State) { c := st.Batches[1].Canon; st.Batches[1].Canon = c[:len(c)-len(leaf)] }, "leaf 3 of 3: audit: canonical entry: malformed field 1"},
+		{"empty batch", func(st *State) { st.Batches[1].Canon = nil }, "leaf 1 of 3"},
+		{"leading-zero length", replace("5:user0", "05:user0"), "malformed field 1"},
+		{"bad time", replace("24:20100312", "24:20101312"), "malformed time"},
+		{"unknown status", replace("7:success", "7:Success"), "unknown status"},
+		{"reordered batches", func(st *State) { st.Batches[0], st.Batches[1] = st.Batches[1], st.Batches[0] }, "has seq"},
+		{"bad signature", func(st *State) {
+			sig := []byte(st.Batches[2].Root.Sig)
+			sig[0] ^= 1
+			st.Batches[2].Root.Sig = string(sig)
+		}, "signature invalid"},
+		{"long signature", func(st *State) { st.Batches[2].Root.Sig += "00" }, "signature invalid"},
+		{"leaf count", func(st *State) { st.Batches[2].Root.Leaves = 2 }, "bytes past its 2 leaves"},
+		{"version 1 entries", func(st *State) { st.Batches[0].Entries = exportV1(t, l).Batches[0].Entries }, "carries version 1 entries"},
+		{"unknown version", func(st *State) { st.Version = 3 }, "unsupported state version 3"},
+	} {
 		st, err := l.ExportState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		if err := load(st); err != nil {
+			t.Fatalf("untampered version 2 state: %v", err)
+		}
+		tc.edit(st)
+		refuse(tc.name, st, tc.want)
 	}
-	st := export()
-	st.Batches[1].Entries[0] = json.RawMessage(strings.Replace(string(st.Batches[1].Entries[0]), `"read"`, `"rend"`, 1))
-	r, _ := New(Options{Key: key, Batch: 3})
-	if err := r.LoadState(st); err == nil {
-		t.Fatal("tampered entry loaded without error")
+	st, err = l.ExportState()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	st = export()
-	st.Batches[0], st.Batches[1] = st.Batches[1], st.Batches[0]
-	r, _ = New(Options{Key: key, Batch: 3})
-	if err := r.LoadState(st); err == nil {
-		t.Fatal("reordered batches loaded without error")
-	}
-
-	// A different signing key must refuse the old state.
-	st = export()
-	other, _ := New(Options{Key: ed25519.NewKeyFromSeed(make([]byte, 32)), Batch: 3})
-	if err := other.LoadState(st); err == nil {
-		t.Fatal("state signed by another key loaded without error")
+	other, _ = New(Options{Key: ed25519.NewKeyFromSeed(make([]byte, 32)), Batch: 3})
+	if err := other.LoadState(st); err == nil || !strings.Contains(err.Error(), "signature invalid") {
+		t.Errorf("version 2 state signed by another key: %v", err)
 	}
 }
 

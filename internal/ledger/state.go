@@ -1,13 +1,14 @@
 package ledger
 
 // Checkpoint persistence. The exported state carries only the sealed
-// batches — each root plus its entries in wire form, rendered from the
-// leaves' canonical bytes (so in UTC); chains, Merkle
-// trees, the batch tree and the case index are recomputed on load and checked against
-// the stored roots and signatures, so a tampered checkpoint refuses
-// to restore instead of silently re-serving edited history. Open
-// leaves are deliberately absent: they rebuild from WAL replay (the
-// server clamps WAL truncation to the last checkpointed sealed LSN).
+// batches — each signed root plus the canonical bytes its leaves
+// committed to, concatenated exactly as the leaf chain hashed them;
+// chains, Merkle trees, the batch tree and the case index are
+// recomputed on load and checked against the stored roots and
+// signatures, so a tampered checkpoint refuses to restore instead of
+// silently re-serving edited history. Open leaves are deliberately
+// absent: they rebuild from WAL replay (the server clamps WAL
+// truncation to the last checkpointed sealed LSN).
 
 import (
 	"crypto/ed25519"
@@ -19,13 +20,20 @@ import (
 	"repro/internal/audit"
 )
 
-// stateVersion guards the exported shape.
-const stateVersion = 1
+// stateVersion is the version ExportState writes. Version 2 stores a
+// batch's leaves as canonical bytes; version 1 stored one wire-form
+// JSON entry per leaf and still loads, converted to version 2 first.
+const stateVersion = 2
 
 // BatchState is one sealed batch at rest.
 type BatchState struct {
-	Root    SignedRoot        `json:"root"`
-	Entries []json.RawMessage `json:"entries"`
+	Root SignedRoot `json:"root"`
+	// Canon is the batch's leaves as the concatenation of their
+	// audit.CanonicalEntry bytes (version 2). The canonical form is
+	// self-delimiting, so the leaves split back without an index.
+	Canon []byte `json:"canon,omitempty"`
+	// Entries is the version 1 form: one JSONL wire entry per leaf.
+	Entries []json.RawMessage `json:"entries,omitempty"`
 }
 
 // State is the ledger's checkpointable form.
@@ -43,34 +51,47 @@ func (st *State) LastLSN() uint64 {
 	return r.FirstLSN + uint64(r.Leaves) - 1
 }
 
-// ExportState snapshots the sealed batches for a checkpoint.
+// ExportState snapshots the sealed batches for a checkpoint: each
+// batch's leaves are copied out of the arena as the bytes they hashed.
 func (l *Ledger) ExportState() (*State, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := &State{Version: stateVersion}
+	st := &State{Version: stateVersion, Batches: make([]BatchState, 0, len(l.batches))}
 	for _, r := range l.batches {
-		bs := BatchState{Root: r, Entries: make([]json.RawMessage, r.Leaves)}
-		for i := range bs.Entries {
-			raw, err := l.entryJSONLocked(int(r.FirstLSN) - 1 + i)
-			if err != nil {
-				return nil, fmt.Errorf("ledger: exporting state: %w", err)
-			}
-			bs.Entries[i] = raw
+		first, end := int(r.FirstLSN)-1, int(r.FirstLSN)-1+r.Leaves
+		size := 0
+		for i := first; i < end; i++ {
+			size += int(l.leaves.at(i).n)
 		}
-		st.Batches = append(st.Batches, bs)
+		canon := make([]byte, 0, size)
+		for i := first; i < end; i++ {
+			canon = append(canon, l.canon.bytes(l.leaves.at(i))...)
+		}
+		st.Batches = append(st.Batches, BatchState{Root: r, Canon: canon})
 	}
 	return st, nil
 }
 
 // LoadState restores sealed batches into an empty ledger, recomputing
 // every chain, root and signature check along the way. Any mismatch —
-// an edited entry, a reordered batch, a root signed by a different
-// key — fails the load.
+// an edited or malformed leaf, a leaf count the root does not sign, a
+// reordered batch, a root signed by a different key — fails the load.
+// Each leaf is checked in place (audit.NextCanonicalEntry accepts
+// exactly what audit.ParseCanonicalEntry does) and its stored bytes
+// are chained as they are, so no entry is rebuilt. A version 1 state
+// is converted to canonical bytes first and takes the same path.
 func (l *Ledger) LoadState(st *State) error {
 	if st == nil || len(st.Batches) == 0 {
 		return nil
 	}
-	if st.Version != stateVersion {
+	switch st.Version {
+	case stateVersion:
+	case 1:
+		var err error
+		if st, err = upgradeStateV1(st); err != nil {
+			return err
+		}
+	default:
 		return fmt.Errorf("ledger: unsupported state version %d", st.Version)
 	}
 	l.mu.Lock()
@@ -78,16 +99,21 @@ func (l *Ledger) LoadState(st *State) error {
 	if l.leaves.n != 0 {
 		return errors.New("ledger: state must load into an empty ledger")
 	}
-	// One scanner decodes every checkpointed entry: its fast path and
-	// warm intern tables give the same entries as audit.DecodeEntryJSON.
-	dec := audit.NewEntryScanner(nil, audit.DecodeOptions{})
+	// The case index is built once the leaves are in — on a refusal
+	// too, so the leaves loaded so far stay indexed: caseOf[i] is leaf
+	// i's case, its index in caseLSNs.
+	var caseOf []int32
+	defer func() { l.indexCasesLocked(caseOf) }()
 	for bi, bs := range st.Batches {
 		r := bs.Root
 		if r.Seq != uint64(bi)+1 {
 			return fmt.Errorf("ledger: state batch %d has seq %d", bi, r.Seq)
 		}
-		if len(bs.Entries) != r.Leaves {
-			return fmt.Errorf("ledger: state batch seq %d has %d entries, root says %d", r.Seq, len(bs.Entries), r.Leaves)
+		if r.Leaves < 1 {
+			return fmt.Errorf("ledger: state batch seq %d has %d leaves", r.Seq, r.Leaves)
+		}
+		if bs.Entries != nil {
+			return fmt.Errorf("ledger: version %d state batch seq %d carries version 1 entries", stateVersion, r.Seq)
 		}
 		if r.FirstLSN != l.lastLSNLocked()+1 {
 			return fmt.Errorf("ledger: state batch seq %d starts at LSN %d, want %d", r.Seq, r.FirstLSN, l.lastLSNLocked()+1)
@@ -96,12 +122,24 @@ func (l *Ledger) LoadState(st *State) error {
 			return fmt.Errorf("ledger: state batch seq %d breaks the root chain", r.Seq)
 		}
 		first := l.leaves.n
-		for i, raw := range bs.Entries {
-			e, err := dec.Decode(raw)
+		rest := bs.Canon
+		for i := 0; i < r.Leaves; i++ {
+			n, c, err := audit.NextCanonicalEntry(rest)
 			if err != nil {
-				return fmt.Errorf("ledger: state batch seq %d entry %d: %w", r.Seq, i, err)
+				return fmt.Errorf("ledger: state batch seq %d leaf %d of %d: %w", r.Seq, i+1, r.Leaves, err)
 			}
-			l.chainLeafLocked(&e)
+			l.chain, l.scratch = audit.ChainCanonical(l.scratch, l.chain, rest[:n])
+			l.addLeafLocked(rest[:n])
+			id, ok := l.byCase[string(c)]
+			if !ok {
+				id = int32(len(l.byCase))
+				l.byCase[string(c)] = id
+			}
+			caseOf = append(caseOf, id)
+			rest = rest[n:]
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("ledger: state batch seq %d has %d bytes past its %d leaves", r.Seq, len(rest), r.Leaves)
 		}
 		l.hashes = l.leafHashes(l.hashes[:0], first, l.leaves.n)
 		root := merkleRoot(l.hashes)
@@ -122,4 +160,50 @@ func (l *Ledger) LoadState(st *State) error {
 		l.sealedLeaves += uint64(r.Leaves)
 	}
 	return nil
+}
+
+// indexCasesLocked fills caseLSNs, empty until now, from leaf i's
+// case index caseOf[i]: one LSN array holds every case's run, each run
+// capped at its length so a later Append to the case reallocates it
+// instead of writing into the next one.
+func (l *Ledger) indexCasesLocked(caseOf []int32) {
+	start := make([]int, len(l.byCase)+1)
+	for _, id := range caseOf {
+		start[id+1]++
+	}
+	for id := 1; id < len(start); id++ {
+		start[id] += start[id-1]
+	}
+	lsns := make([]uint64, len(caseOf))
+	l.caseLSNs = make([][]uint64, len(l.byCase))
+	for i, id := range caseOf {
+		end := start[id] + len(l.caseLSNs[id])
+		lsns[end] = uint64(i) + 1
+		l.caseLSNs[id] = lsns[start[id] : end+1 : start[id+1]]
+	}
+}
+
+// upgradeStateV1 converts a version 1 state, whose batches carry JSON
+// wire entries, into version 2 by re-encoding each entry as the
+// canonical bytes its leaf hashed. Nothing is checked here beyond the
+// entries decoding: the converted state goes through LoadState's
+// checks like any other.
+func upgradeStateV1(st *State) (*State, error) {
+	dec := audit.NewEntryScanner(nil, audit.DecodeOptions{})
+	up := &State{Version: stateVersion, Batches: make([]BatchState, len(st.Batches))}
+	for bi, bs := range st.Batches {
+		if bs.Canon != nil {
+			return nil, fmt.Errorf("ledger: version 1 state batch %d carries canonical bytes", bi)
+		}
+		var canon []byte
+		for i, raw := range bs.Entries {
+			e, err := dec.Decode(raw)
+			if err != nil {
+				return nil, fmt.Errorf("ledger: version 1 state batch seq %d entry %d: %w", bs.Root.Seq, i, err)
+			}
+			canon = audit.AppendCanonicalEntry(canon, e)
+		}
+		up.Batches[bi] = BatchState{Root: bs.Root, Canon: canon}
+	}
+	return up, nil
 }

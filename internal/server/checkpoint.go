@@ -308,20 +308,9 @@ func (s *Server) restore() error {
 	file := *fp
 	if file.Monitor != nil {
 		// Split cases by hash; every per-shard state shares the full
-		// term table, so no re-indexing is needed.
-		parts := make([]*core.MonitorState, len(s.shards))
-		for id, cs := range file.Monitor.Cases {
-			i := core.ShardCase(id, len(s.shards))
-			if parts[i] == nil {
-				parts[i] = &core.MonitorState{
-					Version: file.Monitor.Version,
-					States:  file.Monitor.States,
-					Cases:   map[string]core.CaseSnapshot{},
-				}
-			}
-			parts[i].Cases[id] = cs
-		}
-		for i, part := range parts {
+		// term table and its resolutions, so no re-indexing is needed
+		// and each term is parsed once per purpose, not once per shard.
+		for i, part := range file.Monitor.Split(len(s.shards)) {
 			if part == nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"crypto/sha256"
@@ -364,10 +365,13 @@ func TestLedgerCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLedgerTamperedCheckpointRefusesBoot flips one byte of a sealed
-// entry inside the checkpoint and requires Start to fail: the ledger
-// re-derives every chain and signature on restore, so a doctored
-// checkpoint cannot smuggle history past the signatures.
+// TestLedgerTamperedCheckpointRefusesBoot edits a sealed entry inside
+// the checkpoint and requires Start to fail: the ledger re-derives
+// every chain and signature on restore, so a doctored checkpoint cannot
+// smuggle history past the signatures. The edit is made to the
+// version 2 canonical bytes the server writes and, with the ledger
+// state rewritten in the version 1 form (one JSON entry per leaf), to a
+// JSON entry; that version 1 checkpoint boots when left unedited.
 func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 	sc := hospitalScenario(t)
 	cfg := ledgerConfig(t, 2, 4)
@@ -387,36 +391,86 @@ func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file map[string]json.RawMessage
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatal(err)
+	// boot writes the checkpoint with its ledger state edited, and
+	// reports whether Start accepted it.
+	boot := func(edit func(*ledger.State)) bool {
+		t.Helper()
+		var file map[string]json.RawMessage
+		if err := json.Unmarshal(data, &file); err != nil {
+			t.Fatal(err)
+		}
+		var st ledger.State
+		if err := json.Unmarshal(file["ledger"], &st); err != nil {
+			t.Fatalf("checkpoint has no ledger state: %v", err)
+		}
+		edit(&st)
+		raw, err := json.Marshal(&st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file["ledger"] = raw
+		out, err := json.Marshal(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cfg.CheckpointPath, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(sc.Registry, hospitalChecker(sc), cfg)
+		if err := srv.Start(); err != nil {
+			return false
+		}
+		srv.Crash()
+		return true
 	}
-	var st ledger.State
-	if err := json.Unmarshal(file["ledger"], &st); err != nil {
-		t.Fatalf("checkpoint has no ledger state: %v", err)
+	if !boot(func(st *ledger.State) { stateToV1(t, st) }) {
+		t.Fatal("Start refused the untampered version 1 checkpoint")
 	}
-	entry := string(st.Batches[0].Entries[0])
-	if !strings.Contains(entry, `"user":`) {
-		t.Fatalf("unexpected entry shape: %s", entry)
+	if boot(func(st *ledger.State) {
+		stateToV1(t, st)
+		entry := string(st.Batches[0].Entries[0])
+		if !strings.Contains(entry, `"user":`) {
+			t.Fatalf("unexpected entry shape: %s", entry)
+		}
+		st.Batches[0].Entries[0] = json.RawMessage(strings.Replace(entry, `"user":"`, `"user":"x`, 1))
+	}) {
+		t.Fatal("Start accepted a version 1 checkpoint with a tampered ledger entry")
 	}
-	st.Batches[0].Entries[0] = json.RawMessage(strings.Replace(entry, `"user":"`, `"user":"x`, 1))
-	raw, err := json.Marshal(&st)
-	if err != nil {
-		t.Fatal(err)
+	if boot(func(st *ledger.State) {
+		if st.Batches[0].Canon == nil {
+			t.Fatal("checkpoint batch carries no canonical bytes")
+		}
+		st.Batches[0].Canon = bytes.Replace(st.Batches[0].Canon, []byte(":John"), []byte(":Joan"), 1)
+	}) {
+		t.Fatal("Start accepted a checkpoint with a tampered ledger leaf")
 	}
-	file["ledger"] = raw
-	out, err := json.Marshal(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cfg.CheckpointPath, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	srv2 := New(sc.Registry, hospitalChecker(sc), cfg)
-	if err := srv2.Start(); err == nil {
-		srv2.Crash()
-		t.Fatal("Start accepted a checkpoint with a tampered ledger entry")
+// stateToV1 rewrites a ledger state in the version 1 form ledgers
+// wrote before checkpoints carried canonical bytes: one JSONL wire
+// entry per leaf.
+func stateToV1(t *testing.T, st *ledger.State) {
+	t.Helper()
+	st.Version = 1
+	for i := range st.Batches {
+		bs := &st.Batches[i]
+		for rest := bs.Canon; len(rest) > 0; {
+			n, _, err := audit.NextCanonicalEntry(rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := audit.ParseCanonicalEntry(rest[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var line bytes.Buffer
+			if err := audit.AppendJSONL(&line, e); err != nil {
+				t.Fatal(err)
+			}
+			bs.Entries = append(bs.Entries, bytes.TrimRight(line.Bytes(), "\n"))
+			rest = rest[n:]
+		}
+		bs.Canon = nil
 	}
 }
 
