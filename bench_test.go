@@ -17,6 +17,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -541,7 +542,9 @@ func BenchmarkSecureLogAppend(b *testing.B) {
 }
 
 // BenchmarkMonitorFeed measures online per-entry cost on the Figure 4
-// stream.
+// stream, through Feed (a fresh Verdict per entry) and through FeedInto
+// (one Verdict reused, as auditd's shards feed). The checker is warmed
+// once; each pass over the stream starts a fresh monitor.
 func BenchmarkMonitorFeed(b *testing.B) {
 	sc, err := hospital.NewScenario()
 	if err != nil {
@@ -552,17 +555,36 @@ func BenchmarkMonitorFeed(b *testing.B) {
 		b.Fatal(err)
 	}
 	entries := sc.Trail.Entries()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%len(entries) == 0 {
-			b.StopTimer()
-			checker := core.NewChecker(sc.Registry, roles)
-			bmMonitor = core.NewMonitor(checker)
-			b.StartTimer()
-		}
-		if _, err := bmMonitor.Feed(entries[i%len(entries)]); err != nil {
-			b.Fatal(err)
-		}
+	checker := core.NewChecker(sc.Registry, roles)
+	if _, err := checker.CheckTrail(sc.Trail); err != nil {
+		b.Fatal(err)
+	}
+	var v core.Verdict
+	for _, bm := range []struct {
+		name string
+		feed func(m *core.Monitor, e *audit.Entry) error
+	}{
+		{"Feed", func(m *core.Monitor, e *audit.Entry) error {
+			_, err := m.Feed(*e)
+			return err
+		}},
+		{"FeedInto", func(m *core.Monitor, e *audit.Entry) error {
+			return m.FeedInto(context.Background(), e, &v)
+		}},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%len(entries) == 0 {
+					b.StopTimer()
+					bmMonitor = core.NewMonitor(checker)
+					b.StartTimer()
+				}
+				if err := bm.feed(bmMonitor, &entries[i%len(entries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

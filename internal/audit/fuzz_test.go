@@ -203,9 +203,12 @@ func FuzzCanonicalEntry(f *testing.F) {
 	add("u", "r", "a", "", "[s]p", "T", "C", utc, 0, 0)
 	add("u", "r", "a", "s]", "p/q", "T", "C", utc, 0, 0)
 	// user and subject as canonical bytes: a well-formed parse input the
-	// fuzzer mutates, and one with a 30 February.
+	// fuzzer mutates, and time fields with a 30 February, a 29 February
+	// in 1900 and a leap second.
 	add(string(CanonicalEntry(lenEntry(0, "T1", "C-1"))), "r", "a", "s", "p", "T", "C", utc, 0, 0)
 	add("u", "r", "a", "24:20260230000000.000000000", "p", "T", "C", utc, 0, 0)
+	add("u", "r", "a", "24:19000229000000.000000000", "p", "T", "C", utc, 0, 0)
+	add("u", "r", "a", "24:20241231235960.000000000", "p", "T", "C", utc, 0, 0)
 	f.Fuzz(func(t *testing.T, user, role, action, subject, path, task, caseID string, sec, nsec int64, zone int, status int8) {
 		e := Entry{
 			User: user, Role: role, Action: action,

@@ -275,14 +275,13 @@ func canonicalObject(s string) policy.Object {
 // parseCanonicalTime reads a time field: the year, then MMDDhhmmss,
 // a dot and nine fractional digits. It accepts only what
 // appendCanonicalTime writes for the instant it reads, which also rules
-// out dates that time.Date would normalize (a 30 February).
+// out dates that time.Date would normalize (a 30 February). A
+// four-digit year, the form appendCanonicalTime writes for years 0
+// through 9999, is checked by range; any other year by rendering the
+// time again and comparing.
 func parseCanonicalTime(s []byte) (time.Time, bool) {
 	const tail = len("0102150405.000000000")
 	if len(s) <= tail || s[len(s)-10] != '.' {
-		return time.Time{}, false
-	}
-	year, err := strconv.Atoi(string(s[:len(s)-tail]))
-	if err != nil {
 		return time.Time{}, false
 	}
 	d := s[len(s)-tail:]
@@ -300,6 +299,25 @@ func parseCanonicalTime(s []byte) (time.Time, bool) {
 			v[i] = v[i]*10 + int(digits[j]-'0')
 		}
 	}
+	if ys := s[:len(s)-tail]; len(ys) == 4 {
+		year := 0
+		for _, c := range ys {
+			if c < '0' || c > '9' {
+				return time.Time{}, false
+			}
+			year = year*10 + int(c-'0')
+		}
+		month := time.Month(v[0])
+		if month < time.January || month > time.December || v[1] < 1 || v[1] > daysIn(month, year) ||
+			v[2] > 23 || v[3] > 59 || v[4] > 59 {
+			return time.Time{}, false
+		}
+		return time.Date(year, month, v[1], v[2], v[3], v[4], v[5], time.UTC), true
+	}
+	year, err := strconv.Atoi(string(s[:len(s)-tail]))
+	if err != nil {
+		return time.Time{}, false
+	}
 	t := time.Date(year, time.Month(v[0]), v[1], v[2], v[3], v[4], v[5], time.UTC)
 	var buf [64]byte
 	field := appendCanonicalTime(buf[:0], t)
@@ -307,6 +325,21 @@ func parseCanonicalTime(s []byte) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return t, true
+}
+
+// daysIn returns the number of days in month m of the proleptic
+// Gregorian year y.
+func daysIn(m time.Month, y int) int {
+	switch m {
+	case time.February:
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			return 29
+		}
+		return 28
+	case time.April, time.June, time.September, time.November:
+		return 30
+	}
+	return 31
 }
 
 // ChainStep advances the hash chain over one entry,

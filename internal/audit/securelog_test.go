@@ -1,6 +1,9 @@
 package audit
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,4 +67,84 @@ func TestNextCanonicalEntryZeroAlloc(t *testing.T) {
 	if got, _ := ChainCanonical(nil, ChainSeed(), CanonicalEntry(e)); got != ChainNext(ChainSeed(), e) {
 		t.Error("ChainCanonical disagrees with ChainNext")
 	}
+}
+
+// TestParseCanonicalTimeCalendar: the time field check accepts exactly
+// the fields appendCanonicalTime writes — calendar edges included — and
+// agrees with rendering the parsed time again and comparing, the check
+// it runs for years that are not four digits.
+func TestParseCanonicalTimeCalendar(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		want  time.Time // zero: refused
+	}{
+		{"20240229120000.000000000", time.Date(2024, 2, 29, 12, 0, 0, 0, time.UTC)},
+		{"20230229120000.000000000", time.Time{}},
+		{"19000229120000.000000000", time.Time{}},
+		{"20000229120000.000000000", time.Date(2000, 2, 29, 12, 0, 0, 0, time.UTC)},
+		{"20240431000000.000000000", time.Time{}},
+		{"20240430000000.000000000", time.Date(2024, 4, 30, 0, 0, 0, 0, time.UTC)},
+		{"20241231235960.000000000", time.Time{}},
+		{"20241231235959.999999999", time.Date(2024, 12, 31, 23, 59, 59, 999999999, time.UTC)},
+		{"20241231240000.000000000", time.Time{}},
+		{"20241231236000.000000000", time.Time{}},
+		{"20240001000000.000000000", time.Time{}},
+		{"20241301000000.000000000", time.Time{}},
+		{"20240100000000.000000000", time.Time{}},
+		{"09990101000000.000000000", time.Date(999, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{"00000229000000.000000000", time.Date(0, 2, 29, 0, 0, 0, 0, time.UTC)},
+		{"9990101000000.000000000", time.Time{}},
+		{"+9990101000000.000000000", time.Time{}},
+		{"-0010101000000.000000000", time.Time{}},
+		{"100000101000000.000000000", time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{"100000230000000.000000000", time.Time{}},
+		{"2024010100000.000000000", time.Time{}},
+		{"20240101000000,000000000", time.Time{}},
+		{"2024010100000a.000000000", time.Time{}},
+	} {
+		got, ok := parseCanonicalTime([]byte(tc.field))
+		if ok != !tc.want.IsZero() || !got.Equal(tc.want) {
+			t.Errorf("parseCanonicalTime(%q) = %v, %v; want %v", tc.field, got, ok, tc.want)
+		}
+		if _, ref := renderedTimeField(tc.field); ref != ok {
+			t.Errorf("parseCanonicalTime(%q) accepts = %v, re-rendering accepts = %v", tc.field, ok, ref)
+		}
+	}
+	for _, year := range []int{0, 999, 1900, 2000, 2023, 2024, 9999} {
+		for month := 0; month <= 13; month++ {
+			for day := 0; day <= 32; day++ {
+				for _, clock := range []string{"000000", "235959", "235960", "236000", "240000"} {
+					field := fmt.Sprintf("%04d%02d%02d%s.000000001", year, month, day, clock)
+					got, ok := parseCanonicalTime([]byte(field))
+					want, ref := renderedTimeField(field)
+					if ok != ref || (ok && !got.Equal(want)) {
+						t.Fatalf("parseCanonicalTime(%q) = %v, %v; re-rendering gives %v, %v", field, got, ok, want, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
+// renderedTimeField checks a time field the slow way: build the time
+// from the field's numbers and accept it only if appendCanonicalTime
+// writes the field back.
+func renderedTimeField(field string) (time.Time, bool) {
+	const tail = len("0102150405.000000000")
+	if len(field) <= tail || field[len(field)-10] != '.' {
+		return time.Time{}, false
+	}
+	year, err := strconv.Atoi(field[:len(field)-tail])
+	if err != nil {
+		return time.Time{}, false
+	}
+	var v [6]int
+	for i, span := range [][2]int{{0, 2}, {2, 4}, {4, 6}, {6, 8}, {8, 10}, {11, 20}} {
+		if v[i], err = strconv.Atoi(field[len(field)-tail+span[0] : len(field)-tail+span[1]]); err != nil {
+			return time.Time{}, false
+		}
+	}
+	tm := time.Date(year, time.Month(v[0]), v[1], v[2], v[3], v[4], v[5], time.UTC)
+	rendered := string(appendCanonicalTime(nil, tm))
+	return tm, rendered[strings.IndexByte(rendered, ':')+1:] == field
 }

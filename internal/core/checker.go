@@ -113,22 +113,27 @@ func (ai *activeInterner) intern(tasks []ActiveTask) *activeSet {
 
 // succ is one precomputed successor of a configuration: an observable
 // label, the interned state it leads to, and the interned active-task
-// set in that state.
+// set in that state. conf caches the configuration the successor leads
+// to once it first fires (see Configuration); it is the memo's own
+// pointer, so racing fillers store the same value.
 type succ struct {
 	label  cows.Label
 	state  cows.Service
 	id     lts.StateID
 	active *activeSet
+	conf   atomic.Pointer[Configuration]
 }
 
 // Configuration is Definition 6: the current state, the set of active
 // tasks in that state, and the WeakNext successors with their active
-// sets. Configurations are immutable and memoized per purpose by
-// (state ID, active-set ID): in looping processes the same handful of
-// configurations recur thousands of times, so replay fetches them from
-// a hash map instead of rebuilding successor slices and active maps per
-// entry. The memo is shared by every checker cloned from the same
-// runtime and is safe for concurrent use.
+// sets. Configurations are memoized per purpose by (state ID, active-set
+// ID): in looping processes the same handful of configurations recur
+// thousands of times, so they are built once. Apart from each
+// successor's cached target, a configuration never changes after it is
+// built, and the memo never evicts, so a successor resolves its target
+// through the memo on its first firing only and follows the cached
+// pointer after that. The memo and the caches are shared by every
+// checker cloned from the same runtime and are safe for concurrent use.
 type Configuration struct {
 	state  cows.Service
 	id     lts.StateID
@@ -148,8 +153,8 @@ func (c *Configuration) ActiveTasks() []ActiveTask {
 // from the configuration.
 func (c *Configuration) NextLabels() []string {
 	set := map[string]bool{}
-	for _, s := range c.next {
-		set[s.label.Endpoint()] = true
+	for i := range c.next {
+		set[c.next[i].label.Endpoint()] = true
 	}
 	out := make([]string, 0, len(set))
 	for l := range set {
@@ -380,6 +385,20 @@ func (c *Checker) newConfiguration(rt *purposeRT, pur *Purpose, state cows.Servi
 	}
 	v, _ := rt.configs.LoadOrStore(key, conf)
 	return v.(*Configuration), nil
+}
+
+// successor returns the configuration s leads to: the cached pointer
+// after s first fired, the memo's configuration (cached in s) before.
+func (c *Checker) successor(rt *purposeRT, pur *Purpose, s *succ) (*Configuration, error) {
+	if conf := s.conf.Load(); conf != nil {
+		return conf, nil
+	}
+	conf, err := c.newConfiguration(rt, pur, s.state, s.id, s.active)
+	if err != nil {
+		return nil, err
+	}
+	s.conf.Store(conf)
+	return conf, nil
 }
 
 // nextActive applies the origin discipline: tasks whose token produced
@@ -737,7 +756,7 @@ func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration,
 				continue
 			}
 			found = true
-			nc, err := c.newConfiguration(rt, pur, s.state, s.id, s.active)
+			nc, err := c.successor(rt, pur, s)
 			if err != nil {
 				return nil, false, err
 			}

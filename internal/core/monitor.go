@@ -39,6 +39,11 @@ type Monitor struct {
 	// another goroutine (auditd /metrics) can read them while the shard
 	// goroutine feeds.
 	symHits, symMisses atomic.Uint64
+	// seen and spare are the interpreter's scratch across feeds and
+	// peeks (see Checker.advance): the dedup set and the output buffer,
+	// which a feed swaps with the fed case's configuration set.
+	seen  map[uint64]bool
+	spare []*Configuration
 }
 
 // SymbolCacheStats reports the compiled fast path's symbol-cache
@@ -49,7 +54,7 @@ func (m *Monitor) SymbolCacheStats() (hits, misses uint64) {
 
 // symbolFor resolves an entry's automaton symbol through the monitor's
 // persistent cache, bumping the hit/miss counters.
-func (m *Monitor) symbolFor(d *automaton.DFA, e audit.Entry) (int32, bool) {
+func (m *Monitor) symbolFor(d *automaton.DFA, e *audit.Entry) (int32, bool) {
 	task, role := e.Task, e.Role
 	failure := e.Status == audit.Failure
 	if failure {
@@ -227,7 +232,8 @@ func (m *Monitor) Enabled(caseID string) ([]Offer, error) {
 		for _, a := range conf.active.tasks {
 			add(Offer{Role: a.Role, Task: a.Task, Active: true})
 		}
-		for _, s := range conf.next {
+		for i := range conf.next {
+			s := &conf.next[i]
 			if s.label.Op == "Err" {
 				continue
 			}
@@ -260,7 +266,7 @@ func (m *Monitor) Peek(e audit.Entry) (bool, error) {
 		return false, nil
 	}
 	if st.dfa != nil {
-		sym, ok := m.symbolFor(st.dfa, e)
+		sym, ok := m.symbolFor(st.dfa, &e)
 		return ok && st.dfa.Step(st.dstate, sym) != automaton.Reject, nil
 	}
 	maxConfigs := m.checker.MaxConfigurations
@@ -268,8 +274,7 @@ func (m *Monitor) Peek(e audit.Entry) (bool, error) {
 		maxConfigs = DefaultMaxConfigurations
 	}
 	rt := m.checker.runtime(st.purpose)
-	var seen map[uint64]bool
-	_, found, err := m.checker.advance(rt, st.purpose, st.configs, &e, maxConfigs, &seen, nil)
+	_, found, err := m.checker.advance(rt, st.purpose, st.configs, &e, maxConfigs, &m.seen, m.spare)
 	if err != nil {
 		return false, fmt.Errorf("core: peeking case %s: %w", e.Case, err)
 	}
@@ -281,35 +286,43 @@ func (m *Monitor) Feed(e audit.Entry) (*Verdict, error) {
 	return m.FeedContext(context.Background(), e)
 }
 
-// FeedContext is Feed honoring ctx. A budget/cap overflow or a panic
-// while advancing the case yields an indeterminate verdict and kills the
-// case (further feeds keep reporting it indeterminate); other monitored
-// cases are unaffected.
-//
-// Only a violation keeps the entry (Violation.Entry), and only those
-// branches copy it to the heap: e itself stays on the stack, so an
-// entry that extends its case costs no copy.
+// FeedContext is Feed honoring ctx: FeedInto a verdict of its own.
 func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, error) {
-	if err := ctx.Err(); err != nil {
+	v := new(Verdict)
+	if err := m.FeedInto(ctx, &e, v); err != nil {
 		return nil, err
 	}
-	v := &Verdict{Case: e.Case}
+	return v, nil
+}
+
+// FeedInto consumes one entry and writes its verdict into *v, which it
+// resets first, so a caller feeding many entries can reuse one Verdict
+// (only the pointers a non-OK verdict carries point to fresh values).
+// A budget/cap overflow or a panic while advancing the case yields an
+// indeterminate verdict and kills the case (further feeds keep
+// reporting it indeterminate); other monitored cases are unaffected.
+// On error *v is left reset.
+//
+// Only a violation keeps the entry (Violation.Entry), as a copy: e is
+// not retained past the call.
+func (m *Monitor) FeedInto(ctx context.Context, e *audit.Entry, v *Verdict) error {
+	*v = Verdict{Case: e.Case}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	st, err := m.caseStateFor(e.Case)
 	if err != nil {
 		if errors.Is(err, errUnknownPurpose) {
-			kept := e
-			uv := &Violation{
+			kept := *e
+			v.Violation = &Violation{
 				Kind:   ViolationUnknownPurpose,
 				Entry:  &kept,
 				Reason: fmt.Sprintf("case code %q is not bound to any registered purpose", CaseCode(e.Case)),
 			}
-			return &Verdict{
-				Case:        e.Case,
-				Violation:   uv,
-				Explanation: m.checker.explainViolation(nil, e.Case, uv, 0),
-			}, nil
+			v.Explanation = m.checker.explainViolation(nil, e.Case, v.Violation, 0)
+			return nil
 		}
-		return nil, err
+		return err
 	}
 	st.entries++
 	v.CaseEntries = st.entries
@@ -328,14 +341,14 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 		if st.cause != nil {
 			v.Indeterminate = st.cause
 		} else {
-			kept := e
+			kept := *e
 			v.Violation = &Violation{
 				Kind:   ViolationInvalidExecution,
 				Entry:  &kept,
 				Reason: "case already deviated from its purpose's process",
 			}
 		}
-		return v, nil
+		return nil
 	}
 
 	if st.dfa != nil {
@@ -345,16 +358,16 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 		}
 		if dnext == automaton.Reject {
 			st.dead = true
-			v.Violation = m.checker.describeViolationCompiled(st.dfa, st.dstate, st.purpose, st.entries-1, e)
+			v.Violation = m.checker.describeViolationCompiled(st.dfa, st.dstate, st.purpose, st.entries-1, *e)
 			v.Configurations = st.configCount()
 			st.expl = m.checker.explainViolation(st.purpose, e.Case, v.Violation, st.configCount())
 			v.Explanation = st.expl
-			return v, nil
+			return nil
 		}
 		st.dstate = dnext
 		v.OK = true
 		v.Configurations = st.configCount()
-		return v, nil
+		return nil
 	}
 
 	maxConfigs := m.checker.MaxConfigurations
@@ -368,8 +381,7 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 				err = fmt.Errorf("%w: %v", errRecoveredPanic, r)
 			}
 		}()
-		var seen map[uint64]bool
-		return m.checker.advance(rt, st.purpose, st.configs, &e, maxConfigs, &seen, nil)
+		return m.checker.advance(rt, st.purpose, st.configs, e, maxConfigs, &m.seen, m.spare)
 	}()
 	if err != nil {
 		if ind := indeterminacyFor(err); ind != nil {
@@ -379,22 +391,23 @@ func (m *Monitor) FeedContext(ctx context.Context, e audit.Entry) (*Verdict, err
 			st.expl = explainIndeterminacy(e.Case, st.purpose.Name, ind)
 			v.Indeterminate = ind
 			v.Explanation = st.expl
-			return v, nil
+			return nil
 		}
-		return nil, fmt.Errorf("core: monitoring case %s: %w", e.Case, err)
+		return fmt.Errorf("core: monitoring case %s: %w", e.Case, err)
 	}
 	if !found {
 		st.dead = true
-		v.Violation = m.checker.describeViolation(st.purpose, st.configs, st.entries-1, e)
+		v.Violation = m.checker.describeViolation(st.purpose, st.configs, st.entries-1, *e)
 		v.Configurations = len(st.configs)
 		st.expl = m.checker.explainViolation(st.purpose, e.Case, v.Violation, len(st.configs))
 		v.Explanation = st.expl
-		return v, nil
+		return nil
 	}
-	st.configs = next
+	// The case's previous set becomes the next feed's output buffer.
+	st.configs, m.spare = next, st.configs[:0]
 	v.OK = true
 	v.Configurations = len(next)
-	return v, nil
+	return nil
 }
 
 // CaseStatus summarizes a monitored case.

@@ -122,7 +122,7 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 					if !c.matchesEntry(s, e) {
 						continue
 					}
-					nc, err := c.newConfiguration(rt, pur, s.state, s.id, s.active)
+					nc, err := c.successor(rt, pur, s)
 					if err != nil {
 						return nil, err
 					}
@@ -134,7 +134,7 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 				if sc.skips < budget {
 					for j := range sc.conf.next {
 						s := &sc.conf.next[j]
-						nc, err := c.newConfiguration(rt, pur, s.state, s.id, s.active)
+						nc, err := c.successor(rt, pur, s)
 						if err != nil {
 							return nil, err
 						}

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -66,15 +67,23 @@ type Options struct {
 	OnSeal func(root SignedRoot, dur time.Duration)
 }
 
-// leaf is one appended entry: its chain hash and where the canonical
-// bytes that hash covers sit in the arena. It holds no pointer, so the
-// leaf log costs the garbage collector nothing to mark however much
-// history it keeps. Leaf LSNs are dense from 1, so leaf i is LSN i+1.
+// leaf is one appended entry: its chain hash, where the canonical
+// bytes that hash covers sit in the arena, and the LSN of the previous
+// leaf of the same case (0 for a case's first leaf), which links each
+// case's leaves into a list the case index walks. It holds no pointer,
+// so the leaf log costs the garbage collector nothing to mark however
+// much history it keeps. Leaf LSNs are dense from 1, so leaf i is LSN
+// i+1, and at most maxLeaves.
 type leaf struct {
 	chain      [32]byte
 	chunk, off uint32 // arena chunk and offset of the canonical bytes
 	n          uint32 // their length
+	prev       uint32 // LSN of the case's previous leaf; 0 if none
 }
+
+// maxLeaves is the most leaves a ledger holds: leaf LSNs are stored in
+// 32 bits.
+const maxLeaves = math.MaxUint32
 
 // leafChunk is the leaf log's unit of growth: a chunk, once allocated,
 // is never copied, so appending costs the same at any ledger size.
@@ -146,11 +155,11 @@ type Ledger struct {
 	batches []SignedRoot
 	tree    batchTree  // over the batches' chain hashes, in Seq order
 	head    SignedHead // last signed tree head (Size 0 = none yet)
-	// byCase maps a case to its index in caseLSNs, which holds each
-	// case's leaf LSNs, ascending (LoadState fills caseLSNs from one
-	// array).
+	// byCase maps a case to its index in caseLast, which holds the LSN
+	// of each case's last leaf; the leaves' prev links lead from there
+	// through the rest of the case.
 	byCase   map[string]int32
-	caseLSNs [][]uint64
+	caseLast []uint32
 
 	timer    *time.Timer
 	timerGen uint64
@@ -206,6 +215,9 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 	if firstLSN != last+1 {
 		return fmt.Errorf("ledger: leaf sequence gap: append at LSN %d, want %d", firstLSN, last+1)
 	}
+	if uint64(len(entries)) > maxLeaves-last {
+		return fmt.Errorf("ledger: full: %d leaves past LSN %d exceed %d", len(entries), last, uint64(maxLeaves))
+	}
 	for i := range entries {
 		wasEmpty := l.openLocked() == 0
 		l.chainLeafLocked(&entries[i])
@@ -219,33 +231,44 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 }
 
 // chainLeafLocked advances the leaf chain over e and appends it as the
-// next leaf, and the leaf's LSN to the case index.
+// next leaf of e's case.
 func (l *Ledger) chainLeafLocked(e *audit.Entry) {
 	l.chain, l.scratch = audit.ChainStep(l.scratch, l.chain, *e)
-	l.addLeafLocked(l.scratch[len(l.chain):])
-	i, ok := l.byCase[e.Case]
+	id, ok := l.byCase[e.Case]
 	if !ok {
-		i = int32(len(l.caseLSNs))
-		l.byCase[e.Case] = i
-		l.caseLSNs = append(l.caseLSNs, nil)
+		id = int32(len(l.caseLast))
+		l.byCase[e.Case] = id
+		l.caseLast = append(l.caseLast, 0)
 	}
-	l.caseLSNs[i] = append(l.caseLSNs[i], l.lastLSNLocked())
+	l.addLeafLocked(l.scratch[len(l.chain):], id)
 }
 
 // caseLSNsLocked returns case c's leaf LSNs, ascending (nil if none).
 func (l *Ledger) caseLSNsLocked(c string) []uint64 {
-	if i, ok := l.byCase[c]; ok {
-		return l.caseLSNs[i]
+	id, ok := l.byCase[c]
+	if !ok {
+		return nil
 	}
-	return nil
+	n := 0
+	for lsn := l.caseLast[id]; lsn != 0; lsn = l.leaves.at(int(lsn) - 1).prev {
+		n++
+	}
+	lsns := make([]uint64, n)
+	for lsn := l.caseLast[id]; lsn != 0; lsn = l.leaves.at(int(lsn) - 1).prev {
+		n--
+		lsns[n] = uint64(lsn)
+	}
+	return lsns
 }
 
-// addLeafLocked appends the leaf the chain tip l.chain just hashed:
-// canon, the canonical bytes that step covered, goes to the arena, and
-// with Options.SealKey the leaf's seal is computed and the key evolved.
-func (l *Ledger) addLeafLocked(canon []byte) {
+// addLeafLocked appends the leaf the chain tip l.chain just hashed as
+// the last leaf of the case with index id in caseLast: canon, the
+// canonical bytes that step covered, goes to the arena, and with
+// Options.SealKey the leaf's seal is computed and the key evolved.
+func (l *Ledger) addLeafLocked(canon []byte, id int32) {
 	chunk, off := l.canon.add(canon)
-	l.leaves.append(leaf{chain: l.chain, chunk: chunk, off: off, n: uint32(len(canon))})
+	l.leaves.append(leaf{chain: l.chain, chunk: chunk, off: off, n: uint32(len(canon)), prev: l.caseLast[id]})
+	l.caseLast[id] = uint32(l.leaves.n)
 	if l.hmacKey != nil {
 		l.seals = append(l.seals, [32]byte(audit.SealChain(l.hmacKey, l.chain[:])))
 		l.hmacKey = audit.EvolveKey(l.hmacKey)

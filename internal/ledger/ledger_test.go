@@ -149,6 +149,20 @@ func TestLeafLogSpansChunks(t *testing.T) {
 	if !reflect.DeepEqual(fresh.TreeHead(0), l.TreeHead(0)) {
 		t.Error("restored ledger's tree head differs")
 	}
+	// Each case's leaf links, appended or loaded, lead through exactly
+	// its own LSNs.
+	want := map[string][]uint64{}
+	for i, e := range entries {
+		want[e.Case] = append(want[e.Case], uint64(i)+1)
+	}
+	for _, id := range cases {
+		if got := l.caseLSNsLocked(id); !reflect.DeepEqual(got, want[id]) {
+			t.Errorf("appended ledger: case %s LSNs %v, want %v", id, got, want[id])
+		}
+		if got := fresh.caseLSNsLocked(id); !reflect.DeepEqual(got, want[id]) {
+			t.Errorf("loaded ledger: case %s LSNs %v, want %v", id, got, want[id])
+		}
+	}
 }
 
 func TestProofRoundTrip(t *testing.T) {

@@ -99,11 +99,6 @@ func (l *Ledger) LoadState(st *State) error {
 	if l.leaves.n != 0 {
 		return errors.New("ledger: state must load into an empty ledger")
 	}
-	// The case index is built once the leaves are in — on a refusal
-	// too, so the leaves loaded so far stay indexed: caseOf[i] is leaf
-	// i's case, its index in caseLSNs.
-	var caseOf []int32
-	defer func() { l.indexCasesLocked(caseOf) }()
 	for bi, bs := range st.Batches {
 		r := bs.Root
 		if r.Seq != uint64(bi)+1 {
@@ -118,6 +113,9 @@ func (l *Ledger) LoadState(st *State) error {
 		if r.FirstLSN != l.lastLSNLocked()+1 {
 			return fmt.Errorf("ledger: state batch seq %d starts at LSN %d, want %d", r.Seq, r.FirstLSN, l.lastLSNLocked()+1)
 		}
+		if uint64(r.Leaves) > maxLeaves-l.lastLSNLocked() {
+			return fmt.Errorf("ledger: state batch seq %d overflows the ledger's %d leaves", r.Seq, uint64(maxLeaves))
+		}
 		if r.PrevChain != hex.EncodeToString(l.prevRootChain[:]) {
 			return fmt.Errorf("ledger: state batch seq %d breaks the root chain", r.Seq)
 		}
@@ -129,13 +127,13 @@ func (l *Ledger) LoadState(st *State) error {
 				return fmt.Errorf("ledger: state batch seq %d leaf %d of %d: %w", r.Seq, i+1, r.Leaves, err)
 			}
 			l.chain, l.scratch = audit.ChainCanonical(l.scratch, l.chain, rest[:n])
-			l.addLeafLocked(rest[:n])
 			id, ok := l.byCase[string(c)]
 			if !ok {
-				id = int32(len(l.byCase))
+				id = int32(len(l.caseLast))
 				l.byCase[string(c)] = id
+				l.caseLast = append(l.caseLast, 0)
 			}
-			caseOf = append(caseOf, id)
+			l.addLeafLocked(rest[:n], id)
 			rest = rest[n:]
 		}
 		if len(rest) != 0 {
@@ -160,27 +158,6 @@ func (l *Ledger) LoadState(st *State) error {
 		l.sealedLeaves += uint64(r.Leaves)
 	}
 	return nil
-}
-
-// indexCasesLocked fills caseLSNs, empty until now, from leaf i's
-// case index caseOf[i]: one LSN array holds every case's run, each run
-// capped at its length so a later Append to the case reallocates it
-// instead of writing into the next one.
-func (l *Ledger) indexCasesLocked(caseOf []int32) {
-	start := make([]int, len(l.byCase)+1)
-	for _, id := range caseOf {
-		start[id+1]++
-	}
-	for id := 1; id < len(start); id++ {
-		start[id] += start[id-1]
-	}
-	lsns := make([]uint64, len(caseOf))
-	l.caseLSNs = make([][]uint64, len(l.byCase))
-	for i, id := range caseOf {
-		end := start[id] + len(l.caseLSNs[id])
-		lsns[end] = uint64(i) + 1
-		l.caseLSNs[id] = lsns[start[id] : end+1 : start[id+1]]
-	}
 }
 
 // upgradeStateV1 converts a version 1 state, whose batches carry JSON

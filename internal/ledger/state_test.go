@@ -86,8 +86,8 @@ func TestLoadStateAllocs(t *testing.T) {
 	if perEntry := allocs / entries; perEntry >= 0.25 {
 		t.Errorf("LoadState allocates %.3f times per entry, want < 0.25", perEntry)
 	}
-	// A case appended after the load grows its own LSN run, not the
-	// next case's.
+	// A case appended after the load extends its own leaf links, not
+	// the next case's.
 	r, _ := New(Options{Key: testKey(t)})
 	if err := r.LoadState(st); err != nil {
 		t.Fatal(err)

@@ -216,8 +216,16 @@ func (y *System) CanonOf(s cows.Service) string { return y.intern(s).canon }
 
 // Representative returns the interned service congruent to s. All
 // transitions the System returns already point at representatives, so
-// pointer identity of representatives implies state identity.
-func (y *System) Representative(s cows.Service) cows.Service { return y.intern(s).svc }
+// pointer identity of representatives implies state identity. Unlike
+// Intern it does not index s by pointer: a caller that hands in a
+// throwaway copy (a parsed checkpoint term) and keeps the
+// representative leaves nothing in the System that pins the copy.
+func (y *System) Representative(s cows.Service) cows.Service {
+	if v, ok := y.byPtr.Load(s); ok {
+		return v.(*state).svc
+	}
+	return y.internCanon(s, cows.Canon(s)).svc
+}
 
 // StateCount reports how many distinct states have been interned.
 func (y *System) StateCount() int { return int(y.nextID.Load()) }

@@ -33,6 +33,32 @@ func TestInternIdentity(t *testing.T) {
 	}
 }
 
+// TestRepresentativeDoesNotPinCopy: resolving a congruent copy (a
+// parsed checkpoint term) to its representative leaves no pointer
+// entry for the copy, so the copy can be collected, while the
+// representative itself stays a pointer hit.
+func TestRepresentativeDoesNotPinCopy(t *testing.T) {
+	y := NewSystem(obsAllComm)
+	id := y.Intern(cows.MustParse("a.t!<> | b.u?<>.0"))
+	cp := cows.MustParse("b.u?<>.0 | a.t!<>")
+	rep := y.Representative(cp)
+	if rep == cp {
+		t.Fatalf("the copy became the representative")
+	}
+	if _, ok := y.byPtr.Load(cp); ok {
+		t.Fatalf("Representative indexed the copy by pointer")
+	}
+	if _, ok := y.byPtr.Load(rep); !ok {
+		t.Fatalf("the representative is not indexed by pointer")
+	}
+	if got := y.Intern(rep); got != id {
+		t.Fatalf("Intern(representative) = %d, want %d", got, id)
+	}
+	if y.StateCount() != 1 {
+		t.Fatalf("StateCount = %d, want 1", y.StateCount())
+	}
+}
+
 // TestShareKeepsWarmCaches: Share returns the same warm System (the
 // fan-out discipline), while Clone deliberately starts cold.
 func TestShareKeepsWarmCaches(t *testing.T) {

@@ -1,18 +1,29 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/policy"
 )
 
-// TestCorpusIndexedAudit merges each corpus fixture's trails into one
-// multi-case trail and requires the indexed audits (CheckTrail,
-// CheckTrailParallel) to report every case exactly as CheckCase does on
-// the case's own trail, on both engines.
-func TestCorpusIndexedAudit(t *testing.T) {
+// corpusCase is one corpus fixture set up for a whole-trail run: its
+// registry and roles, each distinct case's own trail, and all those
+// cases merged into one multi-case trail.
+type corpusCase struct {
+	fx     *Fixture
+	reg    *core.Registry
+	roles  *policy.RoleHierarchy
+	trails map[string]*audit.Trail
+	all    *audit.Trail
+}
+
+// eachCorpusFixture runs f as a subtest per fixture of the scenario
+// corpus.
+func eachCorpusFixture(t *testing.T, f func(t *testing.T, cc *corpusCase)) {
 	files, err := Discover([]string{"../../scenarios/..."})
 	if err != nil {
 		t.Fatal(err)
@@ -31,48 +42,89 @@ func TestCorpusIndexedAudit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := core.NewRegistry()
-			if _, err := reg.Register(proc, fx.CaseCodes...); err != nil {
+			cc := &corpusCase{fx: fx, reg: core.NewRegistry(), roles: rolesOf(pol), trails: map[string]*audit.Trail{}}
+			if _, err := cc.reg.Register(proc, fx.CaseCodes...); err != nil {
 				t.Fatal(err)
 			}
 			var merged []audit.Entry
-			trails := map[string]*audit.Trail{}
 			for i := range fx.Trails {
 				tr := &fx.Trails[i]
-				if trails[tr.Case] != nil {
+				if cc.trails[tr.Case] != nil {
 					continue
 				}
 				trail, err := tr.trail()
 				if err != nil {
 					t.Fatal(err)
 				}
-				trails[tr.Case] = trail
+				cc.trails[tr.Case] = trail
 				merged = append(merged, trail.ByCase(tr.Case).Entries()...)
 			}
-			all := audit.NewTrail(merged)
-			for _, eng := range engines {
-				c := core.NewChecker(reg, rolesOf(pol))
-				fx.applyChecker(c)
-				c.UseCompiled = eng.compiled
-				for _, workers := range []int{1, 3} {
-					reps, err := c.CheckTrailParallel(all, workers)
+			cc.all = audit.NewTrail(merged)
+			f(t, cc)
+		})
+	}
+}
+
+// checker builds a checker for the fixture on one engine.
+func (cc *corpusCase) checker(compiled bool) *core.Checker {
+	c := core.NewChecker(cc.reg, cc.roles)
+	cc.fx.applyChecker(c)
+	c.UseCompiled = compiled
+	return c
+}
+
+// TestCorpusIndexedAudit merges each corpus fixture's trails into one
+// multi-case trail and requires the indexed audits (CheckTrail,
+// CheckTrailParallel) to report every case exactly as CheckCase does on
+// the case's own trail, on both engines.
+func TestCorpusIndexedAudit(t *testing.T) {
+	eachCorpusFixture(t, func(t *testing.T, cc *corpusCase) {
+		for _, eng := range engines {
+			c := cc.checker(eng.compiled)
+			for _, workers := range []int{1, 3} {
+				reps, err := c.CheckTrailParallel(cc.all, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(reps) != len(cc.trails) {
+					t.Fatalf("%s, %d workers: %d reports for %d cases", eng.name, workers, len(reps), len(cc.trails))
+				}
+				for _, rep := range reps {
+					want, err := c.CheckCase(cc.trails[rep.Case], rep.Case)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(reps) != len(trails) {
-						t.Fatalf("%s, %d workers: %d reports for %d cases", eng.name, workers, len(reps), len(trails))
-					}
-					for _, rep := range reps {
-						want, err := c.CheckCase(trails[rep.Case], rep.Case)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(rep, want) {
-							t.Errorf("%s, %d workers, case %s:\n got %s\nwant %s", eng.name, workers, rep.Case, rep, want)
-						}
+					if !reflect.DeepEqual(rep, want) {
+						t.Errorf("%s, %d workers, case %s:\n got %s\nwant %s", eng.name, workers, rep.Case, rep, want)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
+}
+
+// TestCorpusFeedInto streams each corpus fixture's merged trail through
+// two monitors on each engine, one feeding every entry into a single
+// reused Verdict and one through FeedContext, and requires equal
+// verdicts entry by entry.
+func TestCorpusFeedInto(t *testing.T) {
+	eachCorpusFixture(t, func(t *testing.T, cc *corpusCase) {
+		for _, eng := range engines {
+			into, fresh := core.NewMonitor(cc.checker(eng.compiled)), core.NewMonitor(cc.checker(eng.compiled))
+			var v core.Verdict
+			entries := cc.all.Entries()
+			for i := range entries {
+				if err := into.FeedInto(context.Background(), &entries[i], &v); err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.FeedContext(context.Background(), entries[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(&v, want) {
+					t.Fatalf("%s, entry %d (case %s): FeedInto gives\n %+v\nFeedContext gives\n %+v", eng.name, i, entries[i].Case, v, *want)
+				}
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
@@ -76,7 +77,11 @@ type shard struct {
 	// (walSafeLSN) to keep those records replayable at next boot.
 	lastFedLSN atomic.Uint64
 
-	mon     *core.Monitor
+	mon *core.Monitor
+	// verdict receives every feed's verdict (core.Monitor.FeedInto),
+	// so feeding allocates none. Like mon it belongs to whichever single
+	// goroutine feeds the shard: boot replay, then the worker.
+	verdict core.Verdict
 	metrics *metrics
 	log     *slog.Logger
 	// sink receives the shard's pipeline events (sink.go).
@@ -479,7 +484,7 @@ func (sh *shard) feed(e *audit.Entry, lsn uint64) {
 	if sh.panicHook != nil {
 		sh.panicHook(e)
 	}
-	v, err := sh.mon.Feed(*e)
+	err := sh.mon.FeedInto(context.Background(), e, &sh.verdict)
 	if lsn > 0 {
 		// Stored only after Feed returns: an entry that panics mid-feed
 		// stays ABOVE the truncation clamp (walSafeLSN), so the WAL
@@ -496,8 +501,8 @@ func (sh *shard) feed(e *audit.Entry, lsn uint64) {
 			"trace_id", traceField(sh.fed.Span.Context()))
 		return
 	}
-	sh.metrics.countEngine(v.Engine)
-	if ev := sh.applyVerdict(e, v, lsn); ev.Kind != "" {
+	sh.metrics.countEngine(sh.verdict.Engine)
+	if ev := sh.applyVerdict(e, &sh.verdict, lsn); ev.Kind != "" {
 		sh.sink.emit(ev)
 	}
 }
