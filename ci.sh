@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: lint (gofmt, go vet, staticcheck when available), full
 # build, race-enabled tests (the chaos suite in internal/faultinject
-# runs under -race here), a fuzz smoke over the ingestion surface and
+# runs under -race here), the audit decoder's tests built for 386 on
+# amd64 hosts, a fuzz smoke over the ingestion surface and
 # the COWS parser (each fast decoder held to its reference) plus the
 # compiled-vs-interpreted differential target and the ledger's batch
 # multiproofs held to per-entry paths, a coverage ratchet
@@ -744,6 +745,16 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+# The audit scanner tests its string bodies eight bytes at a time in a
+# uint64; on 386 that is two machine words, so its tests run there too.
+# An amd64 host runs 386 binaries natively (macOS no longer does).
+echo "== go test ./internal/audit (GOARCH=386) =="
+if [ "$(go env GOHOSTARCH)" = amd64 ] && [ "$(go env GOHOSTOS)" != darwin ]; then
+	GOARCH=386 go test ./internal/audit
+else
+	echo "skipping: 386 tests need a non-macOS amd64 host, this is $(go env GOHOSTOS)/$(go env GOHOSTARCH)"
+fi
 
 echo "== chaos test -race =="
 go test -race -run TestChaosPipeline ./internal/faultinject/

@@ -326,6 +326,9 @@ func FuzzDecodeEntry(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	for _, tc := range kernelCases() {
+		f.Add([]byte(tc.line))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		want, wantErr := DecodeEntryJSON(raw)
 		sc := NewEntryScanner(nil, DecodeOptions{})
@@ -393,6 +396,9 @@ func FuzzDecodeJSONLStream(f *testing.F) {
 		"{\"status\":\"success\"}\u00a0\n\u2028{\"status\":\"success\"}\n\u00a0\n",
 	} {
 		f.Add([]byte(s))
+	}
+	for _, tc := range kernelCases() {
+		f.Add([]byte(tc.line + "\n" + tc.line))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, opts := range []DecodeOptions{{}, {Lenient: true}} {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 
 	"repro/internal/policy"
@@ -14,19 +15,25 @@ import (
 // EntryScanner is the raw-speed NDJSON ingestion path: it streams one
 // Entry per line without allocating on clean input. The hot loop never
 // touches encoding/json: it is a byte-level parse of the known wire
-// shape (see jsonEntry), built on four claim rules, each of which
-// yields exactly the Entry entryFromJSON would:
+// shape (see jsonEntry) that reads each byte of a line once, built on
+// four claim rules, each of which yields exactly the Entry entryFromJSON
+// would:
 //
-//   - Clean lines only. One pass, eight bytes at a time, rejects any
-//     line holding a backslash, a byte below 0x20 or a byte at or above
-//     0x80. On what remains every string is literal ASCII (no escape,
-//     control byte or UTF-8 sequence for encoding/json to rewrite), the
-//     only whitespace is the space, and a value ends at its next quote.
+//   - Checked bytes. Every byte the parser consumes is either matched
+//     as a literal (braces, commas, colons, quotes, keys, and spaces,
+//     the only whitespace it skips) or read by a string scan that
+//     stops at the first backslash, byte below 0x20 or byte at or
+//     above 0x80, eight bytes at a time. Such a byte unclaims the
+//     line, so every string it claims is literal ASCII (no escape,
+//     control byte or UTF-8 sequence for encoding/json to rewrite) and
+//     ends at its next quote.
 //   - Predicted keys. Lines follow AppendJSONL's key order, so after
 //     each field the parser compares the bytes at the cursor with the
-//     next key's literal ("role": after "user":, and so on). A hit is
-//     the exact key; on a miss the key is scanned and looked up, so
-//     lines in another order or with spaces still take this parser.
+//     next key's `"key":"` (`"role":"` after "user", and so on) as one
+//     8-byte word, plus a 2-byte tail for the 10-byte ones. A hit is
+//     the exact key and the value's opening quote; on a miss the key is
+//     scanned and looked up, so lines in another order or with spaces
+//     still take this parser.
 //   - Field memos. Consecutive lines mostly repeat user, role, case and
 //     object, so each string field is first compared with the same
 //     field's previous value and reuses it; then an intern table shares
@@ -39,12 +46,14 @@ import (
 //     UnmarshalJSON itself.
 //
 // Any structural surprise (escape sequences, non-ASCII bytes, unknown
-// value shapes, tabs) makes the line fall back to entryFromJSON, the
-// exact decoder the slow path uses. A line the fast parser accepts
-// decodes to the same Entry the slow path would produce, and a line it
-// cannot handle is judged (accepted, rejected, or quarantined) by the
-// slow decoder itself, so strict errors and lenient quarantine records
-// are byte-identical to DecodeJSONLEntries' historical behavior.
+// value shapes, tabs, a missing status) makes the line fall back to
+// entryFromJSON, the exact decoder the slow path uses. A line the fast
+// parser accepts decodes to the same Entry the slow path would produce,
+// and a line it cannot handle is judged (accepted, rejected, or
+// quarantined) by the slow decoder itself, so strict errors and lenient
+// quarantine records are byte-identical to DecodeJSONLEntries'
+// historical behavior. The same parser serves DecodeJSONLEntries, the
+// offline path, and auditd's pooled request scanners.
 type EntryScanner struct {
 	r   io.Reader
 	buf []byte
@@ -98,11 +107,8 @@ const (
 	numFields
 )
 
-// fieldKeys are the key literals AppendJSONL writes, colon included.
-var fieldKeys = [numFields]string{
-	`"user":`, `"role":`, `"action":`, `"object":`,
-	`"task":`, `"case":`, `"time":`, `"status":`,
-}
+// fieldNames are the wire keys, in field order.
+var fieldNames = [numFields]string{"user", "role", "action", "object", "task", "case", "time", "status"}
 
 // NewEntryScanner returns a scanner reading NDJSON entries from r.
 func NewEntryScanner(r io.Reader, opts DecodeOptions) *EntryScanner {
@@ -186,11 +192,11 @@ func (s *EntryScanner) scanInto(dst *Entry) bool {
 			return false
 		}
 		s.line++
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
 		if s.parseFast(raw, dst) {
 			return true
+		}
+		if len(bytes.TrimSpace(raw)) == 0 {
+			continue // a blank line is never claimed
 		}
 		// Escape hatch: defer the verdict on this line to the exact
 		// decoder the slow path uses, so accepted entries, strict
@@ -290,109 +296,77 @@ func dropCR(line []byte) []byte {
 	return line
 }
 
-// cleanLine reports whether b holds only the bytes 0x20–0x7F other than
-// the backslash, testing eight bytes per step. In each 8-byte word the
-// high bit of a byte lane is set by x itself for bytes ≥ 0x80, by
-// x-0x20 for bytes < 0x20, and by (x^0x5C)-1 for the backslash; on a
-// clean word no lane borrows, so no high bit is set.
-func cleanLine(b []byte) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		x := binary.LittleEndian.Uint64(b[i:])
-		if (x|(x-0x20*ones)|((x^'\\'*ones)-ones))&highs != 0 {
-			return false
-		}
-	}
-	for ; i < len(b); i++ {
-		if c := b[i]; c < 0x20 || c >= 0x80 || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
 // parseFast decodes one line into dst without allocating, under the
 // claim rules of EntryScanner. false means "not claimed": the caller
 // falls back to the slow decoder, whose verdict (entry or error) then
-// stands, and dst may hold a partial decode. The line is not trimmed:
-// the clean check must see every byte, since bytes.TrimSpace would drop
-// Unicode spaces that encoding/json rejects.
+// stands, and dst may hold a partial decode. The line is not trimmed,
+// since bytes.TrimSpace would drop Unicode spaces that encoding/json
+// rejects: every byte is either matched as a literal or checked by a
+// string scan.
 func (s *EntryScanner) parseFast(b []byte, dst *Entry) bool {
-	if !cleanLine(b) {
-		return false
-	}
 	p := lineParser{b: b}
 	p.ws()
 	if !p.eat('{') {
 		return false
 	}
+	// A line without a status is not claimed (see below), so "{}"
+	// needs no case of its own.
 	var seen uint32
-	p.ws()
-	if !p.eat('}') {
-		next := fieldUser
-		for {
-			p.ws()
-			f, ok := p.key(next)
-			if !ok {
-				return false
-			}
-			p.ws()
-			val, ok := p.str()
-			if !ok {
-				// Known fields are always strings on the wire; a
-				// non-string value for an unknown key would need a full
-				// JSON skip. Either way, the slow path decides.
-				return false
-			}
-			switch f {
-			case fieldUser:
-				dst.User = s.memo(fieldUser, val)
-			case fieldRole:
-				dst.Role = s.memo(fieldRole, val)
-			case fieldAction:
-				dst.Action = s.memo(fieldAction, val)
-			case fieldTask:
-				dst.Task = s.memo(fieldTask, val)
-			case fieldCase:
-				dst.Case = s.memo(fieldCase, val)
-			case fieldObject:
-				if len(val) == 0 {
-					dst.Object = policy.Object{}
-				} else if dst.Object, ok = s.objectFor(val); !ok {
-					return false
-				}
-			case fieldTime:
-				// The token, quotes included, is what UnmarshalJSON
-				// reads.
-				if dst.Time, ok = s.timeFor(p.b[p.i-len(val)-2 : p.i]); !ok {
-					return false
-				}
-			case fieldStatus:
-				switch string(val) {
-				case "success":
-					dst.Status = Success
-				case "failure":
-					dst.Status = Failure
-				default:
-					// Mixed-case forms ("Success") are legal via
-					// ParseStatus; let the slow path produce them.
-					return false
-				}
-			}
-			if f >= 0 {
-				seen |= 1 << f
-				next = f + 1
-			}
-			p.ws()
-			if p.eat(',') {
-				continue
-			}
-			if p.eat('}') {
-				break
-			}
+	for next := fieldUser; ; {
+		f, ok := p.key(next)
+		if !ok {
 			return false
 		}
+		val, ok := p.body()
+		if !ok {
+			return false
+		}
+		switch f {
+		case fieldUser:
+			dst.User = s.memo(fieldUser, val)
+		case fieldRole:
+			dst.Role = s.memo(fieldRole, val)
+		case fieldAction:
+			dst.Action = s.memo(fieldAction, val)
+		case fieldTask:
+			dst.Task = s.memo(fieldTask, val)
+		case fieldCase:
+			dst.Case = s.memo(fieldCase, val)
+		case fieldObject:
+			if len(val) == 0 {
+				dst.Object = policy.Object{}
+			} else if dst.Object, ok = s.objectFor(val); !ok {
+				return false
+			}
+		case fieldTime:
+			// The token, quotes included, is what UnmarshalJSON reads.
+			if dst.Time, ok = s.timeFor(p.b[p.i-len(val)-2 : p.i]); !ok {
+				return false
+			}
+		case fieldStatus:
+			switch string(val) {
+			case "success":
+				dst.Status = Success
+			case "failure":
+				dst.Status = Failure
+			default:
+				// Mixed-case forms ("Success") are legal via
+				// ParseStatus; let the slow path produce them.
+				return false
+			}
+		}
+		if f >= 0 {
+			seen |= 1 << f
+			next = f + 1
+		}
+		p.ws()
+		if p.eat(',') {
+			continue
+		}
+		if !p.eat('}') {
+			return false
+		}
+		break
 	}
 	p.ws()
 	if p.i != len(p.b) {
@@ -435,7 +409,7 @@ func zeroMissing(dst *Entry, seen uint32) {
 
 // knownKeyFold reports whether key names a wire field in another case.
 func knownKeyFold(key []byte) bool {
-	for _, k := range [...]string{"user", "role", "action", "object", "task", "case", "time", "status"} {
+	for _, k := range fieldNames {
 		if len(key) == len(k) && bytes.EqualFold(key, []byte(k)) {
 			return true
 		}
@@ -541,13 +515,14 @@ func twoDigits(a, b byte) (int64, bool) {
 	return int64(a-'0')*10 + int64(b-'0'), true
 }
 
-// lineParser is a zero-copy cursor over one clean line (see cleanLine).
+// lineParser is a zero-copy cursor over one line.
 type lineParser struct {
 	b []byte
 	i int
 }
 
-// ws skips whitespace; on a clean line only the space can occur.
+// ws skips spaces. encoding/json also skips tabs, CR and LF; a line
+// holding one where the parser looks for a token is not claimed.
 func (p *lineParser) ws() {
 	for p.i < len(p.b) && p.b[p.i] == ' ' {
 		p.i++
@@ -562,21 +537,27 @@ func (p *lineParser) eat(c byte) bool {
 	return false
 }
 
-// key consumes an object key and the colon after it, and returns its
-// field, or -1 for a key encoding/json would ignore. It first tries
-// the literal of the predicted field next (or, after "action", of
-// "task", since AppendJSONL omits an empty object); only on a miss is
-// the key scanned and looked up. ok=false: malformed, or a known key
-// in another case, which encoding/json matches case-insensitively and
-// the slow path decodes.
+// key consumes an object key, the colon after it and the opening quote
+// of its value, and returns its field, or -1 for a key encoding/json
+// would ignore. It first matches the predicted field's `"key":"` (or,
+// after "action", task's, since AppendJSONL omits an empty object) as
+// one word; only on a miss is the key scanned and looked up. ok=false:
+// malformed, a value that is not a string (known fields are always
+// strings on the wire; any other value would need a full JSON skip), or
+// a known key in another case, which encoding/json matches
+// case-insensitively and the slow path decodes.
 func (p *lineParser) key(next int) (f int, ok bool) {
-	if next < numFields && p.lit(fieldKeys[next]) {
+	if next < numFields && p.word(next) {
 		return next, true
 	}
-	if next == fieldObject && p.lit(fieldKeys[fieldTask]) {
+	if next == fieldObject && p.word(fieldTask) {
 		return fieldTask, true
 	}
-	k, ok := p.str()
+	p.ws()
+	if !p.eat('"') {
+		return 0, false
+	}
+	k, ok := p.body()
 	if !ok {
 		return 0, false
 	}
@@ -584,8 +565,12 @@ func (p *lineParser) key(next int) (f int, ok bool) {
 	if !p.eat(':') {
 		return 0, false
 	}
-	for f, lit := range fieldKeys {
-		if string(k) == lit[1:len(lit)-2] {
+	p.ws()
+	if !p.eat('"') {
+		return 0, false
+	}
+	for f, name := range fieldNames {
+		if string(k) == name {
 			return f, true
 		}
 	}
@@ -595,26 +580,70 @@ func (p *lineParser) key(next int) (f int, ok bool) {
 	return -1, true
 }
 
-// lit consumes s if the input continues with it.
-func (p *lineParser) lit(s string) bool {
-	if len(p.b)-p.i >= len(s) && string(p.b[p.i:p.i+len(s)]) == s {
-		p.i += len(s)
-		return true
-	}
-	return false
+// keyWord is a field's `"key":"` literal as little-endian words: its
+// first eight bytes, and for a ten-byte literal the last two.
+type keyWord struct {
+	head uint64
+	tail uint16
+	n    int
 }
 
-// str scans a JSON string and returns its content. On a clean line a
-// string holds no escape, so it ends at the next quote.
-func (p *lineParser) str() ([]byte, bool) {
-	if p.i >= len(p.b) || p.b[p.i] != '"' {
+// keyWords holds each field's literal, in field order.
+var keyWords = func() (w [numFields]keyWord) {
+	for f, name := range fieldNames {
+		var lit [16]byte
+		n := copy(lit[:], `"`+name+`":"`)
+		w[f] = keyWord{binary.LittleEndian.Uint64(lit[:]), binary.LittleEndian.Uint16(lit[8:]), n}
+	}
+	return w
+}()
+
+// word consumes field f's `"key":"` if the input continues with it.
+func (p *lineParser) word(f int) bool {
+	k := &keyWords[f]
+	if len(p.b)-p.i < k.n || binary.LittleEndian.Uint64(p.b[p.i:]) != k.head ||
+		k.n > 8 && binary.LittleEndian.Uint16(p.b[p.i+8:]) != k.tail {
+		return false
+	}
+	p.i += k.n
+	return true
+}
+
+// body scans a string body from the cursor, which is just past its
+// opening quote, and returns it with the cursor past the closing quote.
+// It claims only literal ASCII: ok=false when a backslash, a byte below
+// 0x20 or a byte at or above 0x80 comes before the closing quote (or
+// no quote does), since encoding/json would rewrite or reject it. It
+// tests eight bytes per step. In each word the high bit of a byte lane
+// is set by x-0x20 for bytes below 0x20 and at or above 0xA0, and by
+// (x^c)-1 for the byte c (the quote, the backslash) and for every byte
+// at or above 0x80 but the one that x^c maps to 0x80, which the other
+// terms flag. A lane only borrows from the one above it when it is
+// flagged itself, so the lowest flagged lane is exact even where lanes
+// above it are flagged falsely.
+func (p *lineParser) body() ([]byte, bool) {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	start, i := p.i, p.i
+	for ; i+8 <= len(p.b); i += 8 {
+		x := binary.LittleEndian.Uint64(p.b[i:])
+		if m := ((x - 0x20*ones) | ((x ^ '"'*ones) - ones) | ((x ^ '\\'*ones) - ones)) & highs; m != 0 {
+			i += bits.TrailingZeros64(m) / 8
+			return p.close(start, i)
+		}
+	}
+	for ; i < len(p.b); i++ {
+		if c := p.b[i]; c == '"' || c < 0x20 || c >= 0x80 || c == '\\' {
+			break
+		}
+	}
+	return p.close(start, i)
+}
+
+// close ends the string body b[start:i] if b[i] is its closing quote.
+func (p *lineParser) close(start, i int) ([]byte, bool) {
+	if i >= len(p.b) || p.b[i] != '"' {
 		return nil, false
 	}
-	n := bytes.IndexByte(p.b[p.i+1:], '"')
-	if n < 0 {
-		return nil, false
-	}
-	val := p.b[p.i+1 : p.i+1+n]
-	p.i += n + 2
-	return val, true
+	p.i = i + 1
+	return p.b[start:i], true
 }

@@ -427,6 +427,7 @@ func TestStateTamperRefusesLoad(t *testing.T) {
 			st.Batches[2].Root.Sig = string(sig)
 		}, "signature invalid"},
 		{"long signature", func(st *State) { st.Batches[2].Root.Sig += "00" }, "signature invalid"},
+		{"another batch's signature", func(st *State) { st.Batches[2].Root.Sig = st.Batches[1].Root.Sig }, "signature invalid"},
 		{"leaf count", func(st *State) { st.Batches[2].Root.Leaves = 2 }, "bytes past its 2 leaves"},
 		{"version 1 entries", func(st *State) { st.Batches[0].Entries = exportV1(t, l).Batches[0].Entries }, "carries version 1 entries"},
 		{"unknown version", func(st *State) { st.Version = 3 }, "unsupported state version 3"},

@@ -115,12 +115,14 @@ func processCPU(t *testing.T) time.Duration {
 // TestIngestAllocs bounds the heap allocations of durable ingest: a
 // warm 256-line NDJSON ?wait=1 POST through Server.Handler(), with the
 // interval-fsync WAL, a batch-64 ledger and a compiled checker, makes
-// fewer than half an allocation per entry, counted across every
-// goroutine the request wakes (handler, shard workers, WAL, ledger).
-// The entry itself is never a heap object of its own: not per fed
-// entry, not per ledger leaf, and the request scanner is pooled; each
-// shard feeds into one Verdict it owns, and the ledger's case index
-// grows no per-case slice.
+// fewer than 0.35 allocations per entry (it reads 0.30; under -race,
+// where sync.Pool drops values at random, it reads 0.36–0.45 and the
+// bound is 0.5), counted across every goroutine the request wakes
+// (handler, shard workers, WAL, ledger). The entry itself is never a
+// heap object of its own: not per fed entry, not per ledger leaf, and
+// the request scanner is pooled; each shard feeds into one Verdict it
+// owns, the ledger's case index grows no per-case slice, and a sealed
+// batch renders its four hex fields as one string.
 func TestIngestAllocs(t *testing.T) {
 	const body, warm, runs = 256, 8, 16
 	sc := hospitalScenario(t)
@@ -162,8 +164,12 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	perEntry := testing.AllocsPerRun(runs, postBody) / body
 	t.Logf("%.2f allocations per entry", perEntry)
-	if perEntry >= 0.5 {
-		t.Errorf("durable ingest allocates %.2f times per entry, want < 0.5", perEntry)
+	bound := 0.35
+	if raceEnabled {
+		bound = 0.5
+	}
+	if perEntry >= bound {
+		t.Errorf("durable ingest allocates %.2f times per entry, want < %.2f", perEntry, bound)
 	}
 }
 

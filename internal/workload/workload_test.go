@@ -315,3 +315,68 @@ func TestGeneratedProcessesJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestWideTrailTakesFastPath checks that every line the wide-audit
+// generator writes (a 50-task process, 1200 simulated cases, and every
+// violation kind injected into a share of them) is claimed by the
+// scanner's fast parser, so the offline decode never pays the
+// encoding/json fallback on this shape, and that the lines decode back
+// to the entries written.
+func TestWideTrailTakesFastPath(t *testing.T) {
+	proc, err := Generate(DefaultProcParams("Wide", 7, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := core.NewRegistry()
+	if _, err := reg.Register(proc, "WA"); err != nil {
+		t.Fatal(err)
+	}
+	trail, err := NewSimulator(reg, DefaultTrailParams(1, 1200, "WA")).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(1)
+	var entries []audit.Entry
+	var group []audit.Entry
+	groups, injected := 0, 0
+	flush := func() {
+		if groups%10 == 9 {
+			if mut, ok := inj.Inject(ViolationKind(groups/10%int(NumViolationKinds)), group); ok {
+				group = mut
+				injected++
+			}
+		}
+		entries = append(entries, group...)
+		group = group[:0]
+		groups++
+	}
+	for _, e := range trail.View() {
+		if len(group) > 0 && e.Case != group[0].Case {
+			flush()
+		}
+		group = append(group, e)
+	}
+	flush()
+	if injected < int(NumViolationKinds) {
+		t.Fatalf("injected %d violations into %d cases", injected, groups)
+	}
+	var buf bytes.Buffer
+	for _, e := range entries {
+		if err := audit.AppendJSONL(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := audit.NewEntryScanner(&buf, audit.DecodeOptions{})
+	n := 0
+	for ; sc.Scan(); n++ {
+		if got, want := sc.Entry(), &entries[n]; got.String() != want.String() || !got.Time.Equal(want.Time) {
+			t.Fatalf("line %d decodes to %v, written %v", n+1, got, want)
+		}
+	}
+	if err := sc.Err(); err != nil || n != len(entries) {
+		t.Fatalf("scanned %d of %d lines: %v", n, len(entries), err)
+	}
+	if sc.Fallbacks() != 0 {
+		t.Errorf("%d of %d wide-audit lines fell back to encoding/json", sc.Fallbacks(), n)
+	}
+}
