@@ -358,6 +358,10 @@ proofs_smoke() {
 # twice. The ledger rides along: the crashed-and-rebuilt run must sign
 # a root chain and serve proof bundles byte-identical to the
 # uninterrupted control's, and its proofs must still verify offline.
+# A second sequence starts from a checkpoint: SIGTERM after a prefix
+# (final checkpoint plus ledger archive), a tail under -fsync always,
+# kill -9, reboot; the reboot must replay and decode exactly the tail
+# and end on the control's root chain and proof bundles.
 crash_smoke() {
 	echo "== crash-recovery smoke (WAL + ledger, kill -9) =="
 	SMOKE_TMP=$(mktemp -d)
@@ -561,7 +565,70 @@ crash_smoke() {
 		exit 1
 	}
 
-	echo "crash smoke OK ($half acknowledged entries survived kill -9, $v violations, verdicts identical, root chains and proof bundles byte-identical)"
+	# Checkpoint, then a WAL tail (perfbench's auditor-queries shape): a
+	# SIGTERM writes the final checkpoint and the ledger archive beside
+	# it; a reboot under -fsync always takes a tail and is killed; the
+	# next boot restores the archive and replays exactly the tail. The
+	# prefix is a whole number of 4-leaf batches, so the shutdown's
+	# ledger cut seals nothing early and the chain stays comparable.
+	prefix=12
+	tail_n=8
+	head -n "$prefix" "$SMOKE_TMP/trail.ndjson" >"$SMOKE_TMP/prefix.ndjson"
+	tail -n +"$((prefix + 1))" "$SMOKE_TMP/trail.ndjson" | head -n "$tail_n" >"$SMOKE_TMP/tail.ndjson"
+	tail -n +"$((prefix + tail_n + 1))" "$SMOKE_TMP/trail.ndjson" >"$SMOKE_TMP/rest.ndjson"
+	ckpt_flags="-checkpoint $SMOKE_TMP/ckpt-ckpt.json -wal-dir $SMOKE_TMP/ckpt-wal $ledger_flags"
+	# shellcheck disable=SC2086
+	crash_boot ckpt1 $ckpt_flags
+	curl -sf --data-binary @"$SMOKE_TMP/prefix.ndjson" \
+		"http://$addr/v1/events?wait=1" >/dev/null
+	kill -TERM "$SMOKE_PID"
+	wait "$SMOKE_PID" || {
+		echo "auditd exited non-zero on SIGTERM; log:" >&2
+		cat "$SMOKE_TMP/ckpt1.log" >&2
+		exit 1
+	}
+	SMOKE_PID=""
+	if [ ! -s "$SMOKE_TMP/ckpt-ckpt.json" ] || [ ! -s "$SMOKE_TMP/ckpt-ckpt.json.ledger" ]; then
+		echo "SIGTERM left no checkpoint and ledger archive" >&2
+		exit 1
+	fi
+	# shellcheck disable=SC2086
+	crash_boot ckpt2 $ckpt_flags -fsync always
+	curl -sf --data-binary @"$SMOKE_TMP/tail.ndjson" \
+		"http://$addr/v1/events?wait=1" >/dev/null
+	kill -9 "$SMOKE_PID"
+	wait "$SMOKE_PID" 2>/dev/null || true
+	SMOKE_PID=""
+	# shellcheck disable=SC2086
+	crash_boot ckpt3 $ckpt_flags
+	curl -sf "http://$addr/metrics" >"$SMOKE_TMP/ckpt-metrics.txt"
+	grep -q "^auditd_wal_replayed_total $tail_n$" "$SMOKE_TMP/ckpt-metrics.txt" &&
+		grep -q "^auditd_wal_replay_decoded_total $tail_n$" "$SMOKE_TMP/ckpt-metrics.txt" || {
+		echo "reboot from the checkpoint did not replay (and decode) exactly the $tail_n-entry tail:" >&2
+		grep ^auditd_wal "$SMOKE_TMP/ckpt-metrics.txt" >&2
+		exit 1
+	}
+	curl -sf --data-binary @"$SMOKE_TMP/rest.ndjson" \
+		"http://$addr/v1/events?wait=1" >/dev/null
+	curl -sf "http://$addr/v1/roots" >"$SMOKE_TMP/ckpt-roots.json"
+	fetch_proofs ckpt
+	kill -TERM "$SMOKE_PID"
+	wait "$SMOKE_PID" || {
+		echo "auditd rebooted from the checkpoint exited non-zero; log:" >&2
+		cat "$SMOKE_TMP/ckpt3.log" >&2
+		exit 1
+	}
+	SMOKE_PID=""
+	diff -u "$SMOKE_TMP/control-roots.json" "$SMOKE_TMP/ckpt-roots.json" || {
+		echo "root chain after checkpoint + kill -9 tail diverges from the uninterrupted run" >&2
+		exit 1
+	}
+	diff -ru "$SMOKE_TMP/control-proofs" "$SMOKE_TMP/ckpt-proofs" || {
+		echo "proof bundles after checkpoint + kill -9 tail diverge from the uninterrupted run" >&2
+		exit 1
+	}
+
+	echo "crash smoke OK ($half acknowledged entries survived kill -9, $v violations, verdicts identical, root chains and proof bundles byte-identical; from a checkpoint, the $tail_n-entry tail alone replayed)"
 	rm -rf "$SMOKE_TMP"
 	SMOKE_TMP=""
 }
@@ -669,9 +736,10 @@ benchguard() {
 # share the scanner's memos), the COWS parser and lexer round-trip,
 # the COWS step engine (selective unfolding) and canonicalizer match
 # their eager reference implementations, the compiled engine matches
-# the interpreter, ledger multiproofs match per-entry paths, and a
+# the interpreter, ledger multiproofs match per-entry paths, a
 # checkpointed batch's canonical bytes either refuse to load or load
-# and re-export byte-identically.
+# and re-export byte-identically, and so does an arbitrary ledger
+# archive under an arbitrary checkpoint reference.
 fuzz() {
 	echo "== fuzz smoke (${FUZZ_TIME} per target) =="
 	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry FuzzDecodeJSONLStream; do
@@ -681,7 +749,7 @@ fuzz() {
 		go test ./internal/cows/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
 	go test ./internal/core/ -run '^$' -fuzz '^FuzzCompiledReplay$' -fuzztime "$FUZZ_TIME"
-	for target in FuzzMultiProof FuzzLedgerStateCanon; do
+	for target in FuzzMultiProof FuzzLedgerStateCanon FuzzLedgerArchive; do
 		go test ./internal/ledger/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
 }

@@ -51,12 +51,19 @@ func BenchmarkLedgerAppend(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*appendChunk), "ns/entry")
 }
 
-// BenchmarkLedgerLoadState times a recovery boot's ledger half: the
-// JSON decode of a 40,000-entry state (batch 64, 4,000 cases) and
-// LoadState into a fresh ledger, every check included.
+// BenchmarkLedgerLoadState times a recovery boot's ledger half for a
+// 40,000-entry ledger (batch 64, 4,000 cases): reading the archive
+// prefix a checkpoint references (archive), or the JSON decode of the
+// version 2 state older checkpoints inline (json-v2), and LoadState
+// into a fresh ledger, every check included.
 func BenchmarkLedgerLoadState(b *testing.B) {
 	const entries = 40000
-	st, err := stateLedger(b, entries, entries/10, DefaultBatch).ExportState()
+	l := stateLedger(b, entries, entries/10, DefaultBatch)
+	archive, ref, _, err := l.AppendArchive(nil, ArchiveRef{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := l.ExportState()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,21 +71,34 @@ func BenchmarkLedgerLoadState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var back State
-		if err := json.Unmarshal(data, &back); err != nil {
-			b.Fatal(err)
-		}
-		l, err := New(Options{Key: testKey(b)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := l.LoadState(&back); err != nil {
-			b.Fatal(err)
-		}
+	for _, form := range []struct {
+		name  string
+		bytes int
+		read  func() (*State, error)
+	}{
+		{"archive", len(archive), func() (*State, error) { return ReadArchive(archive, ref) }},
+		{"json-v2", len(data), func() (*State, error) {
+			var back State
+			return &back, json.Unmarshal(data, &back)
+		}},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			b.SetBytes(int64(form.bytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				back, err := form.read()
+				if err != nil {
+					b.Fatal(err)
+				}
+				l, err := New(Options{Key: testKey(b)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := l.LoadState(back); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 }

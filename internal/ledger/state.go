@@ -8,7 +8,10 @@ package ledger
 // signatures, so a tampered checkpoint refuses to restore instead of
 // silently re-serving edited history. Open leaves are deliberately
 // absent: they rebuild from WAL replay (the server clamps WAL
-// truncation to the last checkpointed sealed LSN).
+// truncation to the last checkpointed sealed LSN). At rest the batches
+// live in the ledger archive (archive.go), which ReadArchive turns back
+// into this state; checkpoints written before the archive carry the
+// state itself, as version 1 or 2 JSON, and still load.
 
 import (
 	"bytes"

@@ -20,7 +20,11 @@ import (
 // atomic rename, so a crash never leaves a torn file. On Start the
 // file is read back and the cases are re-split across shards by case
 // hash, which also makes the shard count a restart-time knob: a
-// 4-shard snapshot restores cleanly into 16 shards.
+// 4-shard snapshot restores cleanly into 16 shards. The ledger's
+// sealed batches are not in the file: each is appended once to the
+// ledger archive beside it (CheckpointPath + ".ledger"), fsynced
+// before the checkpoint that references its prefix is renamed into
+// place, so a checkpoint costs O(new batches) however long the ledger.
 //
 // Consistency: a running checkpoint asks every shard for a dump
 // through its own queue, so each shard's cut reflects exactly the
@@ -39,10 +43,16 @@ type checkpointFile struct {
 	// /v1/quarantine survives restarts.
 	QuarantineTotal int64              `json:"quarantine_total,omitempty"`
 	Quarantine      []QuarantineRecord `json:"quarantine,omitempty"`
-	// Ledger persists the sealed batches (open leaves rebuild from WAL
-	// replay — see walSafeLSN for the truncation clamp that keeps them
-	// replayable).
-	Ledger *ledger.State `json:"ledger,omitempty"`
+	// WALCut is the WAL LSN through which the checkpoint covers every
+	// record (walCut): boot replays from the record after it, and
+	// truncation may drop segments up to it. 0 for a partial
+	// checkpoint, which replays the whole log.
+	WALCut uint64 `json:"wal_cut,omitempty"`
+	// Ledger references the prefix of the ledger archive holding the
+	// sealed batches (a ledger.ArchiveRef, ledger state version 3;
+	// open leaves rebuild from WAL replay). Older builds stored the
+	// batches here as a version 1 or 2 ledger.State, which still loads.
+	Ledger json.RawMessage `json:"ledger,omitempty"`
 }
 
 const checkpointVersion = 1
@@ -96,30 +106,37 @@ func (s *Server) checkpointRunning() error {
 			return fmt.Errorf("server: shard %d dump panicked; checkpoint skipped", i)
 		}
 	}
-	if err := s.writeCheckpoint(dumps); err != nil {
+	// The cut is clamped so records a failed shard's drainer dropped —
+	// provably NOT in any dump despite sitting below the low-water
+	// mark — stay in the log for boot replay (walCut). It is taken
+	// after the dumps are collected: a shard that fails later can only
+	// be dropping records above lowWater, since anything at or below it
+	// was fed before the dump this checkpoint persists.
+	cut, err := s.writeCheckpoint(dumps, lowWater)
+	if err != nil {
 		return err
 	}
-	// Clamped so records a failed shard's drainer dropped — provably
-	// NOT in any dump despite sitting below the low-water mark — stay
-	// in the log for boot replay (walSafeLSN). Checked after the dumps
-	// are collected: a shard that fails later can only be dropping
-	// records above lowWater, since anything at or below it was fed
-	// before the dump this checkpoint just persisted.
-	s.truncateWAL(s.walSafeLSN(lowWater))
+	s.truncateWAL(cut)
 	return nil
 }
 
 // checkpointFinal reads the monitors directly; only valid after the
-// shard workers have exited.
-func (s *Server) checkpointFinal() error {
+// shard workers have exited, when every logged record has been fed (or
+// dropped by a failed shard, which walCut accounts for). It returns
+// the checkpoint's WAL cut (0 without a checkpoint).
+func (s *Server) checkpointFinal() (uint64, error) {
 	if s.cfg.CheckpointPath == "" {
-		return nil
+		return 0, nil
 	}
 	dumps := make([]shardDump, len(s.shards))
 	for i, sh := range s.shards {
 		dumps[i] = sh.dump()
 	}
-	return s.writeCheckpoint(dumps)
+	var covered uint64
+	if s.wal != nil {
+		covered = s.wal.LastLSN()
+	}
+	return s.writeCheckpoint(dumps, covered)
 }
 
 // checkpointPartial is the drain-deadline checkpoint: direct dumps
@@ -164,12 +181,18 @@ func (s *Server) checkpointPartial(drained []*shard, stale map[int]bool) error {
 			dumps = append(dumps, d)
 		}
 	}
-	return s.writeCheckpoint(dumps)
+	// Cut 0: a straggler's unfed records sit anywhere in the log.
+	_, err := s.writeCheckpoint(dumps, 0)
+	return err
 }
 
 // writeCheckpoint merges the shard dumps and writes the file
-// atomically.
-func (s *Server) writeCheckpoint(dumps []shardDump) error {
+// atomically, after appending the batches sealed since the last
+// checkpoint to the ledger archive. covered is the highest WAL LSN
+// every dump reflects (0 for a partial checkpoint); the returned cut,
+// recorded in the file, is the LSN through which the WAL may be
+// truncated.
+func (s *Server) writeCheckpoint(dumps []shardDump, covered uint64) (uint64, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	start := time.Now()
@@ -191,38 +214,43 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 		QuarantineTotal: qtotal,
 		Quarantine:      recs,
 	}
+	var ref ledger.ArchiveRef
+	var sealed uint64
 	if s.ledger != nil {
-		st, err := s.ledger.ExportState()
-		if err != nil {
-			return fmt.Errorf("server: exporting ledger state: %w", err)
+		var err error
+		if ref, sealed, err = s.appendArchive(); err != nil {
+			return 0, err
 		}
-		file.Ledger = st
+		if file.Ledger, err = json.Marshal(ref); err != nil {
+			return 0, fmt.Errorf("server: encoding ledger archive reference: %w", err)
+		}
 	}
+	file.WALCut = s.walCut(covered, sealed)
 
 	dir := filepath.Dir(s.cfg.CheckpointPath)
 	tmp, err := os.CreateTemp(dir, ".auditd-ckpt-*")
 	if err != nil {
-		return fmt.Errorf("server: checkpoint temp file: %w", err)
+		return 0, fmt.Errorf("server: checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
 	if err := json.NewEncoder(tmp).Encode(&file); err != nil {
 		tmp.Close()
-		return fmt.Errorf("server: encoding checkpoint: %w", err)
+		return 0, fmt.Errorf("server: encoding checkpoint: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("server: syncing checkpoint: %w", err)
+		return 0, fmt.Errorf("server: syncing checkpoint: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("server: closing checkpoint: %w", err)
+		return 0, fmt.Errorf("server: closing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), s.cfg.CheckpointPath); err != nil {
-		return fmt.Errorf("server: publishing checkpoint: %w", err)
+		return 0, fmt.Errorf("server: publishing checkpoint: %w", err)
 	}
-	if file.Ledger != nil {
-		// Only now — with the state durably published — may truncation
-		// advance past these sealed leaves.
-		s.ledgerCkptLSN.Store(file.Ledger.LastLSN())
+	if s.ledger != nil {
+		// Only now, with the reference durably published, is this the
+		// archive prefix the next append extends.
+		s.archiveRef = ref
 	}
 
 	d := time.Since(start)
@@ -230,8 +258,45 @@ func (s *Server) writeCheckpoint(dumps []shardDump) error {
 	s.metrics.snapshots.Add(1)
 	s.metrics.lastSnapshotNano.Store(time.Now().UnixNano())
 	s.log.Info("checkpoint written", "path", s.cfg.CheckpointPath,
-		"cases", len(merged.Cases), "dur_ms", float64(d.Microseconds())/1000)
-	return nil
+		"cases", len(merged.Cases), "wal_cut", file.WALCut, "dur_ms", float64(d.Microseconds())/1000)
+	return file.WALCut, nil
+}
+
+// archivePath is the ledger archive's file, beside the checkpoint.
+func (s *Server) archivePath() string { return s.cfg.CheckpointPath + ".ledger" }
+
+// appendArchive appends the batches sealed since the last published
+// checkpoint to the ledger archive and fsyncs it, so the archive is
+// durable before the checkpoint referencing it is renamed into place.
+// It returns that reference and the last sealed LSN it covers. Bytes
+// past the published reference belong to a checkpoint that was never
+// published (a crash or failure between this fsync and the rename);
+// they are cut off before the append. Called under ckptMu.
+func (s *Server) appendArchive() (ledger.ArchiveRef, uint64, error) {
+	buf, ref, sealed, err := s.ledger.AppendArchive(nil, s.archiveRef)
+	if err != nil {
+		return ref, 0, fmt.Errorf("server: archiving ledger batches: %w", err)
+	}
+	if ref == s.archiveRef {
+		return ref, sealed, nil // nothing sealed since; the prefix is durable
+	}
+	// 0600 like the checkpoint (os.CreateTemp's mode): both hold
+	// acknowledged entries.
+	f, err := os.OpenFile(s.archivePath(), os.O_WRONLY|os.O_CREATE, 0o600)
+	if err != nil {
+		return ref, 0, fmt.Errorf("server: opening ledger archive: %w", err)
+	}
+	defer f.Close()
+	if err := f.Truncate(s.archiveRef.Bytes); err != nil {
+		return ref, 0, fmt.Errorf("server: cutting ledger archive to its checkpointed prefix: %w", err)
+	}
+	if _, err := f.WriteAt(buf, s.archiveRef.Bytes); err != nil {
+		return ref, 0, fmt.Errorf("server: appending to ledger archive: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return ref, 0, fmt.Errorf("server: syncing ledger archive: %w", err)
+	}
+	return ref, sealed, f.Close()
 }
 
 // mergeStates folds per-shard monitor states into one, re-indexing
@@ -332,16 +397,46 @@ func (s *Server) restore() error {
 	}
 	s.quar.load(file.QuarantineTotal, file.Quarantine)
 	if s.ledger != nil && file.Ledger != nil {
-		// LoadState re-derives every chain, root and signature and
-		// refuses a checkpoint that fails any of them: a tampered
-		// checkpoint cannot smuggle state into the ledger.
-		if err := s.ledger.LoadState(file.Ledger); err != nil {
+		if err := s.restoreLedger(file.Ledger); err != nil {
 			return fmt.Errorf("server: restoring ledger: %w", err)
 		}
-		s.ledgerCkptLSN.Store(file.Ledger.LastLSN())
 	}
+	s.walCutRestored = file.WALCut
 	s.metrics.lastSnapshotNano.Store(time.Unix(file.SavedUnix, 0).UnixNano())
 	s.log.Info("checkpoint restored", "path", s.cfg.CheckpointPath,
 		"cases", len(file.Views), "saved", time.Unix(file.SavedUnix, 0).Format(time.RFC3339))
 	return nil
+}
+
+// restoreLedger loads the checkpoint's sealed batches: the archive
+// prefix its reference names or, from an older build, the version 1
+// or 2 state stored in the file itself. LoadState re-derives every
+// chain, root and signature and refuses a state that fails any of
+// them: neither a tampered checkpoint nor a tampered archive can
+// smuggle history into the ledger.
+func (s *Server) restoreLedger(raw json.RawMessage) error {
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return err
+	}
+	var st *ledger.State
+	if v.Version == ledger.ArchiveVersion {
+		var ref ledger.ArchiveRef
+		if err := json.Unmarshal(raw, &ref); err != nil {
+			return err
+		}
+		data, err := os.ReadFile(s.archivePath())
+		if err != nil {
+			return fmt.Errorf("reading ledger archive: %w", err)
+		}
+		if st, err = ledger.ReadArchive(data, ref); err != nil {
+			return err
+		}
+		s.archiveRef = ref
+	} else if err := json.Unmarshal(raw, &st); err != nil {
+		return err
+	}
+	return s.ledger.LoadState(st)
 }

@@ -356,9 +356,9 @@ func TestLedgerCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("restored root chain differs\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if lsn := srv2.ledgerCkptLSN.Load(); lsn != srv2.ledger.LastSealedLSN() {
-		t.Errorf("ledgerCkptLSN %d, want %d (restore should trust the checkpointed boundary)",
-			lsn, srv2.ledger.LastSealedLSN())
+	// The next checkpoint appends to the archive prefix restored from.
+	if ref := srv2.archiveRef; ref.Batches != len(want) || ref.ChainHash != want[len(want)-1].ChainHash {
+		t.Errorf("restored archive reference %+v, want %d batches ending on %s", ref, len(want), want[len(want)-1].ChainHash)
 	}
 	if err := srv2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
@@ -366,12 +366,14 @@ func TestLedgerCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestLedgerTamperedCheckpointRefusesBoot edits a sealed entry inside
-// the checkpoint and requires Start to fail: the ledger re-derives
-// every chain and signature on restore, so a doctored checkpoint cannot
-// smuggle history past the signatures. The edit is made to the
-// version 2 canonical bytes the server writes and, with the ledger
-// state rewritten in the version 1 form (one JSON entry per leaf), to a
-// JSON entry; that version 1 checkpoint boots when left unedited.
+// a checkpoint whose ledger half is the JSON state older builds wrote,
+// and requires Start to fail: the ledger re-derives every chain and
+// signature on restore, so a doctored checkpoint cannot smuggle
+// history past the signatures. The edit is made to the version 2
+// canonical bytes and, with the state rewritten in the version 1 form
+// (one JSON entry per leaf), to a JSON entry; both forms boot when
+// left unedited. The archive form's faults are
+// TestLedgerArchiveFaultsRefuseBoot's.
 func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 	sc := hospitalScenario(t)
 	cfg := ledgerConfig(t, 2, 4)
@@ -391,20 +393,14 @@ func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// boot writes the checkpoint with its ledger state edited, and
-	// reports whether Start accepted it.
+	// boot writes the checkpoint with the archived batches inlined as
+	// an edited JSON ledger state, and reports whether Start accepted
+	// it.
 	boot := func(edit func(*ledger.State)) bool {
 		t.Helper()
-		var file map[string]json.RawMessage
-		if err := json.Unmarshal(data, &file); err != nil {
-			t.Fatal(err)
-		}
-		var st ledger.State
-		if err := json.Unmarshal(file["ledger"], &st); err != nil {
-			t.Fatalf("checkpoint has no ledger state: %v", err)
-		}
-		edit(&st)
-		raw, err := json.Marshal(&st)
+		file, st := checkpointArchive(t, cfg, data)
+		edit(st)
+		raw, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,6 +418,9 @@ func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 		}
 		srv.Crash()
 		return true
+	}
+	if !boot(func(st *ledger.State) {}) {
+		t.Fatal("Start refused the untampered version 2 checkpoint")
 	}
 	if !boot(func(st *ledger.State) { stateToV1(t, st) }) {
 		t.Fatal("Start refused the untampered version 1 checkpoint")

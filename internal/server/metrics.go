@@ -47,6 +47,7 @@ type metrics struct {
 	// Durability and supervision (PR 7).
 	walAppendErrors atomic.Int64 // WAL appends that failed (policy applied)
 	walReplayed     atomic.Int64 // records re-fed from the WAL at boot
+	walDecoded      atomic.Int64 // records decoded at boot, past the checkpoint's cut
 	walTruncated    atomic.Int64 // WAL segments removed past checkpoints
 	shardPanics     atomic.Int64 // shard worker panics recovered by the supervisor
 	shardsFailed    atomic.Int64 // shards whose restart budget is exhausted
@@ -302,6 +303,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		gauge(w, "auditd_wal_segments", "Live WAL segment files.", float64(segments))
 		gauge(w, "auditd_wal_bytes", "Total WAL bytes on disk.", float64(bytes))
 		counter(w, "auditd_wal_replayed_total", "Entries re-fed from the WAL at boot.", m.walReplayed.Load())
+		counter(w, "auditd_wal_replay_decoded_total", "WAL records decoded at boot, past the restored checkpoint's cut.", m.walDecoded.Load())
 		counter(w, "auditd_wal_truncated_segments_total", "WAL segments removed as covered by checkpoints.", m.walTruncated.Load())
 		counter(w, "auditd_wal_append_errors_total", "WAL appends that failed (failure policy applied).", m.walAppendErrors.Load())
 	}

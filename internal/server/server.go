@@ -175,11 +175,14 @@ type Server struct {
 	walFailed atomic.Bool
 
 	// ledger seals WAL-appended entries into signed Merkle roots (nil
-	// when LedgerKey is unset); ledgerCkptLSN is the last sealed LSN
-	// persisted by a successful checkpoint — the WAL truncation clamp
-	// that keeps unpersisted leaves replayable (wal.go, checkpoint.go).
-	ledger        *ledger.Ledger
-	ledgerCkptLSN atomic.Uint64
+	// when LedgerKey is unset). archiveRef is the ledger archive prefix
+	// the last published (or restored) checkpoint references; the next
+	// checkpoint appends past it (checkpoint.go, under ckptMu).
+	ledger     *ledger.Ledger
+	archiveRef ledger.ArchiveRef
+	// walCutRestored is the restored checkpoint's WAL cut: boot replay
+	// starts at the record after it.
+	walCutRestored uint64
 
 	// stages decides which batches carry a timing record (DESIGN.md
 	// §17).
@@ -332,17 +335,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.ledger.Cut()
 	}
 	// Monitors are safe to read directly.
-	if err := s.checkpointFinal(); err != nil {
+	cut, err := s.checkpointFinal()
+	if err != nil {
 		s.log.Error("final checkpoint failed", "err", err)
-		s.closeWAL(false)
+		s.closeWAL(0)
 		if s.ledger != nil {
 			s.ledger.Close()
 		}
 		return err
 	}
-	// Every acknowledged entry is now in the checkpoint; the WAL can
-	// shed its sealed history.
-	s.closeWAL(true)
+	// Every acknowledged entry up to the cut is now in the checkpoint;
+	// the WAL can shed its sealed history.
+	s.closeWAL(cut)
 	if s.ledger != nil {
 		s.ledger.Close()
 	}
@@ -372,7 +376,7 @@ func (s *Server) shutdownExpired(ctx context.Context) error {
 	}
 	// No WAL truncation here: the stragglers' unfed entries must
 	// survive for the next boot's replay.
-	s.closeWAL(false)
+	s.closeWAL(0)
 	if s.ledger != nil {
 		s.ledger.Close()
 	}
@@ -402,7 +406,7 @@ func (s *Server) Crash() {
 	for _, sh := range s.shards {
 		<-sh.done
 	}
-	s.closeWAL(false)
+	s.closeWAL(0)
 	if s.ledger != nil {
 		// No Cut: like the WAL, the open tail exists only in the log
 		// and is rebuilt by replay at next boot.

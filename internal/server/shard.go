@@ -74,7 +74,7 @@ type shard struct {
 	// queued batches its drainer discarded, the entry whose feed
 	// panicked — exists only in the WAL, all above this mark (per-shard
 	// WAL order is feed order), so checkpoint truncation clamps to it
-	// (walSafeLSN) to keep those records replayable at next boot.
+	// (walCut) to keep those records replayable at next boot.
 	lastFedLSN atomic.Uint64
 
 	mon *core.Monitor
@@ -487,7 +487,7 @@ func (sh *shard) feed(e *audit.Entry, lsn uint64) {
 	err := sh.mon.FeedInto(context.Background(), e, &sh.verdict)
 	if lsn > 0 {
 		// Stored only after Feed returns: an entry that panics mid-feed
-		// stays ABOVE the truncation clamp (walSafeLSN), so the WAL
+		// stays ABOVE the truncation clamp (walCut), so the WAL
 		// keeps it for the next boot's replay — the same recovery
 		// contract the supervisor's one-entry drop relies on.
 		sh.lastFedLSN.Store(lsn)

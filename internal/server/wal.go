@@ -71,6 +71,12 @@ func (s *Server) openWAL() error {
 // replayWAL re-feeds the log tail through the shards — records past
 // each case's checkpointed LSN, in log order, before the workers
 // start. Corruption aborts boot.
+//
+// Replay starts past the restored checkpoint's cut: every record at or
+// below it is in the checkpoint's dumps and (with a ledger) its
+// archived batches, so decoding it would only be skipped again. Above
+// the cut, the per-case skip map and the ledger's sealed boundary
+// decide what is re-fed.
 func (s *Server) replayWAL() error {
 	if s.wal == nil {
 		return nil
@@ -92,12 +98,19 @@ func (s *Server) replayWAL() error {
 	// regrowing the open tail (and any unpersisted batches) exactly as
 	// the pre-crash run sealed them.
 	ledgerFrom := uint64(0)
+	cut := s.walCutRestored
 	if s.ledger != nil {
 		ledgerFrom = s.ledger.LastLSN()
+		// A checkpoint written without the ledger does not clamp its
+		// cut to sealed leaves; the ledger still needs every record
+		// past its own boundary.
+		cut = min(cut, ledgerFrom)
 	}
+	decoded := 0
 	// one holds the record being replayed, for the ledger and the feed.
 	var one [1]audit.Entry
-	err := s.wal.Replay(1, func(lsn uint64, e audit.Entry) error {
+	err := s.wal.Replay(cut+1, func(lsn uint64, e audit.Entry) error {
+		decoded++
 		one[0] = e
 		if s.ledger != nil && lsn > ledgerFrom {
 			if err := s.ledger.Append(one[:], lsn); err != nil {
@@ -114,9 +127,10 @@ func (s *Server) replayWAL() error {
 	if err != nil {
 		return fmt.Errorf("server: wal replay: %w", err)
 	}
+	s.metrics.walDecoded.Add(int64(decoded))
 	if replayed > 0 || s.wal.LastLSN() > 0 {
 		s.metrics.walReplayed.Add(int64(replayed))
-		s.log.Info("wal replayed", "records", replayed, "last_lsn", s.wal.LastLSN(),
+		s.log.Info("wal replayed", "records", replayed, "decoded", decoded, "from_lsn", cut+1, "last_lsn", s.wal.LastLSN(),
 			"dur_ms", float64(time.Since(start).Microseconds())/1000)
 	}
 	return nil
@@ -232,16 +246,20 @@ func (s *Server) walLowWater() uint64 {
 	return low
 }
 
-// walSafeLSN clamps a truncation candidate below the records a failed
-// shard's drainer discarded. drainFailed drops queued batches on the
-// premise they stay in the WAL for the next boot — but those batches
-// closed their append→enqueue windows, so the low-water mark counts
-// them as covered, and the failed shard's dump serves a frozen
-// pre-failure cut that does not. Per shard, WAL record order is feed
-// order, so everything the drainer dropped has LSN above the shard's
-// last consumed record; truncating only below that keeps the dropped
-// records replayable.
-func (s *Server) walSafeLSN(lsn uint64) uint64 {
+// walCut turns lsn, the highest WAL LSN a checkpoint's dumps reflect,
+// into the checkpoint's cut: the LSN through which it covers every
+// record, so boot replay starts past it and truncation may drop
+// segments up to it. Two clamps apply.
+//
+// Failed shards: drainFailed drops queued batches on the premise they
+// stay in the WAL for the next boot — but those batches closed their
+// append→enqueue windows, so the low-water mark counts them as
+// covered, and the failed shard's dump serves a frozen pre-failure cut
+// that does not. Per shard, WAL record order is feed order, so
+// everything the drainer dropped has LSN above the shard's last
+// consumed record; cutting only below that keeps the dropped records
+// replayable.
+func (s *Server) walCut(lsn, ledgerLSN uint64) uint64 {
 	for _, sh := range s.shards {
 		if sh.failed.Load() {
 			if l := sh.lastFedLSN.Load(); l < lsn {
@@ -249,16 +267,12 @@ func (s *Server) walSafeLSN(lsn uint64) uint64 {
 			}
 		}
 	}
-	// Ledger clamp: leaves above the last CHECKPOINTED sealed LSN exist
-	// only in the WAL (checkpoints persist sealed batches; the open
-	// tail never). Truncating past them would make the ledger rebuild
-	// start inside a batch — the live sealed boundary is not enough,
-	// because batches sealed after the last checkpoint write are just
-	// as unpersisted as the open tail.
-	if s.ledger != nil {
-		if l := s.ledgerCkptLSN.Load(); l < lsn {
-			lsn = l
-		}
+	// Ledger: leaves above ledgerLSN, the last sealed LSN this
+	// checkpoint archives, exist only in the WAL (checkpoints persist
+	// sealed batches; the open tail never). Cutting past them would
+	// make the ledger rebuild start inside a batch.
+	if s.ledger != nil && ledgerLSN < lsn {
+		lsn = ledgerLSN
 	}
 	return lsn
 }
@@ -316,20 +330,15 @@ func (s *Server) truncateWAL(lsn uint64) {
 	}
 }
 
-// closeWAL flushes and closes the log; truncate additionally sheds
-// segments covered by the final checkpoint first (clean shutdown
-// only — never after a partial drain, and never without a checkpoint
-// to replay from).
-func (s *Server) closeWAL(truncate bool) {
+// closeWAL flushes and closes the log, first shedding the segments at
+// or below through, the final checkpoint's cut (clean shutdown only —
+// never after a partial drain, and never without a checkpoint to
+// replay from: 0 truncates nothing).
+func (s *Server) closeWAL(through uint64) {
 	if s.wal == nil {
 		return
 	}
-	if truncate && s.cfg.CheckpointPath != "" {
-		// Clamped like the running checkpoint: the final checkpoint's
-		// dump of a failed shard is its frozen pre-failure state, and
-		// the records its drainer dropped exist only in the log.
-		s.truncateWAL(s.walSafeLSN(s.wal.LastLSN()))
-	}
+	s.truncateWAL(through)
 	if err := s.wal.Close(); err != nil {
 		s.log.Warn("wal close", "err", err)
 	}
