@@ -29,7 +29,7 @@ func TestCoverageCountsVisits(t *testing.T) {
 	}
 
 	// Replay the linear happy path, marking states and edges the way
-	// replayCompiled does.
+	// the checker's compiled replay step does.
 	state := d.Start
 	cov.VisitState(state)
 	for _, task := range []string{"T91", "T92", "T93", "T94", "T95"} {

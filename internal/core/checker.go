@@ -547,164 +547,123 @@ func (c *Checker) initialConfiguration(rt *purposeRT, pur *Purpose) (*Configurat
 	return c.newConfiguration(rt, pur, pur.Initial, rt.sys.Intern(pur.Initial), rt.empty)
 }
 
-// replay decides one case, dispatching to the compiled automaton when
-// the fast path is on and available, and to the Algorithm 1 interpreter
-// otherwise (recording why — DESIGN.md §11 fallback rules).
+// replay decides one case: Algorithm 1 over the case's chronological
+// entries, on the compiled automaton when the fast path is on and
+// available and on the interpreter otherwise (recording why — DESIGN.md
+// §11 fallback rules). Budget exhaustion and configuration-cap overflow
+// yield an OutcomeIndeterminate report; ctx cancellation yields the
+// context's error.
 func (c *Checker) replay(ctx context.Context, pur *Purpose, caseID string, entries caseView) (*Report, error) {
-	if c.UseCompiled {
-		d, why := c.compiledFor(pur)
-		if d != nil {
-			return c.replayCompiled(ctx, d, pur, caseID, entries)
-		}
-		rep, err := c.replayInterpreted(ctx, pur, caseID, entries)
-		if rep != nil {
-			rep.Engine = EngineInterpreted
-			rep.EngineFallback = why
-		}
-		return rep, err
-	}
-	return c.replayInterpreted(ctx, pur, caseID, entries)
-}
-
-// replayInterpreted is the body of Algorithm 1 over a case's
-// chronological entries. Budget exhaustion and configuration-cap
-// overflow yield an OutcomeIndeterminate report; ctx cancellation
-// yields the context's error.
-func (c *Checker) replayInterpreted(ctx context.Context, pur *Purpose, caseID string, entries caseView) (*Report, error) {
-	rt := c.runtime(pur)
+	d, why := c.compiledFor(pur)
+	run, err := c.newRun(pur, d)
 	n := entries.len()
-	maxConfigs := c.MaxConfigurations
-	if maxConfigs <= 0 {
-		maxConfigs = DefaultMaxConfigurations
-	}
 
-	// obs is hoisted so the hot loop pays one predictable nil check per
-	// entry; all observer-only bookkeeping hides behind it.
-	obs := c.Observer
+	// The hooks are hoisted so the hot loop pays one predictable check
+	// before and one after each step; all hook-only bookkeeping hides
+	// behind them.
+	obs, trace := c.Observer, c.TraceFn
+	hooked := obs != nil || trace != nil
 	if obs != nil {
-		obs.ReplayBegin(caseID, pur.Name, EngineInterpreted, n)
+		obs.ReplayBegin(caseID, pur.Name, run.engine(), n)
 	}
-
-	initial, err := c.initialConfiguration(rt, pur)
+	end := func(rep *Report) (*Report, error) {
+		if c.UseCompiled {
+			rep.Engine, rep.EngineFallback = run.engine(), why
+		}
+		if obs != nil {
+			obs.ReplayEnd(rep)
+		}
+		return rep, nil
+	}
 	if err != nil {
 		if ind := indeterminacyFor(err); ind != nil {
-			return observed(obs, indeterminateReport(caseID, pur.Name, n, 0, ind)), nil
+			return end(indeterminateReport(caseID, pur.Name, n, 0, ind))
 		}
 		return nil, err
 	}
-	configs := []*Configuration{initial}
+	// Scratch lives on this stack, so a warm replay performs no
+	// per-entry allocations.
+	var sx replayScratch
+	if c.Coverage != nil && d != nil {
+		sx.cov = c.Coverage.For(d)
+		sx.cov.VisitState(d.Start)
+	}
 	rep := &Report{Case: caseID, Purpose: pur.Name, Entries: n}
 
 	// Background contexts have a nil Done channel; skip the per-entry
 	// poll entirely then.
 	done := ctx.Done()
-
-	// Scratch reused across entries: the dedup set (used only by steps
-	// with large configuration sets) and the output buffer, which
-	// alternates with the input slice, so a warm replay performs no
-	// per-entry allocations.
-	var seen map[uint64]bool
-	var spare []*Configuration
-
+	var st StepStats
 	for i := 0; i < n; i++ {
-		e := entries.at(i)
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		nextConfigs, found, err := c.advance(rt, pur, configs, e, maxConfigs, &seen, spare)
+		e := entries.at(i)
+		if obs != nil {
+			st = run.stepStats(c, e)
+		}
+		k, look, err := run.step(c, e, &sx, true)
 		if err != nil {
 			if ind := indeterminacyFor(err); ind != nil {
 				ind.EntryIndex = i
-				return observed(obs, indeterminateReport(caseID, pur.Name, n, i, ind)), nil
+				return end(indeterminateReport(caseID, pur.Name, n, i, ind))
 			}
 			return nil, fmt.Errorf("core: at entry %d of case %s: %w", i, caseID, err)
 		}
-		if !found {
-			rep.Compliant = false
+		if k == 0 {
 			rep.Outcome = OutcomeViolation
-			rep.Violation = c.describeViolation(pur, configs, i, *e)
+			rep.Violation, rep.Explanation = run.describe(c, caseID, i, *e)
 			rep.StepsReplayed = i
-			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(configs))
 			if obs != nil {
 				obs.EntryRejected(i, e, rep.Explanation)
-				obs.ReplayEnd(rep)
 			}
-			return rep, nil
+			return end(rep)
 		}
-		if len(nextConfigs) > rep.PeakConfigurations {
-			rep.PeakConfigurations = len(nextConfigs)
+		if k > rep.PeakConfigurations {
+			rep.PeakConfigurations = k
 		}
-		if obs != nil {
-			obs.EntryAccepted(i, e, c.stepStats(configs, nextConfigs, e))
-		}
-		spare = configs[:0]
-		configs = nextConfigs
-		if c.TraceFn != nil {
-			c.TraceFn(i, *e, configs)
+		if hooked {
+			if obs != nil {
+				st.ConfigsAfter, st.SymbolCacheHit = k, look == symHit
+				obs.EntryAccepted(i, e, st)
+			}
+			if trace != nil {
+				trace(i, *e, run.configs)
+			}
 		}
 	}
 
 	rep.Compliant = true
 	rep.Outcome = OutcomeCompliant
 	rep.StepsReplayed = n
-	rep.FinalConfigurations = len(configs)
-	for _, conf := range configs {
-		done, err := rt.sys.CanTerminateSilently(conf.state)
-		if err != nil {
-			if ind := indeterminacyFor(err); ind != nil {
-				ind.EntryIndex = n
-				ind.Reason = "completion check: " + ind.Reason
-				return observed(obs, indeterminateReport(caseID, pur.Name, n, n, ind)), nil
-			}
-			return nil, err
+	rep.FinalConfigurations = run.configCount()
+	rep.CanComplete, err = run.canComplete()
+	if err != nil {
+		if ind := indeterminacyFor(err); ind != nil {
+			ind.EntryIndex = n
+			ind.Reason = "completion check: " + ind.Reason
+			return end(indeterminateReport(caseID, pur.Name, n, n, ind))
 		}
-		if done {
-			rep.CanComplete = true
-			break
-		}
+		return nil, err
 	}
 	rep.Pending = !rep.CanComplete
-	return observed(obs, rep), nil
-}
-
-// observed closes an observer's replay with the decided report; the
-// identity function when no observer is attached.
-func observed(obs Observer, rep *Report) *Report {
-	if obs != nil {
-		obs.ReplayEnd(rep)
-	}
-	return rep
-}
-
-// stepStats assembles the observer-only per-entry statistics. Only
-// called with an observer attached — the extra isActive sweep and
-// candidate count never run on the bare hot path.
-func (c *Checker) stepStats(configs, next []*Configuration, e *audit.Entry) StepStats {
-	st := StepStats{ConfigsBefore: len(configs), ConfigsAfter: len(next)}
-	for _, conf := range configs {
-		st.Candidates += len(conf.next)
-		if !st.Absorbed && !c.DisableAbsorption && e.Status == audit.Success && c.isActive(conf, e) {
-			st.Absorbed = true
-		}
-	}
-	return st
+	return end(rep)
 }
 
 // advance performs one iteration of Algorithm 1's while loop: it feeds
 // one entry to every configuration, absorbing in-task actions (line 8)
 // and firing matching weak-next labels (line 10). It returns the
-// deduplicated next configuration set and whether any configuration
+// deduplicated next configuration set, empty when no configuration
 // accepted the entry. The set is deduplicated by a linear scan while it
 // holds at most linearDedup configurations and through *seen above
 // that; *seen is created on first need and cleared before reuse, so a
 // caller that keeps it, and out, across steps allocates nothing in the
 // steady state. The returned slice aliases out's backing array when
 // capacity suffices.
-func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration, e *audit.Entry, maxConfigs int, seen *map[uint64]bool, out []*Configuration) ([]*Configuration, bool, error) {
+func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration, e *audit.Entry, maxConfigs int, seen *map[uint64]bool, out []*Configuration) ([]*Configuration, error) {
 	nextConfigs := out[:0]
-	found := false
 	indexed := false
 	addConfig := func(conf *Configuration) error {
 		k := conf.memoKey()
@@ -742,9 +701,8 @@ func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration,
 		// Line 8: an action within an active, succeeding task is
 		// absorbed by the configuration.
 		if !c.DisableAbsorption && e.Status == audit.Success && c.isActive(conf, e) {
-			found = true
 			if err := addConfig(conf); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			continue
 		}
@@ -755,17 +713,16 @@ func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration,
 			if !c.matchesEntry(s, e) {
 				continue
 			}
-			found = true
 			nc, err := c.successor(rt, pur, s)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if err := addConfig(nc); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 	}
-	return nextConfigs, found, nil
+	return nextConfigs, nil
 }
 
 // linearDedup is the largest next-configuration set advance
@@ -773,51 +730,6 @@ func (c *Checker) advance(rt *purposeRT, pur *Purpose, configs []*Configuration,
 // configurations, where a scan beats hashing, and clearing a Go map
 // costs more than the scan.
 const linearDedup = 8
-
-// describeViolation assembles the diagnostic for a rejected entry: what
-// the surviving configurations would have accepted instead.
-func (c *Checker) describeViolation(pur *Purpose, configs []*Configuration, idx int, e audit.Entry) *Violation {
-	v := &Violation{
-		Kind:       ViolationInvalidExecution,
-		EntryIndex: idx,
-		Entry:      &e,
-	}
-	expected := map[string]bool{}
-	activeSet := map[string]bool{}
-	for _, conf := range configs {
-		for i := range conf.next {
-			s := &conf.next[i]
-			if s.label.Op == "Err" {
-				expected["sys.Err("+strings.Join(s.label.Origins(), "+")+")"] = true
-			} else {
-				expected[s.label.Endpoint()] = true
-			}
-		}
-		for _, a := range conf.active.tasks {
-			activeSet[a.String()] = true
-		}
-	}
-	for l := range expected {
-		v.Expected = append(v.Expected, l)
-	}
-	sort.Strings(v.Expected)
-	for a := range activeSet {
-		v.ActiveTasks = append(v.ActiveTasks, a)
-	}
-	sort.Strings(v.ActiveTasks)
-
-	switch {
-	case !pur.Process.HasTask(e.Task) && e.Status == audit.Success:
-		v.Reason = fmt.Sprintf("task %q is not part of process %q", e.Task, pur.Name)
-	case e.Status == audit.Failure:
-		v.Reason = fmt.Sprintf("failure of task %q has no matching error handler at this point", e.Task)
-	case pur.Process.TaskRole(e.Task) != "" && !c.roleMatches(e.Role, pur.Process.TaskRole(e.Task)):
-		v.Reason = fmt.Sprintf("role %q may not perform task %q (pool %q)", e.Role, e.Task, pur.Process.TaskRole(e.Task))
-	default:
-		v.Reason = fmt.Sprintf("task %q is neither active nor enabled at this point of the process", e.Task)
-	}
-	return v
-}
 
 // CheckTrail replays every case occurring in the trail and returns one
 // report per case, ordered by first appearance. The trail is indexed by

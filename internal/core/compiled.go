@@ -12,9 +12,9 @@ package core
 // a TraceFn needs live configuration sets.
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/audit"
 	"repro/internal/automaton"
@@ -90,10 +90,11 @@ func (c *Checker) EnsureCompiled(purpose string) (*automaton.DFA, error) {
 	rt := c.runtime(pur)
 	rt.compiledMu.Lock()
 	defer rt.compiledMu.Unlock()
-	if r := rt.compiled.Load(); r != nil && c.flagsMatch(r) {
-		return r.dfa, r.err
+	r := rt.compiled.Load()
+	if r == nil || !c.flagsMatch(r) {
+		r = c.compileLocked(pur, rt)
 	}
-	return c.compileLocked(pur, rt)
+	return r.dfa, r.err
 }
 
 // CompiledStatus reports the purpose's automaton table sizes, or the
@@ -122,7 +123,7 @@ func (c *Checker) flagsMatch(r *compiledResult) bool {
 }
 
 // compileLocked compiles and records the result; rt.compiledMu held.
-func (c *Checker) compileLocked(pur *Purpose, rt *purposeRT) (*automaton.DFA, error) {
+func (c *Checker) compileLocked(pur *Purpose, rt *purposeRT) *compiledResult {
 	d, err := automaton.Compile(c.automatonInput(pur, rt))
 	r := &compiledResult{
 		dfa:          d,
@@ -132,7 +133,7 @@ func (c *Checker) compileLocked(pur *Purpose, rt *purposeRT) (*automaton.DFA, er
 		maxConfigs:   c.effectiveMaxConfigurations(),
 	}
 	rt.compiled.Store(r)
-	return d, err
+	return r
 }
 
 // compiledFor returns the purpose's automaton when the fast path
@@ -150,8 +151,7 @@ func (c *Checker) compiledFor(pur *Purpose) (*automaton.DFA, string) {
 	if r == nil {
 		rt.compiledMu.Lock()
 		if r = rt.compiled.Load(); r == nil {
-			c.compileLocked(pur, rt)
-			r = rt.compiled.Load()
+			r = c.compileLocked(pur, rt)
 		}
 		rt.compiledMu.Unlock()
 	}
@@ -162,16 +162,6 @@ func (c *Checker) compiledFor(pur *Purpose) (*automaton.DFA, string) {
 		return nil, r.err.Error()
 	}
 	return r.dfa, ""
-}
-
-// symbolForEntry classifies an audit entry into the automaton's
-// alphabet. No symbol means no configuration could accept the entry —
-// a violation, mirroring the interpreter's matchesEntry.
-func symbolForEntry(d *automaton.DFA, e audit.Entry) (int32, bool) {
-	if e.Status == audit.Failure {
-		return d.SymbolFor(e.Task, "", true)
-	}
-	return d.SymbolFor(e.Task, e.Role, false)
 }
 
 // symCacheSize is the direct-mapped symbol-cache size of one compiled
@@ -189,21 +179,41 @@ type symCacheSlot struct {
 }
 
 // symCacheTable is a direct-mapped (task, role, failure) → symbol
-// cache. replayCompiled keeps one on its stack per replay; a Monitor
-// keeps one across feeds (its slots key on the DFA pointer, so one
-// table safely serves every purpose's automaton).
+// cache. A batch replay keeps one on its stack; a Monitor keeps one
+// across feeds (its slots key on the DFA pointer, so one table safely
+// serves every purpose's automaton).
 type symCacheTable [symCacheSize]symCacheSlot
 
-// lookup resolves the symbol for (task, role, failure) under d,
-// reporting whether the answer came from the cache.
-func (t *symCacheTable) lookup(d *automaton.DFA, task, role string, failure bool) (sym int32, ok, hit bool) {
-	slot := &t[symCacheIdx(task, role)]
-	if slot.dfa == d && slot.task == task && slot.role == role && slot.failure == failure {
-		return slot.sym, slot.ok, true
+// symLookup says how a step resolved its entry's automaton symbol.
+type symLookup uint8
+
+const (
+	symNone symLookup = iota // none looked up: the interpreter took the step
+	symHit                   // from the symbol cache
+	symMiss                  // from the automaton's symbol index
+)
+
+// symKey is an audit entry's key into an automaton's alphabet. A
+// failure's role plays no part in its symbol.
+func symKey(e *audit.Entry) (task, role string, failure bool) {
+	if e.Status == audit.Failure {
+		return e.Task, "", true
 	}
-	slot.sym, slot.ok = d.SymbolFor(task, role, failure)
-	slot.dfa, slot.task, slot.role, slot.failure = d, task, role, failure
-	return slot.sym, slot.ok, false
+	return e.Task, e.Role, false
+}
+
+// sameString is a == b without a call when both share their bytes, as
+// the trail decoder's interned task and role strings do.
+func sameString(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
+}
+
+// fill resolves the slot's key through d's symbol index. No symbol
+// means no configuration could accept the entry — a violation,
+// mirroring the interpreter's matchesEntry.
+func (s *symCacheSlot) fill(d *automaton.DFA, task, role string, failure bool) {
+	s.sym, s.ok = d.SymbolFor(task, role, failure)
+	s.dfa, s.task, s.role, s.failure = d, task, role, failure
 }
 
 func symCacheIdx(task, role string) uint8 {
@@ -215,104 +225,6 @@ func symCacheIdx(task, role string) uint8 {
 		h += uint32(role[0])
 	}
 	return uint8(h % symCacheSize)
-}
-
-// replayCompiled is Algorithm 1 as one table lookup per entry.
-func (c *Checker) replayCompiled(ctx context.Context, d *automaton.DFA, pur *Purpose, caseID string, entries caseView) (*Report, error) {
-	n := entries.len()
-	rep := &Report{Case: caseID, Purpose: pur.Name, Entries: n, Engine: EngineCompiled}
-	obs := c.Observer
-	if obs != nil {
-		obs.ReplayBegin(caseID, pur.Name, EngineCompiled, n)
-	}
-	// cov is hoisted like obs: one nil check per entry, nothing else on
-	// the bare hot path.
-	var cov *automaton.Coverage
-	if c.Coverage != nil {
-		cov = c.Coverage.For(d)
-		cov.VisitState(d.Start)
-	}
-	state := d.Start
-	done := ctx.Done()
-	var cache symCacheTable
-	for i := 0; i < n; i++ {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		e := entries.at(i)
-		task, role := e.Task, e.Role
-		failure := e.Status == audit.Failure
-		if failure {
-			role = ""
-		}
-		sym, ok, hit := cache.lookup(d, task, role, failure)
-		next := automaton.Reject
-		if ok {
-			next = d.Step(state, sym)
-		}
-		if next == automaton.Reject {
-			rep.Compliant = false
-			rep.Outcome = OutcomeViolation
-			rep.Violation = c.describeViolationCompiled(d, state, pur, i, *e)
-			rep.StepsReplayed = i
-			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(d.States[state].Members))
-			if obs != nil {
-				obs.EntryRejected(i, e, rep.Explanation)
-				obs.ReplayEnd(rep)
-			}
-			return rep, nil
-		}
-		if obs != nil {
-			obs.EntryAccepted(i, e, StepStats{
-				ConfigsBefore:  len(d.States[state].Members),
-				ConfigsAfter:   len(d.States[next].Members),
-				SymbolCacheHit: hit,
-			})
-		}
-		if cov != nil {
-			cov.VisitEdge(state, sym)
-			cov.VisitState(next)
-		}
-		state = next
-		if n := len(d.States[state].Members); n > rep.PeakConfigurations {
-			rep.PeakConfigurations = n
-		}
-	}
-	st := &d.States[state]
-	rep.Compliant = true
-	rep.Outcome = OutcomeCompliant
-	rep.StepsReplayed = n
-	rep.FinalConfigurations = len(st.Members)
-	rep.CanComplete = st.CanComplete
-	rep.Pending = !rep.CanComplete
-	return observed(obs, rep), nil
-}
-
-// describeViolationCompiled renders the same diagnostic the interpreter
-// would: the expected labels and active tasks are precomputed per DFA
-// state, the reason classification reuses the checker's own logic.
-func (c *Checker) describeViolationCompiled(d *automaton.DFA, state int32, pur *Purpose, idx int, e audit.Entry) *Violation {
-	st := &d.States[state]
-	v := &Violation{
-		Kind:        ViolationInvalidExecution,
-		EntryIndex:  idx,
-		Entry:       &e,
-		Expected:    append([]string(nil), st.Expected...),
-		ActiveTasks: append([]string(nil), st.ActiveTasks...),
-	}
-	switch {
-	case !pur.Process.HasTask(e.Task) && e.Status == audit.Success:
-		v.Reason = fmt.Sprintf("task %q is not part of process %q", e.Task, pur.Name)
-	case e.Status == audit.Failure:
-		v.Reason = fmt.Sprintf("failure of task %q has no matching error handler at this point", e.Task)
-	case pur.Process.TaskRole(e.Task) != "" && !c.roleMatches(e.Role, pur.Process.TaskRole(e.Task)):
-		v.Reason = fmt.Sprintf("role %q may not perform task %q (pool %q)", e.Role, e.Task, pur.Process.TaskRole(e.Task))
-	default:
-		v.Reason = fmt.Sprintf("task %q is neither active nor enabled at this point of the process", e.Task)
-	}
-	return v
 }
 
 // IsNotCompilable reports whether err (e.g. from EnsureCompiled or

@@ -5,6 +5,8 @@ package core_test
 // clinical-trial alphabet (plus off-alphabet tasks and roles) and the
 // table-driven engine must return byte-identical reports to the
 // interpreter, including violation messages and configuration counts.
+// The trail is also streamed through a monitor on each engine, which
+// must end each case as the batch report does.
 
 import (
 	"reflect"
@@ -51,7 +53,8 @@ func decodeFuzzTrail(data []byte) *audit.Trail {
 }
 
 func FuzzCompiledReplay(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4, 0})       // the Figure 4 happy path
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4, 0})       // the trial's tasks, as a Researcher (wrong role)
+	f.Add([]byte{0, 4, 1, 4, 2, 4, 3, 4, 4, 4})       // the trial's tasks, as a Physician: complete
 	f.Add([]byte{0, 0, 2, 0})                         // out of order
 	f.Add([]byte{0, 16, 1, 16})                       // Janitor
 	f.Add([]byte{5, 0, 6, 0})                         // treatment tasks under trial purpose
@@ -78,6 +81,8 @@ func FuzzCompiledReplay(f *testing.F) {
 		if len(ri) != len(rc) {
 			t.Fatalf("report count divergence: %d vs %d", len(ri), len(rc))
 		}
+		streamMatchesBatch(t, interp, trail, ri)
+		streamMatchesBatch(t, compiled, trail, rc)
 		for i := range ri {
 			if rc[i].Engine != core.EngineCompiled {
 				t.Fatalf("case %s ran on engine %q, want compiled", rc[i].Case, rc[i].Engine)
@@ -90,4 +95,55 @@ func FuzzCompiledReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// streamMatchesBatch feeds trail through a monitor over c and requires
+// every case to end as its batch report says: the case's first non-OK
+// verdict carries the report's violation, indeterminacy and
+// explanation, and a compliant case's final status carries the report's
+// completion and configuration count. A case of an unknown purpose is
+// compared on kind, reason and nearest-miss class only: the report
+// blames no entry, the monitor the first it is fed.
+func streamMatchesBatch(t *testing.T, c *core.Checker, trail *audit.Trail, reps []*core.Report) {
+	t.Helper()
+	m := core.NewMonitor(c)
+	first := map[string]*core.Verdict{}
+	for _, e := range trail.Entries() {
+		v, err := m.Feed(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.OK && first[e.Case] == nil {
+			first[e.Case] = v
+		}
+	}
+	sts, err := m.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := map[string]core.CaseStatus{}
+	for _, s := range sts {
+		status[s.Case] = s
+	}
+	for _, rep := range reps {
+		v, s := first[rep.Case], status[rep.Case]
+		switch {
+		case rep.Compliant:
+			if v != nil || s.CanComplete != rep.CanComplete || s.Configurations != rep.FinalConfigurations {
+				t.Fatalf("UseCompiled=%v, case %s: compliant report (complete %v, %d configurations), monitor verdict %+v status %+v",
+					c.UseCompiled, rep.Case, rep.CanComplete, rep.FinalConfigurations, v, s)
+			}
+		case v == nil:
+			t.Fatalf("UseCompiled=%v, case %s: report %s, but the monitor flagged no entry", c.UseCompiled, rep.Case, rep)
+		case rep.Violation != nil && rep.Violation.Kind == core.ViolationUnknownPurpose:
+			if v.Violation == nil || v.Violation.Kind != rep.Violation.Kind || v.Violation.Reason != rep.Violation.Reason ||
+				v.Explanation.NearestMissClass != rep.Explanation.NearestMissClass {
+				t.Fatalf("UseCompiled=%v, case %s: unknown purpose reported as %+v, monitor flagged %+v", c.UseCompiled, rep.Case, rep.Violation, v.Violation)
+			}
+		case !reflect.DeepEqual(v.Violation, rep.Violation) || !reflect.DeepEqual(v.Indeterminate, rep.Indeterminate) ||
+			!reflect.DeepEqual(v.Explanation, rep.Explanation):
+			t.Fatalf("UseCompiled=%v, case %s: report\n %s\n%+v\nmonitor's first non-OK verdict\n %+v\n%+v",
+				c.UseCompiled, rep.Case, rep, rep.Explanation, v, v.Explanation)
+		}
+	}
 }

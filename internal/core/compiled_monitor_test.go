@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/hospital"
 	"repro/internal/loan"
@@ -203,5 +204,73 @@ func TestCompiledSnapshotDeadCases(t *testing.T) {
 	}
 	if v.OK || v.Violation == nil {
 		t.Fatalf("dead case revived after cross-engine restore: %+v", v)
+	}
+}
+
+// TestPeekUnseenCaseStoresNothing: Peek answers for a case the monitor
+// has never seen without starting it, on both engines: Status does not
+// list the case and State does not export it.
+func TestPeekUnseenCaseStoresNothing(t *testing.T) {
+	reg, roles := hospitalRegistry(t)
+	trail, err := hospital.Trail()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newEnginePair(t, reg, roles)
+	first := trail.Entries()[0]
+	stray := first
+	stray.Task = "NoSuchTask"
+	for _, c := range []*core.Checker{p.interp, p.compiled} {
+		m := core.NewMonitor(c)
+		for _, peek := range []struct {
+			e    audit.Entry
+			want bool
+		}{{first, true}, {stray, false}} {
+			if ok, err := m.Peek(peek.e); err != nil || ok != peek.want {
+				t.Fatalf("UseCompiled=%v: Peek(%s) = %v, %v; want %v", c.UseCompiled, peek.e.Task, ok, err, peek.want)
+			}
+		}
+		sts, err := m.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sts) != 0 || len(m.State().Cases) != 0 {
+			t.Errorf("UseCompiled=%v: Peek started case %s: status %+v, state %+v", c.UseCompiled, first.Case, sts, m.State().Cases)
+		}
+	}
+}
+
+// TestEnabledUnseenCaseStoresNothing: Enabled on a case the monitor has
+// never seen offers what a watched case offers, on both engines, and
+// leaves the case unregistered.
+func TestEnabledUnseenCaseStoresNothing(t *testing.T) {
+	reg, roles := hospitalRegistry(t)
+	trail, err := hospital.Trail()
+	if err != nil {
+		t.Fatal(err)
+	}
+	caseID := trail.Entries()[0].Case
+	p := newEnginePair(t, reg, roles)
+	for _, c := range []*core.Checker{p.interp, p.compiled} {
+		watched := core.NewMonitor(c)
+		if err := watched.Watch(caseID); err != nil {
+			t.Fatal(err)
+		}
+		want, err := watched.Enabled(caseID)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("UseCompiled=%v: watched Enabled = %v, %v", c.UseCompiled, want, err)
+		}
+		m := core.NewMonitor(c)
+		got, err := m.Enabled(caseID)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("UseCompiled=%v: unseen Enabled = %v, %v; want %v", c.UseCompiled, got, err, want)
+		}
+		sts, err := m.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sts) != 0 || len(m.State().Cases) != 0 {
+			t.Errorf("UseCompiled=%v: Enabled started case %s: status %+v, state %+v", c.UseCompiled, caseID, sts, m.State().Cases)
+		}
 	}
 }

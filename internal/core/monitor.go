@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/audit"
-	"repro/internal/automaton"
 )
 
 // Monitor is the online variant of Algorithm 1 the paper calls for in
@@ -31,19 +30,14 @@ import (
 type Monitor struct {
 	checker *Checker
 	cases   map[string]*caseState
-	// syms caches (task, role, failure) → symbol lookups across feeds
-	// for every compiled case; slots key on the DFA pointer so one
-	// table serves all purposes. Owned by the feeding goroutine.
-	syms symCacheTable
-	// symHits/symMisses count syms outcomes. Atomics so an exporter on
-	// another goroutine (auditd /metrics) can read them while the shard
-	// goroutine feeds.
+	// scratch is the steps' working memory across feeds and peeks: the
+	// symbol cache every compiled case shares and the interpreter's
+	// dedup set and output buffer. Owned by the feeding goroutine.
+	scratch replayScratch
+	// symHits/symMisses count symbol-cache outcomes. Atomics so an
+	// exporter on another goroutine (auditd /metrics) can read them
+	// while the shard goroutine feeds.
 	symHits, symMisses atomic.Uint64
-	// seen and spare are the interpreter's scratch across feeds and
-	// peeks (see Checker.advance): the dedup set and the output buffer,
-	// which a feed swaps with the fed case's configuration set.
-	seen  map[uint64]bool
-	spare []*Configuration
 }
 
 // SymbolCacheStats reports the compiled fast path's symbol-cache
@@ -52,21 +46,17 @@ func (m *Monitor) SymbolCacheStats() (hits, misses uint64) {
 	return m.symHits.Load(), m.symMisses.Load()
 }
 
-// symbolFor resolves an entry's automaton symbol through the monitor's
-// persistent cache, bumping the hit/miss counters.
-func (m *Monitor) symbolFor(d *automaton.DFA, e *audit.Entry) (int32, bool) {
-	task, role := e.Task, e.Role
-	failure := e.Status == audit.Failure
-	if failure {
-		role = ""
-	}
-	sym, ok, hit := m.syms.lookup(d, task, role, failure)
-	if hit {
+// step feeds e to the case's run through the monitor's scratch,
+// bumping the symbol-cache counters.
+func (m *Monitor) step(st *caseState, e *audit.Entry, commit bool) (int, error) {
+	n, look, err := st.run.step(m.checker, e, &m.scratch, commit)
+	switch look {
+	case symHit:
 		m.symHits.Add(1)
-	} else {
+	case symMiss:
 		m.symMisses.Add(1)
 	}
-	return sym, ok
+	return n, err
 }
 
 // ShardCase maps a case id to a shard in [0, shards) by FNV-1a hash.
@@ -89,32 +79,20 @@ func ShardCase(caseID string, shards int) int {
 }
 
 type caseState struct {
-	purpose *Purpose
-	configs []*Configuration
+	// run is the case's replay position. Cases restored from a snapshot
+	// that cannot be mapped onto the automaton run interpreted even
+	// with the fast path on; the two engines coexist per case within
+	// one monitor.
+	run     caseRun
 	entries int
 	dead    bool // a violation or indeterminacy was already flagged; further entries are reported, not replayed
 	// cause is set when the case died of an analysis abandon (budget,
 	// configuration cap, recovered panic) rather than a violation.
 	cause *Indeterminacy
-	// dfa/dstate, when dfa is non-nil, carry the case on the compiled
-	// fast path (DESIGN.md §11): dstate is the current automaton state
-	// and configs stays nil. Cases restored from a snapshot that cannot
-	// be mapped onto the automaton run interpreted instead; the two
-	// engines coexist per case within one monitor.
-	dfa    *automaton.DFA
-	dstate int32
 	// expl is the explanation captured when the case died; repeated
 	// feeds of a dead case re-surface it, and snapshots carry it so a
 	// restored monitor keeps the narrative.
 	expl *Explanation
-}
-
-// configCount is the live configuration-set size under either engine.
-func (cs *caseState) configCount() int {
-	if cs.dfa != nil {
-		return len(cs.dfa.States[cs.dstate].Members)
-	}
-	return len(cs.configs)
 }
 
 // Verdict is the outcome of feeding one entry.
@@ -145,48 +123,47 @@ type Verdict struct {
 // NewMonitor builds a monitor sharing the checker's configuration (the
 // checker must not be used elsewhere concurrently).
 func NewMonitor(c *Checker) *Monitor {
-	return &Monitor{checker: c, cases: map[string]*caseState{}}
+	return &Monitor{checker: c, cases: map[string]*caseState{}, scratch: replayScratch{isolate: true}}
 }
 
 // Watch initializes a case's live state without feeding an entry, so
 // Enabled can be queried before any activity (a workflow engine starting
 // a fresh instance).
 func (m *Monitor) Watch(caseID string) error {
-	_, err := m.caseStateFor(caseID)
+	_, err := m.caseStateFor(caseID, true)
 	return err
 }
 
 // errUnknownPurpose distinguishes resolution failures in caseStateFor.
 var errUnknownPurpose = fmt.Errorf("core: case code is not bound to any registered purpose")
 
-func (m *Monitor) caseStateFor(caseID string) (*caseState, error) {
-	st, ok := m.cases[caseID]
-	if ok {
+// caseStateFor returns the case's state, starting a case the monitor
+// has not seen; keep stores the started case, so queries that must not
+// change the monitor pass false.
+func (m *Monitor) caseStateFor(caseID string, keep bool) (*caseState, error) {
+	if st, ok := m.cases[caseID]; ok {
 		return st, nil
 	}
 	pur := m.checker.registry.ForCase(caseID)
 	if pur == nil {
 		return nil, fmt.Errorf("%w: %q", errUnknownPurpose, CaseCode(caseID))
 	}
-	if d, _ := m.checker.compiledFor(pur); d != nil {
-		st = &caseState{purpose: pur, dfa: d, dstate: d.Start}
-		m.cases[caseID] = st
-		return st, nil
-	}
-	initial, err := m.checker.initialConfiguration(m.checker.runtime(pur), pur)
+	d, _ := m.checker.compiledFor(pur)
+	run, err := m.checker.newRun(pur, d)
+	st := &caseState{run: run}
 	if err != nil {
-		if ind := indeterminacyFor(err); ind != nil {
-			// The purpose's process cannot even be set up within budget:
-			// the case is born dead-indeterminate instead of erroring out
-			// the whole monitoring run.
-			st = &caseState{purpose: pur, dead: true, cause: ind}
-			m.cases[caseID] = st
-			return st, nil
+		st.cause = indeterminacyFor(err)
+		if st.cause == nil {
+			return nil, err
 		}
-		return nil, err
+		// The purpose's process cannot even be set up within budget:
+		// the case is born dead-indeterminate instead of erroring out
+		// the whole monitoring run.
+		st.dead = true
 	}
-	st = &caseState{purpose: pur, configs: []*Configuration{initial}}
-	m.cases[caseID] = st
+	if keep {
+		m.cases[caseID] = st
+	}
 	return st, nil
 }
 
@@ -202,9 +179,9 @@ type Offer struct {
 
 // Enabled returns the union, over the case's live configurations, of
 // startable tasks and active tasks — a workflow worklist. Deviated
-// cases return nil.
+// cases return nil. Like Peek, it registers no case.
 func (m *Monitor) Enabled(caseID string) ([]Offer, error) {
-	st, err := m.caseStateFor(caseID)
+	st, err := m.caseStateFor(caseID, false)
 	if err != nil {
 		return nil, err
 	}
@@ -219,29 +196,7 @@ func (m *Monitor) Enabled(caseID string) ([]Offer, error) {
 			out = append(out, o)
 		}
 	}
-	if st.dfa != nil {
-		ds := &st.dfa.States[st.dstate]
-		for _, o := range ds.Active {
-			add(Offer{Role: o.Role, Task: o.Task, Active: true})
-		}
-		for _, o := range ds.Fire {
-			add(Offer{Role: o.Role, Task: o.Task})
-		}
-	}
-	for _, conf := range st.configs {
-		for _, a := range conf.active.tasks {
-			add(Offer{Role: a.Role, Task: a.Task, Active: true})
-		}
-		for i := range conf.next {
-			s := &conf.next[i]
-			if s.label.Op == "Err" {
-				continue
-			}
-			if st.purpose.Process.HasTask(s.label.Op) {
-				add(Offer{Role: s.label.Partner, Task: s.label.Op})
-			}
-		}
-	}
+	st.run.offers(add)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Task != out[j].Task {
 			return out[i].Task < out[j].Task
@@ -253,9 +208,11 @@ func (m *Monitor) Enabled(caseID string) ([]Offer, error) {
 
 // Peek reports whether the entry would extend the case's valid
 // execution, without mutating any state — the dry run a workflow engine
-// needs to refuse an operation instead of recording a deviation.
+// needs to refuse an operation instead of recording a deviation. A case
+// the monitor has not seen is stepped from a fresh start it does not
+// keep.
 func (m *Monitor) Peek(e audit.Entry) (bool, error) {
-	st, err := m.caseStateFor(e.Case)
+	st, err := m.caseStateFor(e.Case, false)
 	if err != nil {
 		if errors.Is(err, errUnknownPurpose) {
 			return false, nil
@@ -265,20 +222,11 @@ func (m *Monitor) Peek(e audit.Entry) (bool, error) {
 	if st.dead {
 		return false, nil
 	}
-	if st.dfa != nil {
-		sym, ok := m.symbolFor(st.dfa, &e)
-		return ok && st.dfa.Step(st.dstate, sym) != automaton.Reject, nil
-	}
-	maxConfigs := m.checker.MaxConfigurations
-	if maxConfigs <= 0 {
-		maxConfigs = DefaultMaxConfigurations
-	}
-	rt := m.checker.runtime(st.purpose)
-	_, found, err := m.checker.advance(rt, st.purpose, st.configs, &e, maxConfigs, &m.seen, m.spare)
+	n, err := m.step(st, &e, false)
 	if err != nil {
 		return false, fmt.Errorf("core: peeking case %s: %w", e.Case, err)
 	}
-	return found, nil
+	return n > 0, nil
 }
 
 // Feed consumes one entry.
@@ -310,7 +258,7 @@ func (m *Monitor) FeedInto(ctx context.Context, e *audit.Entry, v *Verdict) erro
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	st, err := m.caseStateFor(e.Case)
+	st, err := m.caseStateFor(e.Case, true)
 	if err != nil {
 		if errors.Is(err, errUnknownPurpose) {
 			kept := *e
@@ -326,16 +274,13 @@ func (m *Monitor) FeedInto(ctx context.Context, e *audit.Entry, v *Verdict) erro
 	}
 	st.entries++
 	v.CaseEntries = st.entries
-	v.Engine = EngineInterpreted
-	if st.dfa != nil {
-		v.Engine = EngineCompiled
-	}
+	v.Engine = st.run.engine()
 
 	if st.dead {
 		if st.expl == nil && st.cause != nil {
 			// Born-dead case (setup exceeded its budget): derive the
 			// narrative on first feed.
-			st.expl = explainIndeterminacy(e.Case, st.purpose.Name, st.cause)
+			st.expl = explainIndeterminacy(e.Case, st.run.pur.Name, st.cause)
 		}
 		v.Explanation = st.expl
 		if st.cause != nil {
@@ -351,62 +296,28 @@ func (m *Monitor) FeedInto(ctx context.Context, e *audit.Entry, v *Verdict) erro
 		return nil
 	}
 
-	if st.dfa != nil {
-		dnext := automaton.Reject
-		if sym, ok := m.symbolFor(st.dfa, e); ok {
-			dnext = st.dfa.Step(st.dstate, sym)
-		}
-		if dnext == automaton.Reject {
-			st.dead = true
-			v.Violation = m.checker.describeViolationCompiled(st.dfa, st.dstate, st.purpose, st.entries-1, *e)
-			v.Configurations = st.configCount()
-			st.expl = m.checker.explainViolation(st.purpose, e.Case, v.Violation, st.configCount())
-			v.Explanation = st.expl
-			return nil
-		}
-		st.dstate = dnext
-		v.OK = true
-		v.Configurations = st.configCount()
-		return nil
-	}
-
-	maxConfigs := m.checker.MaxConfigurations
-	if maxConfigs <= 0 {
-		maxConfigs = DefaultMaxConfigurations
-	}
-	rt := m.checker.runtime(st.purpose)
-	next, found, err := func() (next []*Configuration, found bool, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: %v", errRecoveredPanic, r)
-			}
-		}()
-		return m.checker.advance(rt, st.purpose, st.configs, e, maxConfigs, &m.seen, m.spare)
-	}()
+	n, err := m.step(st, e, true)
 	if err != nil {
 		if ind := indeterminacyFor(err); ind != nil {
 			ind.EntryIndex = st.entries - 1
 			st.dead = true
 			st.cause = ind
-			st.expl = explainIndeterminacy(e.Case, st.purpose.Name, ind)
+			st.expl = explainIndeterminacy(e.Case, st.run.pur.Name, ind)
 			v.Indeterminate = ind
 			v.Explanation = st.expl
 			return nil
 		}
 		return fmt.Errorf("core: monitoring case %s: %w", e.Case, err)
 	}
-	if !found {
+	if n == 0 {
 		st.dead = true
-		v.Violation = m.checker.describeViolation(st.purpose, st.configs, st.entries-1, *e)
-		v.Configurations = len(st.configs)
-		st.expl = m.checker.explainViolation(st.purpose, e.Case, v.Violation, len(st.configs))
+		v.Configurations = st.run.configCount()
+		v.Violation, st.expl = st.run.describe(m.checker, e.Case, st.entries-1, *e)
 		v.Explanation = st.expl
 		return nil
 	}
-	// The case's previous set becomes the next feed's output buffer.
-	st.configs, m.spare = next, st.configs[:0]
 	v.OK = true
-	v.Configurations = len(next)
+	v.Configurations = n
 	return nil
 }
 
@@ -434,37 +345,20 @@ func (m *Monitor) Status() ([]CaseStatus, error) {
 	for id, st := range m.cases {
 		cs := CaseStatus{
 			Case:           id,
-			Purpose:        st.purpose.Name,
+			Purpose:        st.run.pur.Name,
 			Entries:        st.entries,
 			Deviated:       st.dead,
-			Configurations: st.configCount(),
+			Configurations: st.run.configCount(),
 			Indeterminate:  st.cause,
-			Engine:         EngineInterpreted,
-		}
-		if st.dfa != nil {
-			cs.Engine = EngineCompiled
-			if !st.dead {
-				cs.CanComplete = st.dfa.States[st.dstate].CanComplete
-			}
-			out = append(out, cs)
-			continue
+			Engine:         st.run.engine(),
 		}
 		if !st.dead {
-			y := m.checker.runtime(st.purpose).sys
-			for _, conf := range st.configs {
-				done, err := y.CanTerminateSilently(conf.state)
-				if err != nil {
-					if indeterminacyFor(err) != nil {
-						// Completion is unknowable within budget; leave
-						// CanComplete false rather than failing the sweep.
-						break
-					}
-					return nil, err
-				}
-				if done {
-					cs.CanComplete = true
-					break
-				}
+			var err error
+			// Completion unknowable within budget leaves CanComplete
+			// false rather than failing the sweep.
+			cs.CanComplete, err = st.run.canComplete()
+			if err != nil && indeterminacyFor(err) == nil {
+				return nil, err
 			}
 		}
 		out = append(out, cs)

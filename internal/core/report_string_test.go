@@ -10,6 +10,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/audit"
+	"repro/internal/automaton"
 )
 
 func TestOutcomeString(t *testing.T) {
@@ -171,6 +174,9 @@ func TestSymbolForEntryAndCacheStats(t *testing.T) {
 		t.Fatalf("EnsureCompiled: %v", err)
 	}
 
+	symbolForEntry := func(d *automaton.DFA, e audit.Entry) (int32, bool) {
+		return d.SymbolFor(symKey(&e))
+	}
 	ok := entryAt(0, "u", "P", "T1", "F-1")
 	if sym, found := symbolForEntry(d, ok); !found || sym < 0 {
 		t.Errorf("success entry: symbol %d found=%v", sym, found)

@@ -101,6 +101,32 @@ func TestIndeterminateRecoveredPanic(t *testing.T) {
 	}
 }
 
+// TestMonitorIsolatesInterpreterPanic: a panic while the interpreter
+// steps a monitored case kills only that case, as an indeterminate
+// verdict; the monitor keeps serving other cases.
+func TestMonitorIsolatesInterpreterPanic(t *testing.T) {
+	c := newChecker(t, linearProc(t), "LN", nil)
+	m := NewMonitor(c)
+	for _, id := range []string{"LN-1", "LN-2"} {
+		if err := m.Watch(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A nil configuration makes advance dereference nil.
+	m.cases["LN-1"].run.configs = []*Configuration{nil}
+	for _, id := range []string{"LN-1", "LN-2"} {
+		e := trailOf(id, "P:T1").Entries()[0]
+		v, err := m.Feed(e)
+		if err != nil {
+			t.Fatalf("%s: panic escaped as error: %v", id, err)
+		}
+		broken := id == "LN-1"
+		if got := v.Indeterminate != nil && v.Indeterminate.Cause == CauseRecoveredPanic; got != broken || v.OK == broken {
+			t.Errorf("%s: verdict %+v; want recovered panic %v", id, v, broken)
+		}
+	}
+}
+
 func TestCheckCaseContextCanceled(t *testing.T) {
 	c := newChecker(t, linearProc(t), "LN", nil)
 	tr := trailOf("LN-1", "P:T1", "P:T2", "P:T3")

@@ -72,11 +72,7 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 	}
 	entries := trail.ByCase(caseID).View()
 	rt := c.runtime(pur)
-	maxConfigs := c.MaxConfigurations
-	if maxConfigs <= 0 {
-		maxConfigs = DefaultMaxConfigurations
-	}
-
+	maxConfigs := c.effectiveMaxConfigurations()
 	initial, err := c.initialConfiguration(rt, pur)
 	if err != nil {
 		return nil, err
@@ -162,9 +158,9 @@ func (c *Checker) checkCaseWithSkips(trail *audit.Trail, caseID string, budget i
 			for j, sc := range live {
 				confs[j] = sc.conf
 			}
-			rep.Violation = c.describeViolation(pur, confs, i, *e)
+			run := caseRun{pur: pur, rt: rt, configs: confs}
+			rep.Violation, rep.Explanation = run.describe(c, caseID, i, *e)
 			rep.StepsReplayed = i
-			rep.Explanation = c.explainViolation(pur, caseID, rep.Violation, len(confs))
 			return rep, nil
 		}
 		if len(next) > rep.PeakConfigurations {

@@ -107,7 +107,7 @@ func (m *Monitor) State() *MonitorState {
 	st := &MonitorState{Version: snapshotVersion, Cases: make(map[string]CaseSnapshot, len(m.cases))}
 	table := map[string]int{}
 	for id, cs := range m.cases {
-		snap := CaseSnapshot{Purpose: cs.purpose.Name, Entries: cs.entries, Dead: cs.dead}
+		snap := CaseSnapshot{Purpose: cs.run.pur.Name, Entries: cs.entries, Dead: cs.dead}
 		if cs.cause != nil {
 			c := *cs.cause
 			snap.Cause = &c
@@ -116,7 +116,7 @@ func (m *Monitor) State() *MonitorState {
 			x := *cs.expl
 			snap.Explanation = &x
 		}
-		addConfig := func(term string, active []ActiveTask) {
+		cs.run.members(func(term string, active []ActiveTask) {
 			ref, ok := table[term]
 			if !ok {
 				ref = len(st.States)
@@ -124,26 +124,7 @@ func (m *Monitor) State() *MonitorState {
 				st.States = append(st.States, term)
 			}
 			snap.Configs = append(snap.Configs, ConfigSnapshot{StateRef: ref, Active: active})
-		}
-		if cs.dfa != nil {
-			// Compiled cases export the determinized state's member
-			// configurations, so the snapshot is engine-neutral: a
-			// restoring monitor may resume it under either engine.
-			d := cs.dfa
-			for _, mid := range d.States[cs.dstate].Members {
-				cfg := d.Configs[mid]
-				active := make([]ActiveTask, 0, len(d.ActiveSets[cfg.Active]))
-				for _, a := range d.ActiveSets[cfg.Active] {
-					active = append(active, ActiveTask{Role: a.Role, Task: a.Task})
-				}
-				sort.Slice(active, func(i, j int) bool { return active[i].String() < active[j].String() })
-				addConfig(d.Texts[cfg.Term], active)
-			}
-		} else {
-			for _, conf := range cs.configs {
-				addConfig(cows.String(conf.state), conf.ActiveTasks())
-			}
-		}
+		})
 		st.Cases[id] = snap
 	}
 	return st
@@ -179,7 +160,8 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 		if pur == nil {
 			return fmt.Errorf("core: snapshot references unknown purpose %q", cs.Purpose)
 		}
-		ns := &caseState{purpose: pur, entries: cs.Entries, dead: cs.Dead}
+		rt := m.checker.runtime(pur)
+		ns := &caseState{run: caseRun{pur: pur, rt: rt}, entries: cs.Entries, dead: cs.Dead}
 		if cs.Cause != nil {
 			c := *cs.Cause
 			ns.cause = &c
@@ -188,7 +170,6 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 			x := *cs.Explanation
 			ns.expl = &x
 		}
-		rt := m.checker.runtime(pur)
 		terms := memo.byRT[rt]
 		if terms == nil {
 			terms = make([]tableState, len(st.States))
@@ -219,14 +200,14 @@ func (m *Monitor) LoadState(st *MonitorState) error {
 			if err != nil {
 				return fmt.Errorf("core: rebuilding case %s: %w", id, err)
 			}
-			ns.configs = append(ns.configs, conf)
+			ns.run.configs = append(ns.run.configs, conf)
 		}
 		// A checkpoint taken under either engine resumes on the compiled
 		// fast path when the configuration set maps onto a determinized
 		// state; otherwise the case keeps running interpreted.
 		if d, _ := m.checker.compiledFor(pur); d != nil && !ns.dead {
-			if sid, ok := promoteCase(d, rt, ns.configs); ok {
-				ns.dfa, ns.dstate, ns.configs = d, sid, nil
+			if sid, ok := promoteCase(d, rt, ns.run.configs); ok {
+				ns.run = caseRun{pur: pur, rt: rt, dfa: d, dstate: sid}
 			}
 		}
 		m.cases[id] = ns

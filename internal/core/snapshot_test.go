@@ -247,10 +247,10 @@ func TestLoadStateSharedTableTwoPurposes(t *testing.T) {
 			t.Fatalf("compiled=%v: %v", compiled, err)
 		}
 		for id, cs := range m.cases {
-			rt := m.checker.runtime(cs.purpose)
-			for _, conf := range cs.configs {
+			rt := m.checker.runtime(cs.run.pur)
+			for _, conf := range cs.run.configs {
 				if rt.sys.Representative(conf.state) != conf.state || rt.sys.Intern(conf.state) != conf.id {
-					t.Fatalf("compiled=%v: case %s holds a state not interned by purpose %s", compiled, id, cs.purpose.Name)
+					t.Fatalf("compiled=%v: case %s holds a state not interned by purpose %s", compiled, id, cs.run.pur.Name)
 				}
 			}
 		}

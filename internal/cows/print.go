@@ -70,11 +70,15 @@ func printInto(b *strings.Builder, s Service, ctx int) {
 	case *Scope:
 		b.WriteByte('[')
 		b.WriteString(t.Ident)
-		switch t.Kind {
-		case DeclVar:
+		switch {
+		case t.Kind == DeclVar:
 			b.WriteString(":var")
-		case DeclKill:
+		case t.Kind == DeclKill:
 			b.WriteString(":kill")
+		case inferKind(t.Body, t.Ident) != DeclName:
+			// The body uses the name as a killer label or a variable, so
+			// an unannotated scope would reparse under that sort.
+			b.WriteString(":name")
 		}
 		b.WriteByte(']')
 		printInto(b, t.Body, precPrefix)
@@ -110,7 +114,9 @@ func printRequest(b *strings.Builder, r *Request) {
 		}
 	}
 	b.WriteByte('>')
-	if !IsNil(r.Cont) {
+	// Only a literal 0 may be left off: a continuation merely congruent
+	// to 0, such as [n]0, is a distinct term.
+	if _, zero := r.Cont.(Nil); !zero && r.Cont != nil {
 		b.WriteByte('.')
 		printInto(b, r.Cont, precPrefix)
 	}

@@ -128,3 +128,67 @@ func TestCorpusFeedInto(t *testing.T) {
 		}
 	})
 }
+
+// TestCorpusStreamMatchesBatch feeds each corpus fixture's merged trail
+// through a monitor on each engine and requires every case to end as
+// CheckCase decides it on the case's own trail: the case's first non-OK
+// verdict carries the report's violation, indeterminacy and
+// explanation, and a compliant case's final status carries the report's
+// completion and configuration count. An unknown-purpose case is the
+// one designed difference: the report blames no entry (EntryIndex -1)
+// while the monitor blames the first it is fed, so only the kind, the
+// reason and the nearest-miss class are compared there.
+func TestCorpusStreamMatchesBatch(t *testing.T) {
+	eachCorpusFixture(t, func(t *testing.T, cc *corpusCase) {
+		for _, eng := range engines {
+			c := cc.checker(eng.compiled)
+			m := core.NewMonitor(c)
+			first := map[string]*core.Verdict{}
+			for _, e := range cc.all.Entries() {
+				v, err := m.Feed(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !v.OK && first[e.Case] == nil {
+					first[e.Case] = v
+				}
+			}
+			sts, err := m.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			status := map[string]core.CaseStatus{}
+			for _, s := range sts {
+				status[s.Case] = s
+			}
+			for id, trail := range cc.trails {
+				rep, err := c.CheckCase(trail, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := first[id]
+				switch {
+				case rep.Compliant:
+					s := status[id]
+					if v != nil || s.CanComplete != rep.CanComplete || s.Configurations != rep.FinalConfigurations {
+						t.Errorf("%s, case %s: compliant report (complete %v, %d configurations), monitor verdict %+v status %+v",
+							eng.name, id, rep.CanComplete, rep.FinalConfigurations, v, s)
+					}
+				case v == nil:
+					t.Errorf("%s, case %s: report %s, but the monitor flagged no entry", eng.name, id, rep)
+				case rep.Violation != nil && rep.Violation.Kind == core.ViolationUnknownPurpose:
+					if v.Violation == nil || v.Violation.Kind != rep.Violation.Kind || v.Violation.Reason != rep.Violation.Reason ||
+						v.Explanation.NearestMissClass != rep.Explanation.NearestMissClass {
+						t.Errorf("%s, case %s: unknown purpose reported as\n %+v\nmonitor flagged\n %+v", eng.name, id, rep.Violation, v.Violation)
+					}
+				default:
+					if !reflect.DeepEqual(v.Violation, rep.Violation) || !reflect.DeepEqual(v.Indeterminate, rep.Indeterminate) ||
+						!reflect.DeepEqual(v.Explanation, rep.Explanation) {
+						t.Errorf("%s, case %s: report\n %s\n%+v\nmonitor's first non-OK verdict\n %+v\n%+v",
+							eng.name, id, rep, rep.Explanation, v, v.Explanation)
+					}
+				}
+			}
+		}
+	})
+}
