@@ -739,7 +739,9 @@ benchguard() {
 # the interpreter, ledger multiproofs match per-entry paths, a
 # checkpointed batch's canonical bytes either refuse to load or load
 # and re-export byte-identically, and so does an arbitrary ledger
-# archive under an arbitrary checkpoint reference.
+# archive under an arbitrary checkpoint reference, and an arbitrary WAL
+# segment, last or sealed, either opens or is ErrCorrupt and replays
+# without panicking, each record it yields re-rendering to its bytes.
 fuzz() {
 	echo "== fuzz smoke (${FUZZ_TIME} per target) =="
 	for target in FuzzReadCSV FuzzReadJSONL FuzzCanonicalEntry FuzzParsePaperTime FuzzDecodeEntry FuzzDecodeJSONLStream; do
@@ -752,6 +754,7 @@ fuzz() {
 	for target in FuzzMultiProof FuzzLedgerStateCanon FuzzLedgerArchive; do
 		go test ./internal/ledger/ -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZ_TIME"
 	done
+	go test ./internal/wal/ -run '^$' -fuzz '^FuzzWALSegment$' -fuzztime "$FUZZ_TIME"
 }
 
 # perfbench runs the serving-path benchmark's own smoke test: every

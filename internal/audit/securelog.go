@@ -76,14 +76,22 @@ func CanonicalEntry(e Entry) []byte {
 // intermediate strings: fields, the time included, are written in
 // place.
 func AppendCanonicalEntry(dst []byte, e Entry) []byte {
+	dst, _ = appendCanonical(dst, &e)
+	return dst
+}
+
+// appendCanonical is AppendCanonicalEntry that also returns where the
+// case field's value ends in dst.
+func appendCanonical(dst []byte, e *Entry) ([]byte, int) {
 	dst = appendField(dst, e.User)
 	dst = appendField(dst, e.Role)
 	dst = appendField(dst, e.Action)
 	dst = appendObjectField(dst, e.Object)
 	dst = appendField(dst, e.Task)
 	dst = appendField(dst, e.Case)
+	caseEnd := len(dst)
 	dst = appendCanonicalTime(dst, e.Time.UTC())
-	return appendField(dst, e.Status.String())
+	return appendField(dst, e.Status.String()), caseEnd
 }
 
 // appendCanonicalTime writes the time field: t, which is in UTC, in
@@ -157,9 +165,9 @@ func appendObjectField(dst []byte, o policy.Object) []byte {
 
 // ParseCanonicalEntry is the inverse of AppendCanonicalEntry: it
 // rebuilds the entry that b commits to, its time in UTC (the canonical
-// bytes keep the instant, not the zone), as wal's record decoder does.
-// It accepts exactly the byte strings AppendCanonicalEntry writes, so
-// AppendCanonicalEntry(nil, e) reproduces b for the entry e it returns.
+// bytes keep the instant, not the zone). It accepts exactly the byte
+// strings AppendCanonicalEntry writes, so AppendCanonicalEntry(nil, e)
+// reproduces b for the entry e it returns.
 // The entry's strings share one copy of b.
 //
 // The object field is "[subject]path" flattened, so it is split back
@@ -168,19 +176,26 @@ func appendObjectField(dst []byte, o policy.Object) []byte {
 // wire accepts comes back unchanged; any other comes back as an object
 // with the same rendering, hence the same bytes.
 func ParseCanonicalEntry(b []byte) (Entry, error) {
+	e, _, err := parseCanonical(b)
+	return e, err
+}
+
+// parseCanonical is ParseCanonicalEntry that also returns the scan,
+// which locates the entry's fields in b.
+func parseCanonical(b []byte) (Entry, canonicalScan, error) {
 	c, err := scanCanonicalEntry(b)
 	if err != nil {
-		return Entry{}, err
+		return Entry{}, c, err
 	}
 	if c.n != len(b) {
-		return Entry{}, fmt.Errorf("audit: canonical entry: %d trailing bytes", len(b)-c.n)
+		return Entry{}, c, fmt.Errorf("audit: canonical entry: %d trailing bytes", len(b)-c.n)
 	}
 	s := string(b)
 	f := func(i int) string { return s[c.fields[i][0]:c.fields[i][1]] }
 	return Entry{
 		User: f(0), Role: f(1), Action: f(2), Object: canonicalObject(f(3)),
 		Task: f(4), Case: f(5), Time: c.time, Status: c.status,
-	}, nil
+	}, c, nil
 }
 
 // NextCanonicalEntry checks the canonical entry at the start of b
@@ -195,6 +210,62 @@ func NextCanonicalEntry(b []byte) (n int, caseID []byte, err error) {
 		return 0, nil, err
 	}
 	return c.n, b[c.fields[5][0]:c.fields[5][1]], nil
+}
+
+// CanonicalBatch is a run of entries in canonical form, back to back,
+// each with the span of its case field. An acknowledged entry is
+// rendered into one once: the WAL frames its bytes and the ledger
+// chains and keeps them as they are. The bytes are canonical by
+// construction, since Render renders them and Parse admits only what
+// ParseCanonicalEntry accepts, so a reader of a batch checks nothing.
+// The zero value is an empty batch.
+type CanonicalBatch struct {
+	buf   []byte
+	spans []canonicalSpan
+}
+
+// canonicalSpan locates one entry of a CanonicalBatch: its bytes end
+// at end in buf (and start where the previous entry's end), and its
+// case field's value is buf[caseLo:caseHi].
+type canonicalSpan struct{ end, caseLo, caseHi int }
+
+// Len returns the number of entries in the batch.
+func (b *CanonicalBatch) Len() int { return len(b.spans) }
+
+// At returns entry i's canonical bytes and its case field, both
+// aliasing the batch until it is next filled.
+func (b *CanonicalBatch) At(i int) (canon, caseID []byte) {
+	start := 0
+	if i > 0 {
+		start = b.spans[i-1].end
+	}
+	s := b.spans[i]
+	return b.buf[start:s.end], b.buf[s.caseLo:s.caseHi]
+}
+
+// Render fills the batch with the entries' canonical bytes, reusing
+// its capacity.
+func (b *CanonicalBatch) Render(entries []Entry) {
+	b.buf, b.spans = b.buf[:0], b.spans[:0]
+	for i := range entries {
+		var caseEnd int
+		b.buf, caseEnd = appendCanonical(b.buf, &entries[i])
+		b.spans = append(b.spans, canonicalSpan{len(b.buf), caseEnd - len(entries[i].Case), caseEnd})
+	}
+}
+
+// Parse fills the batch with a copy of canon, which must be exactly
+// one canonical entry, and returns that entry as ParseCanonicalEntry
+// does. Bytes it refuses leave the batch empty.
+func (b *CanonicalBatch) Parse(canon []byte) (Entry, error) {
+	b.buf, b.spans = b.buf[:0], b.spans[:0]
+	e, c, err := parseCanonical(canon)
+	if err != nil {
+		return e, err
+	}
+	b.buf = append(b.buf, canon...)
+	b.spans = append(b.spans, canonicalSpan{len(canon), c.fields[5][0], c.fields[5][1]})
+	return e, nil
 }
 
 // canonicalScan is one checked canonical entry: the value span of each

@@ -1,7 +1,9 @@
 package audit
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -147,4 +149,37 @@ func renderedTimeField(field string) (time.Time, bool) {
 	tm := time.Date(year, time.Month(v[0]), v[1], v[2], v[3], v[4], v[5], time.UTC)
 	rendered := string(appendCanonicalTime(nil, tm))
 	return tm, rendered[strings.IndexByte(rendered, ':')+1:] == field
+}
+
+// TestCanonicalBatch: a batch holds each entry's canonical bytes and
+// case field, whether rendered or parsed back; Parse refuses what
+// ParseCanonicalEntry refuses; and rendering into a warm batch
+// allocates nothing.
+func TestCanonicalBatch(t *testing.T) {
+	e1, e2 := chainBenchEntry(), chainBenchEntry()
+	e2.Case, e2.Object = "CT-7", policy.Object{Subject: "Bob"}
+	var b CanonicalBatch
+	entries := []Entry{e1, e2}
+	b.Render(entries)
+	if b.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", b.Len())
+	}
+	for i, e := range entries {
+		canon, caseID := b.At(i)
+		if !bytes.Equal(canon, CanonicalEntry(e)) || string(caseID) != e.Case {
+			t.Errorf("At(%d) = %q, %q; want the bytes of %+v", i, canon, caseID, e)
+		}
+	}
+	if got, err := b.Parse(CanonicalEntry(e2)); err != nil || !reflect.DeepEqual(got, e2) {
+		t.Fatalf("Parse = %+v, %v; want %+v", got, err, e2)
+	}
+	if canon, caseID := b.At(0); b.Len() != 1 || !bytes.Equal(canon, CanonicalEntry(e2)) || string(caseID) != e2.Case {
+		t.Errorf("after Parse: %d entries, At(0) = %q, %q", b.Len(), canon, caseID)
+	}
+	if _, err := b.Parse(append(CanonicalEntry(e2), 'x')); err == nil || b.Len() != 0 {
+		t.Fatalf("Parse of a trailing byte: %v, %d entries", err, b.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Render(entries) }); allocs != 0 {
+		t.Errorf("rendering into a warm batch allocates %.1f times, want 0", allocs)
+	}
 }

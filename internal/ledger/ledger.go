@@ -139,8 +139,10 @@ type Ledger struct {
 	hmacKey       []byte   // evolving seal key (nil = seals disabled)
 	prevRootChain [32]byte // chain hash of the last sealed root
 
-	// Scratch reused across appends and seals: the bytes each chain
-	// step hashes and a batch's leaf hashes.
+	// Scratch reused across appends and seals: Append's rendering of
+	// its entries, the bytes each chain step hashes and a batch's leaf
+	// hashes.
+	render  audit.CanonicalBatch
 	scratch []byte
 	hashes  [][32]byte
 
@@ -195,16 +197,30 @@ func (l *Ledger) PublicKey() ed25519.PublicKey {
 	return append(ed25519.PublicKey(nil), l.pub...)
 }
 
-// Append records entries as consecutive leaves starting at firstLSN
-// (0 = continue from the last leaf). A gap or overlap is an error:
-// leaf identity is the WAL LSN and the sequence must stay dense, or
-// crash rebuilds would sign different trees than the original run.
+// Append renders the entries in canonical form and records them as
+// AppendCanonical does.
 func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
-	if len(entries) == 0 {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.render.Render(entries)
+	return l.appendLocked(&l.render, firstLSN)
+}
+
+// AppendCanonical records the batch's entries as consecutive leaves
+// starting at firstLSN (0 = continue from the last leaf), keeping
+// their canonical bytes as they are. A gap or overlap is an error:
+// leaf identity is the WAL LSN and the sequence must stay dense, or
+// crash rebuilds would sign different trees than the original run.
+func (l *Ledger) AppendCanonical(b *audit.CanonicalBatch, firstLSN uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(b, firstLSN)
+}
+
+func (l *Ledger) appendLocked(b *audit.CanonicalBatch, firstLSN uint64) error {
+	if b.Len() == 0 {
+		return nil
+	}
 	if l.closed {
 		return errors.New("ledger: closed")
 	}
@@ -215,12 +231,12 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 	if firstLSN != last+1 {
 		return fmt.Errorf("ledger: leaf sequence gap: append at LSN %d, want %d", firstLSN, last+1)
 	}
-	if uint64(len(entries)) > maxLeaves-last {
-		return fmt.Errorf("ledger: full: %d leaves past LSN %d exceed %d", len(entries), last, uint64(maxLeaves))
+	if uint64(b.Len()) > maxLeaves-last {
+		return fmt.Errorf("ledger: full: %d leaves past LSN %d exceed %d", b.Len(), last, uint64(maxLeaves))
 	}
-	for i := range entries {
+	for i := 0; i < b.Len(); i++ {
 		wasEmpty := l.openLocked() == 0
-		l.chainLeafLocked(&entries[i])
+		l.leafLocked(b.At(i))
 		if l.openLocked() >= l.opts.Batch {
 			l.sealLocked()
 		} else if wasEmpty && l.opts.Wait > 0 {
@@ -230,17 +246,26 @@ func (l *Ledger) Append(entries []audit.Entry, firstLSN uint64) error {
 	return nil
 }
 
-// chainLeafLocked advances the leaf chain over e and appends it as the
-// next leaf of e's case.
-func (l *Ledger) chainLeafLocked(e *audit.Entry) {
-	l.chain, l.scratch = audit.ChainStep(l.scratch, l.chain, *e)
-	id, ok := l.byCase[e.Case]
+// leafLocked is the one per-leaf step, shared by appends and
+// LoadState: it advances the leaf chain over canon, an entry's
+// canonical bytes whose case field is caseID, copies canon into the
+// arena and appends the leaf as its case's last. With Options.SealKey
+// the leaf's seal is computed and the key evolved.
+func (l *Ledger) leafLocked(canon, caseID []byte) {
+	l.chain, l.scratch = audit.ChainCanonical(l.scratch, l.chain, canon)
+	id, ok := l.byCase[string(caseID)]
 	if !ok {
 		id = int32(len(l.caseLast))
-		l.byCase[e.Case] = id
+		l.byCase[string(caseID)] = id
 		l.caseLast = append(l.caseLast, 0)
 	}
-	l.addLeafLocked(l.scratch[len(l.chain):], id)
+	chunk, off := l.canon.add(canon)
+	l.leaves.append(leaf{chain: l.chain, chunk: chunk, off: off, n: uint32(len(canon)), prev: l.caseLast[id]})
+	l.caseLast[id] = uint32(l.leaves.n)
+	if l.hmacKey != nil {
+		l.seals = append(l.seals, [32]byte(audit.SealChain(l.hmacKey, l.chain[:])))
+		l.hmacKey = audit.EvolveKey(l.hmacKey)
+	}
 }
 
 // caseLSNsLocked returns case c's leaf LSNs, ascending (nil if none).
@@ -259,20 +284,6 @@ func (l *Ledger) caseLSNsLocked(c string) []uint64 {
 		lsns[n] = uint64(lsn)
 	}
 	return lsns
-}
-
-// addLeafLocked appends the leaf the chain tip l.chain just hashed as
-// the last leaf of the case with index id in caseLast: canon, the
-// canonical bytes that step covered, goes to the arena, and with
-// Options.SealKey the leaf's seal is computed and the key evolved.
-func (l *Ledger) addLeafLocked(canon []byte, id int32) {
-	chunk, off := l.canon.add(canon)
-	l.leaves.append(leaf{chain: l.chain, chunk: chunk, off: off, n: uint32(len(canon)), prev: l.caseLast[id]})
-	l.caseLast[id] = uint32(l.leaves.n)
-	if l.hmacKey != nil {
-		l.seals = append(l.seals, [32]byte(audit.SealChain(l.hmacKey, l.chain[:])))
-		l.hmacKey = audit.EvolveKey(l.hmacKey)
-	}
 }
 
 // lastLSNLocked is the LSN of the last leaf: leaf LSNs are dense from 1.

@@ -130,14 +130,7 @@ func (l *Ledger) LoadState(st *State) error {
 			if err != nil {
 				return fmt.Errorf("ledger: state batch seq %d leaf %d of %d: %w", r.Seq, i+1, r.Leaves, err)
 			}
-			l.chain, l.scratch = audit.ChainCanonical(l.scratch, l.chain, rest[:n])
-			id, ok := l.byCase[string(c)]
-			if !ok {
-				id = int32(len(l.caseLast))
-				l.byCase[string(c)] = id
-				l.caseLast = append(l.caseLast, 0)
-			}
-			l.addLeafLocked(rest[:n], id)
+			l.leafLocked(rest[:n], c)
 			rest = rest[n:]
 		}
 		if len(rest) != 0 {

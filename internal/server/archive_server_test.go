@@ -135,7 +135,7 @@ func TestLedgerArchiveFaultsRefuseBoot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv := New(sc.Registry, hospitalChecker(sc), cfg)
+		srv := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 		if err := srv.Start(); err != nil {
 			return err
 		}

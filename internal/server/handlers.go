@@ -151,6 +151,9 @@ type ingestResult struct {
 	Error          string `json:"error,omitempty"`
 }
 
+// maxBodyBytes bounds one POST /v1/events body.
+const maxBodyBytes = 32 << 20
+
 // handleEvents ingests an entry stream. NDJSON bodies are consumed
 // line-at-a-time so backpressure stops the read exactly at the
 // rejected line; CSV bodies (Content-Type: text/csv) are decoded as a
@@ -175,7 +178,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.ingestWG.Done()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	wait := r.URL.Query().Get("wait") != ""
 

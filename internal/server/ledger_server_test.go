@@ -176,7 +176,7 @@ func TestProofEndpointsDisabledWithoutLedger(t *testing.T) {
 // path; a ledger without a WAL must refuse to start.
 func TestLedgerRequiresWAL(t *testing.T) {
 	sc := hospitalScenario(t)
-	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2, LedgerKey: ledgerTestKey()})
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 2, LedgerKey: ledgerTestKey()})
 	if err := srv.Start(); err == nil {
 		srv.Crash()
 		t.Fatal("Start accepted a ledger without a WAL")
@@ -412,7 +412,7 @@ func TestLedgerTamperedCheckpointRefusesBoot(t *testing.T) {
 		if err := os.WriteFile(cfg.CheckpointPath, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		srv := New(sc.Registry, hospitalChecker(sc), cfg)
+		srv := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 		if err := srv.Start(); err != nil {
 			return false
 		}

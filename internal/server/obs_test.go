@@ -202,7 +202,7 @@ func TestObservabilityMetrics(t *testing.T) {
 	sc := hospitalScenario(t)
 	checker := hospitalChecker(sc)
 	checker.UseCompiled = true
-	srv := New(sc.Registry, checker, Config{Shards: 2})
+	srv := newServer(t, sc.Registry, checker, Config{Shards: 2})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

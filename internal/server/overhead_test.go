@@ -42,7 +42,7 @@ func TestDurableIngestOverhead(t *testing.T) {
 	pass := func(cfg Config) time.Duration {
 		cfg.Shards, cfg.QueueDepth = 4, 1<<18
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-		srv := New(sc.Registry, hospitalChecker(sc), cfg)
+		srv := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -115,14 +115,15 @@ func processCPU(t *testing.T) time.Duration {
 // TestIngestAllocs bounds the heap allocations of durable ingest: a
 // warm 256-line NDJSON ?wait=1 POST through Server.Handler(), with the
 // interval-fsync WAL, a batch-64 ledger and a compiled checker, makes
-// fewer than 0.35 allocations per entry (it reads 0.30; under -race,
+// fewer than 0.35 allocations per entry (it reads 0.32; under -race,
 // where sync.Pool drops values at random, it reads 0.36–0.45 and the
 // bound is 0.5), counted across every goroutine the request wakes
 // (handler, shard workers, WAL, ledger). The entry itself is never a
 // heap object of its own: not per fed entry, not per ledger leaf, and
 // the request scanner is pooled; each shard feeds into one Verdict it
-// owns, the ledger's case index grows no per-case slice, and a sealed
-// batch renders its four hex fields as one string.
+// owns, the ledger's case index grows no per-case slice (it copies a
+// new case's ID out of the canonical bytes, one string per case), and
+// a sealed batch renders its four hex fields as one string.
 func TestIngestAllocs(t *testing.T) {
 	const body, warm, runs = 256, 8, 16
 	sc := hospitalScenario(t)
@@ -136,7 +137,7 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	checker := hospitalChecker(sc)
 	checker.UseCompiled = true
-	srv := New(sc.Registry, checker, Config{
+	srv := newServer(t, sc.Registry, checker, Config{
 		Shards: 2, QueueDepth: 1 << 16,
 		WALDir: t.TempDir(), WALFsync: wal.FsyncInterval,
 		LedgerKey: ledgerTestKey(), LedgerBatch: 64,

@@ -98,7 +98,7 @@ func TestStageSamplingDisabled(t *testing.T) {
 func TestFlightDumpOnShardPanic(t *testing.T) {
 	sc := hospitalScenario(t)
 	dir := t.TempDir()
-	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2, FlightDir: dir})
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 2, FlightDir: dir})
 
 	var fed atomic.Int64
 	var poisonedCase, poisonedTask atomic.Value

@@ -26,22 +26,18 @@ type QuarantineRecord struct {
 	Time time.Time `json:"time"`
 }
 
-// quarantine holds the most recent Keep records plus an all-time total.
-// Bounding the buffer keeps a hostile or broken producer from growing
-// server memory without limit; the total (and the
-// auditd_events_quarantined_total counter) still account every line.
+// quarantineKeep bounds the held quarantine records.
+const quarantineKeep = 1024
+
+// quarantine holds the most recent quarantineKeep records plus an
+// all-time total. Bounding the buffer keeps a hostile or broken
+// producer from growing server memory without limit; the total (and
+// the auditd_events_quarantined_total counter) still account every
+// line. The zero value is empty.
 type quarantine struct {
 	mu    sync.Mutex
-	keep  int
 	total int64
 	recs  []QuarantineRecord
-}
-
-func newQuarantine(keep int) *quarantine {
-	if keep <= 0 {
-		keep = 1024
-	}
-	return &quarantine{keep: keep}
 }
 
 func (q *quarantine) add(source string, line int, raw string, err error, now time.Time) {
@@ -51,8 +47,8 @@ func (q *quarantine) add(source string, line int, raw string, err error, now tim
 	q.recs = append(q.recs, QuarantineRecord{
 		Seq: q.total, Source: source, Line: line, Raw: raw, Err: err.Error(), Time: now,
 	})
-	if len(q.recs) > q.keep {
-		q.recs = append(q.recs[:0:0], q.recs[len(q.recs)-q.keep:]...)
+	if len(q.recs) > quarantineKeep {
+		q.recs = append(q.recs[:0:0], q.recs[len(q.recs)-quarantineKeep:]...)
 	}
 }
 
@@ -76,7 +72,7 @@ func (q *quarantine) load(total int64, recs []QuarantineRecord) {
 	defer q.mu.Unlock()
 	q.total = total
 	q.recs = append([]QuarantineRecord(nil), recs...)
-	if len(q.recs) > q.keep {
-		q.recs = q.recs[len(q.recs)-q.keep:]
+	if len(q.recs) > quarantineKeep {
+		q.recs = q.recs[len(q.recs)-quarantineKeep:]
 	}
 }

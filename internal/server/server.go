@@ -45,10 +45,6 @@ type Config struct {
 	// CheckpointEvery is the periodic snapshot interval (default 30s;
 	// only meaningful with CheckpointPath).
 	CheckpointEvery time.Duration
-	// MaxBodyBytes bounds one POST /v1/events body (default 32 MiB).
-	MaxBodyBytes int64
-	// QuarantineKeep bounds the held quarantine records (default 1024).
-	QuarantineKeep int
 	// Logger receives structured request/verdict logs (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -59,13 +55,11 @@ type Config struct {
 	// past the checkpoint — a kill -9 loses nothing acknowledged.
 	WALDir string
 	// WALFsync is the log's durability policy: wal.FsyncAlways,
-	// wal.FsyncInterval (default) or wal.FsyncOff.
+	// wal.FsyncInterval (default; a background fsync every 100ms) or
+	// wal.FsyncOff.
 	WALFsync string
 	// WALSegmentBytes rotates log segments at this size (default 64 MiB).
 	WALSegmentBytes int64
-	// WALFsyncInterval is the background fsync period under the
-	// interval policy (default 100ms).
-	WALFsyncInterval time.Duration
 	// WALFailure selects the degradation when a WAL write fails:
 	// WALFailstop (default) wedges ingest entirely — every later POST
 	// gets 503 and /readyz fails, so the node is pulled; WALShed sheds
@@ -117,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.QuarantineKeep <= 0 {
-		c.QuarantineKeep = 1024
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -206,7 +194,7 @@ func New(reg *core.Registry, checker *core.Checker, cfg Config) *Server {
 		sink:      newSink(cfg.Shards, cfg.FlightDir, newMetrics(), cfg.Logger),
 		cfg:       cfg,
 		reg:       reg,
-		quar:      newQuarantine(cfg.QuarantineKeep),
+		quar:      &quarantine{},
 		mux:       http.NewServeMux(),
 		stages:    obs.NewStageSampler(cfg.StageSample),
 		startTime: time.Now(),

@@ -58,9 +58,18 @@ func ndjson(t *testing.T, trail *audit.Trail) []byte {
 	return buf.Bytes()
 }
 
+// newServer is New with flight-recorder dumps going to the test's
+// temporary directory, so a test that trips one leaves nothing behind.
+func newServer(t *testing.T, reg *core.Registry, checker *core.Checker, cfg Config) *Server {
+	if cfg.FlightDir == "" {
+		cfg.FlightDir = t.TempDir()
+	}
+	return New(reg, checker, cfg)
+}
+
 func startServer(t *testing.T, sc *hospital.Scenario, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(sc.Registry, hospitalChecker(sc), cfg)
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +322,7 @@ func TestPooledScannersConcurrentIngest(t *testing.T) {
 // set, RejectedAtLine pointing at the first unaccepted line.
 func TestBackpressure(t *testing.T) {
 	sc := hospitalScenario(t)
-	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 1, QueueDepth: 1})
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -429,7 +438,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2, CheckpointPath: path})
+			srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 2, CheckpointPath: path})
 			err := srv.Start()
 			if err == nil {
 				srv.Shutdown(ctx)
@@ -511,7 +520,7 @@ func TestLenientCSVIngest(t *testing.T) {
 // liveness/readiness lifecycle.
 func TestMetricsAndHealth(t *testing.T) {
 	sc := hospitalScenario(t)
-	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2})
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -571,5 +580,19 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("drain 503 without Retry-After")
+	}
+}
+
+// TestBodyBoundEnforced: an ingest body is read up to 32 MiB and no
+// further. The entries before the bound stand; the request is refused
+// with 400 naming the bound.
+func TestBodyBoundEnforced(t *testing.T) {
+	sc := hospitalScenario(t)
+	srv, ts := startServer(t, sc, Config{Shards: 2})
+	defer srv.Shutdown(context.Background())
+	body := append(ndjson(t, sc.Trail), bytes.Repeat([]byte("\n"), 32<<20)...)
+	resp, res := post(t, ts.URL+"/v1/events?wait=1", "application/x-ndjson", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(res.Error, "too large") || res.Accepted != sc.Trail.Len() {
+		t.Errorf("body past the bound: %s %+v", resp.Status, res)
 	}
 }

@@ -42,6 +42,9 @@ import (
 type inflightTracker struct {
 	mu     sync.Mutex
 	firsts map[uint64]int // first LSN → open windows with that first
+	// canon is the batch being appended, in canonical form: rendered
+	// once, then framed by the WAL and chained by the ledger.
+	canon audit.CanonicalBatch
 }
 
 // openWAL opens the configured log; no-op without WALDir.
@@ -56,9 +59,8 @@ func (s *Server) openWAL() error {
 			s.cfg.WALFailure, WALFailstop, WALShed)
 	}
 	l, err := wal.Open(s.cfg.WALDir, wal.Options{
-		SegmentBytes:  s.cfg.WALSegmentBytes,
-		Fsync:         s.cfg.WALFsync,
-		FsyncInterval: s.cfg.WALFsyncInterval,
+		SegmentBytes: s.cfg.WALSegmentBytes,
+		Fsync:        s.cfg.WALFsync,
 	})
 	if err != nil {
 		return fmt.Errorf("server: opening wal: %w", err)
@@ -107,20 +109,21 @@ func (s *Server) replayWAL() error {
 		cut = min(cut, ledgerFrom)
 	}
 	decoded := 0
-	// one holds the record being replayed, for the ledger and the feed.
-	var one [1]audit.Entry
-	err := s.wal.Replay(cut+1, func(lsn uint64, e audit.Entry) error {
+	// The ledger takes each record's bytes as they are; the monitors
+	// take the entry parsed from them, held in one.
+	var one audit.Entry
+	err := s.wal.ReplayCanonical(cut+1, func(lsn uint64, e audit.Entry, rec *audit.CanonicalBatch) error {
 		decoded++
-		one[0] = e
 		if s.ledger != nil && lsn > ledgerFrom {
-			if err := s.ledger.Append(one[:], lsn); err != nil {
+			if err := s.ledger.AppendCanonical(rec, lsn); err != nil {
 				return fmt.Errorf("rebuilding ledger: %w", err)
 			}
 		}
 		if lsn <= skip[e.Case] {
 			return nil // already inside the restored checkpoint's cut
 		}
-		s.shardFor(e.Case).feed(&one[0], lsn)
+		one = e
+		s.shardFor(e.Case).feed(&one, lsn)
 		replayed++
 		return nil
 	})
@@ -187,14 +190,19 @@ func (s *Server) enqueueBatch(sh *shard, b *[]audit.Entry, sc obs.SpanContext, r
 }
 
 // walAppend appends one batch and registers its append→enqueue window,
-// atomically with respect to lowWater captures. The ledger seals here
-// too: inflight.mu globally serializes WAL appends, so feeding the
-// ledger under it hands leaves over in exact LSN order — the invariant
-// that makes crash rebuilds sign the same trees as the original run.
+// atomically with respect to lowWater captures. Each entry is rendered
+// in canonical form once; the WAL frames those bytes and the ledger
+// chains the same bytes, so a leaf is exactly its record. The ledger
+// seals here too: inflight.mu globally serializes WAL appends, so
+// feeding the ledger under it hands leaves over in exact LSN order —
+// the invariant that makes crash rebuilds sign the same trees as the
+// original run.
 func (s *Server) walAppend(entries []audit.Entry, rec *obs.StageRecord) (uint64, error) {
 	s.inflight.mu.Lock()
 	defer s.inflight.mu.Unlock()
-	first, _, err := s.wal.Append(entries)
+	canon := &s.inflight.canon
+	canon.Render(entries)
+	first, _, err := s.wal.AppendCanonical(canon)
 	if err != nil {
 		return 0, err
 	}
@@ -203,7 +211,7 @@ func (s *Server) walAppend(entries []audit.Entry, rec *obs.StageRecord) (uint64,
 		if rec != nil {
 			sealStart = time.Now()
 		}
-		if err := s.ledger.Append(entries, first); err != nil {
+		if err := s.ledger.AppendCanonical(canon, first); err != nil {
 			// The entries are durable but unsealed; refuse the batch so
 			// the acknowledged ⇒ provable contract holds (replay re-seals
 			// them at next boot).

@@ -173,7 +173,7 @@ func TestWALCorruptionRefusesBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := New(sc.Registry, hospitalChecker(sc), cfg)
+	srv2 := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 	err = srv2.Start()
 	if err == nil {
 		t.Fatal("Start succeeded on a corrupt WAL")
@@ -192,7 +192,7 @@ func TestShardSupervisorRecoversPanic(t *testing.T) {
 	cfg, _ := walConfig(t, 1)
 
 	var fed atomic.Int64
-	srv1 := New(sc.Registry, hospitalChecker(sc), cfg)
+	srv1 := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 	srv1.shards[0].panicHook = func(e *audit.Entry) {
 		if fed.Add(1) == 5 {
 			panic("injected shard panic")
@@ -251,7 +251,7 @@ func TestShardSupervisorRecoversPanic(t *testing.T) {
 func TestShardFailsAfterRestartBudget(t *testing.T) {
 	sc := hospitalScenario(t)
 
-	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 2, ShardRestartLimit: 2})
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 2, ShardRestartLimit: 2})
 	bad := srv.shardFor(sc.Trail.Cases()[0])
 	bad.panicHook = func(e *audit.Entry) { panic("persistent shard fault") }
 	if err := srv.Start(); err != nil {
@@ -308,7 +308,7 @@ func TestFailedShardCheckpointPreservesWAL(t *testing.T) {
 	cfg.ShardRestartLimit = 1
 	cfg.WALSegmentBytes = 512 // many sealed segments: truncation has teeth
 
-	srv1 := New(sc.Registry, hospitalChecker(sc), cfg)
+	srv1 := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 	cases := sc.Trail.Cases()
 	bad := srv1.shardFor(cases[0])
 	var badEntries []audit.Entry
@@ -413,7 +413,7 @@ func TestCheckpointSurvivesDumpPanic(t *testing.T) {
 	sc := hospitalScenario(t)
 	cfg, _ := walConfig(t, 2)
 
-	srv := New(sc.Registry, hospitalChecker(sc), cfg)
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 	var faulted atomic.Bool
 	srv.shards[0].snapHook = func() {
 		if faulted.CompareAndSwap(false, true) {
@@ -565,7 +565,7 @@ func TestDrainDeadlinePartialCheckpoint(t *testing.T) {
 
 	cases := sc.Trail.Cases()
 	stuckCase := cases[0]
-	srv := New(sc.Registry, hospitalChecker(sc), cfg)
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), cfg)
 	stuckShard := srv.shardFor(stuckCase)
 	block := make(chan struct{})
 	stuckShard.panicHook = func(e *audit.Entry) { <-block }
@@ -632,7 +632,7 @@ func TestDrainDeadlinePartialCheckpoint(t *testing.T) {
 // rather than a constant "1".
 func TestRetryAfterOccupancy(t *testing.T) {
 	sc := hospitalScenario(t)
-	srv := New(sc.Registry, hospitalChecker(sc), Config{Shards: 1, QueueDepth: 1})
+	srv := newServer(t, sc.Registry, hospitalChecker(sc), Config{Shards: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -12,9 +12,19 @@
 // their first record (%016x.wal). Each segment opens with a fixed
 // header (magic, version, base LSN — the internal/encode container
 // idiom) and then holds CRC-32C-framed records (encode.AppendRecordFrame),
-// one per entry, LSNs implicit and sequential from the base. Rotation
-// seals the active segment (flush + fsync) before the next one is
-// created, so only the last segment can ever have a torn tail.
+// one per entry, LSNs implicit and sequential from the base. A record's
+// payload is the entry's canonical bytes (audit.AppendCanonicalEntry),
+// the bytes the ledger chains into its leaf: an acknowledged entry has
+// one form at rest. Rotation seals the active segment (flush + fsync)
+// before the next one is created, so only the last segment can ever
+// have a torn tail.
+//
+// Format upgrade. Version 1 segments held a binary entry codec this
+// build no longer reads. Open accepts them, CRC-checks their frames
+// and never appends to them; a replay that starts past their last
+// record never opens them, and the next checkpoint truncates them. A
+// replay that needs one of their records refuses: the previous build,
+// stopped once with SIGTERM, checkpoints past them.
 //
 // Recovery semantics. Open scans the last segment: a record that runs
 // past EOF (or a zero-filled tail) is the expected shape of a crash
@@ -98,12 +108,12 @@ func (o Options) withDefaults() (Options, error) {
 // and the base LSN records count up from.
 //
 //	[0:8)   magic 0x89 "PCW" \r \n 0x1a \n
-//	[8:12)  uint32 segment format version
+//	[8:12)  uint32 segment format version (2; 1 is retired)
 //	[12:16) uint32 reserved (zero)
 //	[16:24) uint64 base LSN (LSN of the first record in this file)
 const (
 	segHeaderSize = 24
-	segVersion    = 1
+	segVersion    = 2
 )
 
 var segMagic = [8]byte{0x89, 'P', 'C', 'W', '\r', '\n', 0x1a, '\n'}
@@ -112,10 +122,11 @@ func segName(base uint64) string { return fmt.Sprintf("%016x.wal", base) }
 
 // segment is one sealed (or active) file of the log.
 type segment struct {
-	base  uint64 // LSN of the first record
-	count uint64 // records in the file (live for the active segment)
-	size  int64  // on-disk bytes once sealed (stale for the active segment)
-	path  string
+	base    uint64 // LSN of the first record
+	count   uint64 // records in the file (live for the active segment)
+	size    int64  // on-disk bytes once sealed (stale for the active segment)
+	path    string
+	version uint32 // segment format version: segVersion, or a retired 1
 }
 
 func (s segment) last() uint64 { return s.base + s.count - 1 } // only valid when count > 0
@@ -136,9 +147,9 @@ type Log struct {
 	// maintained at seal/truncate time so Stats never stats files under
 	// l.mu (a metrics scrape must not stall the append hot path).
 	sealedBytes int64
-	nextLSN     uint64 // LSN the next appended record receives
-	scratch     []byte // payload encoding scratch, reused across appends
-	err         error  // sticky write failure; every later Append returns it
+	nextLSN     uint64               // LSN the next appended record receives
+	render      audit.CanonicalBatch // Append's rendering of its entries, reused
+	err         error                // sticky write failure; every later Append returns it
 
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -157,7 +168,8 @@ type Log struct {
 // last segment is scanned record by record, and an incomplete final
 // record — the footprint of a crash mid-append — is truncated away. A
 // complete record failing its CRC, a bad header, or segment files
-// whose LSN ranges do not chain are ErrCorrupt.
+// whose LSN ranges do not chain are ErrCorrupt. A version 1 segment
+// is accepted but never appended to (see the package comment).
 func Open(dir string, opts Options) (*Log, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -205,10 +217,10 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.sealed = append(l.sealed, seg)
 	}
 
-	// The most recent segment stays active if it has room; otherwise
-	// (or when the log is empty) a fresh one is started lazily on the
-	// first append.
-	if n := len(l.sealed); n > 0 {
+	// The most recent segment stays active if it is in this build's
+	// format and has room; otherwise (or when the log is empty) a fresh
+	// one is started lazily on the first append.
+	if n := len(l.sealed); n > 0 && l.sealed[n-1].version == segVersion {
 		seg := l.sealed[n-1]
 		fi, err := os.Stat(seg.path)
 		if err != nil {
@@ -265,10 +277,11 @@ func scanSegment(path string, repair bool) (segment, error) {
 	if len(data) < segHeaderSize || [8]byte(data[:8]) != segMagic {
 		return segment{}, fmt.Errorf("%w: %s has no segment header", ErrCorrupt, filepath.Base(path))
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != segVersion {
+	v := binary.LittleEndian.Uint32(data[8:])
+	if v != segVersion && v != 1 {
 		return segment{}, fmt.Errorf("%w: %s is format version %d, want %d", ErrCorrupt, filepath.Base(path), v, segVersion)
 	}
-	seg := segment{base: binary.LittleEndian.Uint64(data[16:]), path: path}
+	seg := segment{base: binary.LittleEndian.Uint64(data[16:]), path: path, version: v}
 	off := segHeaderSize
 	for off < len(data) {
 		_, n, err := encode.ReadRecordFrame(data[off:])
@@ -292,37 +305,44 @@ func scanSegment(path string, repair bool) (segment, error) {
 	return seg, nil
 }
 
-// Append encodes, frames and buffers the entries as consecutive
-// records and returns their LSN range [first, last]. Under the always
-// policy the batch is flushed and fsynced before Append returns —
-// acknowledged means durable. A write failure is sticky: the append
-// that hit it and every one after fail, so the server can degrade
-// loudly instead of acknowledging into a black hole.
+// Append renders the entries in canonical form and appends them as
+// AppendCanonical does.
 func (l *Log) Append(entries []audit.Entry) (first, last uint64, err error) {
-	if len(entries) == 0 {
-		return 0, 0, nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.render.Render(entries)
+	return l.appendLocked(&l.render)
+}
+
+// AppendCanonical frames and buffers the batch's entries as
+// consecutive records and returns their LSN range [first, last]. Under
+// the always policy the batch is flushed and fsynced before it returns
+// — acknowledged means durable. Every entry has a record, so only I/O
+// fails an append, and such a failure is sticky: the append that hit
+// it and every one after fail, so the server can degrade loudly
+// instead of acknowledging into a black hole.
+func (l *Log) AppendCanonical(b *audit.CanonicalBatch) (first, last uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(b)
+}
+
+func (l *Log) appendLocked(b *audit.CanonicalBatch) (first, last uint64, err error) {
+	if b.Len() == 0 {
+		return 0, 0, nil
+	}
 	if l.err != nil {
 		return 0, 0, l.err
 	}
 	first = l.nextLSN
-	// Validate the whole batch before buffering any of it, so a
-	// rejected batch leaves no partial records behind.
-	for i := range entries {
-		if err := checkEncodable(&entries[i]); err != nil {
-			return 0, 0, err
-		}
-	}
-	for i := range entries {
+	for i := 0; i < b.Len(); i++ {
 		if l.f == nil {
 			if err := l.openSegmentLocked(); err != nil {
 				return 0, 0, l.fail(err)
 			}
 		}
-		l.scratch = appendEntry(l.scratch[:0], &entries[i])
-		l.buf = encode.AppendRecordFrame(l.buf, l.scratch)
+		canon, _ := b.At(i)
+		l.buf = encode.AppendRecordFrame(l.buf, canon)
 		l.nextLSN++
 		l.appended++
 		if l.written+int64(len(l.buf)) >= l.opts.SegmentBytes {
@@ -390,7 +410,7 @@ func (l *Log) openSegmentLocked() error {
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
 	l.f = f
-	l.active = segment{base: l.nextLSN, path: path}
+	l.active = segment{base: l.nextLSN, path: path, version: segVersion}
 	l.written = segHeaderSize
 	return nil
 }
@@ -548,15 +568,17 @@ func (l *Log) Stats() (appended, syncs uint64, segments int, bytes int64) {
 }
 
 // TruncateBefore removes sealed segments every record of which has
-// LSN <= lsn — the checkpoint high-water mark. The active segment is
-// never removed. Returns how many segments were deleted.
+// LSN <= lsn — the checkpoint high-water mark. The newest segment,
+// active or just sealed by rotation, is never removed: its header
+// carries the next LSN across a restart, which an empty directory
+// would restart at 1. Returns how many segments were deleted.
 func (l *Log) TruncateBefore(lsn uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	removed := 0
 	for len(l.sealed) > 0 {
 		seg := l.sealed[0]
-		if seg.count == 0 || seg.last() > lsn {
+		if seg.count == 0 || seg.last() > lsn || (l.f == nil && len(l.sealed) == 1) {
 			break
 		}
 		if err := os.Remove(seg.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -569,12 +591,24 @@ func (l *Log) TruncateBefore(lsn uint64) (int, error) {
 	return removed, nil
 }
 
-// Replay streams every record still in the log, in LSN order, into fn.
-// Records with LSN < from are skipped (but still integrity-checked).
-// The log must be quiescent — Replay reads the files directly and
-// flushes pending buffers first. Any integrity failure is ErrCorrupt:
-// Open already repaired the only legitimately torn region.
+// Replay streams every record still in the log with LSN >= from, in
+// LSN order, into fn, as ReplayCanonical does.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, e audit.Entry) error) error {
+	return l.ReplayCanonical(from, func(lsn uint64, e audit.Entry, _ *audit.CanonicalBatch) error {
+		return fn(lsn, e)
+	})
+}
+
+// ReplayCanonical streams every record still in the log with LSN >=
+// from, in LSN order, into fn: the record's entry and, as a one-entry
+// batch valid until fn returns, its bytes. Records below from are
+// stepped over by their length headers: Open checked their CRCs. The
+// log must be quiescent — replay reads the files directly and flushes
+// pending buffers first. A record failing its CRC or not holding
+// exactly one canonical entry is ErrCorrupt: Open already repaired the
+// only legitimately torn region. A record in a version 1 segment
+// refuses replay.
+func (l *Log) ReplayCanonical(from uint64, fn func(lsn uint64, e audit.Entry, rec *audit.CanonicalBatch) error) error {
 	l.mu.Lock()
 	if l.err != nil {
 		l.mu.Unlock()
@@ -592,35 +626,49 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, e audit.Entry) error) erro
 	}
 	l.mu.Unlock()
 
+	var rec audit.CanonicalBatch
 	for _, seg := range segs {
 		if seg.count > 0 && seg.last() < from {
 			continue
+		}
+		name := filepath.Base(seg.path)
+		if seg.version != segVersion {
+			return fmt.Errorf("wal: segment %s is in the retired format version %d and replay needs its records from LSN %d; "+
+				"boot the previous build once with a checkpoint configured and stop it with SIGTERM, so its checkpoint covers them",
+				name, seg.version, max(from, seg.base))
 		}
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
 			return fmt.Errorf("wal: replaying %s: %w", seg.path, err)
 		}
 		if len(data) < segHeaderSize {
-			return fmt.Errorf("%w: segment %s lost its header", ErrCorrupt, filepath.Base(seg.path))
+			return fmt.Errorf("%w: segment %s lost its header", ErrCorrupt, name)
 		}
 		off := segHeaderSize
-		lsn := seg.base
-		for off < len(data) {
+		for lsn := seg.base; off < len(data); lsn++ {
+			if lsn < from {
+				n := uint64(encode.FrameOverhead)
+				if len(data)-off >= encode.FrameOverhead {
+					n += uint64(binary.LittleEndian.Uint32(data[off:]))
+				}
+				if n > uint64(len(data)-off) {
+					return fmt.Errorf("%w: %s LSN %d runs past the segment", ErrCorrupt, name, lsn)
+				}
+				off += int(n)
+				continue
+			}
 			payload, n, err := encode.ReadRecordFrame(data[off:])
 			if err != nil {
-				return fmt.Errorf("%w: %s LSN %d: %v", ErrCorrupt, filepath.Base(seg.path), lsn, err)
+				return fmt.Errorf("%w: %s LSN %d: %v", ErrCorrupt, name, lsn, err)
 			}
-			if lsn >= from {
-				e, err := decodeEntry(payload)
-				if err != nil {
-					return fmt.Errorf("%w: %s LSN %d: %v", ErrCorrupt, filepath.Base(seg.path), lsn, err)
-				}
-				if err := fn(lsn, e); err != nil {
-					return err
-				}
+			e, err := rec.Parse(payload)
+			if err != nil {
+				return fmt.Errorf("%w: %s LSN %d: %v", ErrCorrupt, name, lsn, err)
+			}
+			if err := fn(lsn, e, &rec); err != nil {
+				return err
 			}
 			off += n
-			lsn++
 		}
 	}
 	return nil

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,11 +113,23 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecEdgeCases(t *testing.T) {
+// TestCanonicalRecordEdgeCases: entries at the edges of the canonical
+// form round-trip through a record — the zero time, empty strings,
+// Unicode and a newline, a zone other than UTC, a subject-only object,
+// and an object path of 256 components — and each record's payload is
+// the entry's canonical bytes, which re-render from the entry replay
+// returns.
+func TestCanonicalRecordEdgeCases(t *testing.T) {
+	long := make([]string, 256)
+	for i := range long {
+		long[i] = "a"
+	}
 	entries := []audit.Entry{
 		{}, // all zero values
 		{User: "u", Object: policy.Object{Subject: "", Path: []string{"Order"}}, Time: testBase},
-		{User: "ûser", Role: "rôle", Action: "wr\nite", Case: "c,1", Time: testBase.Add(time.Nanosecond), Status: audit.Failure},
+		{User: "ûser", Role: "rôle", Action: "wr\nite", Case: "c,1", Time: testBase.Add(time.Nanosecond).In(time.FixedZone("", 3600)), Status: audit.Failure},
+		{User: "John", Object: policy.Object{Subject: "Jane"}, Case: "HT-1", Time: testBase},
+		{User: "John", Object: policy.Object{Subject: "Jane", Path: long}, Case: "HT-1", Time: testBase},
 	}
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Fsync: FsyncAlways})
@@ -125,23 +140,111 @@ func TestCodecEdgeCases(t *testing.T) {
 	if _, _, err := l.Append(entries); err != nil {
 		t.Fatal(err)
 	}
-	_, got := collect(t, l, 1)
-	for i := range entries {
+	i := 0
+	err = l.ReplayCanonical(1, func(lsn uint64, e audit.Entry, rec *audit.CanonicalBatch) error {
 		want := entries[i]
-		want.Time = want.Time.UTC() // codec canonicalizes to UTC
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("entry %d: got %+v, want %+v", i, got[i], want)
+		want.Time = want.Time.UTC() // the canonical form keeps the instant
+		if !reflect.DeepEqual(e, want) {
+			t.Errorf("entry %d: got %+v, want %+v", i, e, want)
 		}
+		canon, caseID := rec.At(0)
+		if !bytes.Equal(canon, audit.CanonicalEntry(entries[i])) {
+			t.Errorf("entry %d: record payload %q is not its canonical bytes", i, canon)
+		}
+		if string(caseID) != want.Case {
+			t.Errorf("entry %d: record case %q, want %q", i, caseID, want.Case)
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != len(entries) {
+		t.Fatalf("replayed %d of %d records: %v", i, len(entries), err)
 	}
+}
 
-	// An entry the codec cannot represent is rejected atomically.
-	big := audit.Entry{Object: policy.Object{Path: make([]string, objectPathLimit+1)}}
-	before := l.LastLSN()
-	if _, _, err := l.Append([]audit.Entry{mkEntry(0), big}); err == nil {
-		t.Fatal("oversized object path accepted")
+// segmentBytes builds a segment file in format version v whose
+// records, from LSN base, hold the payloads.
+func segmentBytes(v uint32, base uint64, payloads ...[]byte) []byte {
+	data := make([]byte, segHeaderSize)
+	copy(data, segMagic[:])
+	binary.LittleEndian.PutUint32(data[8:], v)
+	binary.LittleEndian.PutUint64(data[16:], base)
+	for _, p := range payloads {
+		data = encode.AppendRecordFrame(data, p)
 	}
-	if l.LastLSN() != before {
-		t.Fatal("rejected batch advanced the LSN")
+	return data
+}
+
+// v1Segment builds a segment in the retired format version 1 holding n
+// records from LSN base. Their payloads are opaque: this build never
+// decodes a version 1 record.
+func v1Segment(base uint64, n int) []byte {
+	var payloads [][]byte
+	for i := 0; i < n; i++ {
+		payloads = append(payloads, fmt.Appendf(nil, "v1 record %d", base+uint64(i)))
+	}
+	return segmentBytes(1, base, payloads...)
+}
+
+// TestV1SegmentCoveredBoots: a version 1 segment whose records all lie
+// below the replay start is never decoded. Appends go to a fresh
+// version 2 segment, and truncation at the cut removes the old one.
+func TestV1SegmentCoveredBoots(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(old, v1Segment(1, 5), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatalf("Open over a version 1 segment: %v", err)
+	}
+	defer l.Close()
+	if got := l.LastLSN(); got != 5 {
+		t.Fatalf("LastLSN = %d, want 5", got)
+	}
+	if lsns, _ := collect(t, l, 6); len(lsns) != 0 {
+		t.Fatalf("Replay(6) yielded %v", lsns)
+	}
+	want := []audit.Entry{mkEntry(6), mkEntry(7)}
+	if first, _, err := l.Append(want); err != nil || first != 6 {
+		t.Fatalf("Append = %d, %v; want LSN 6", first, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segName(6)))
+	if err != nil {
+		t.Fatalf("appends did not start a fresh segment: %v", err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != segVersion {
+		t.Fatalf("fresh segment is version %d, want %d", v, segVersion)
+	}
+	if _, got := collect(t, l, 6); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Replay(6) = %+v, want %+v", got, want)
+	}
+	if n, err := l.TruncateBefore(5); err != nil || n != 1 {
+		t.Fatalf("TruncateBefore(5) = %d, %v; want the version 1 segment removed", n, err)
+	}
+	if _, err := os.Stat(old); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("version 1 segment survived truncation: %v", err)
+	}
+}
+
+// TestV1SegmentNeededRefusesReplay: a replay that needs a version 1
+// record refuses, naming the format and the remedy.
+func TestV1SegmentNeededRefusesReplay(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), v1Segment(1, 5), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, from := range []uint64{1, 5} {
+		err := l.Replay(from, func(uint64, audit.Entry) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "retired format version 1") || !strings.Contains(err.Error(), "SIGTERM") {
+			t.Errorf("Replay(%d) = %v, want the version 1 refusal", from, err)
+		}
 	}
 }
 
@@ -453,6 +556,30 @@ func TestCorruptRecordFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalRecordIsCorrupt: a record whose frame checks out but
+// whose payload is not exactly one canonical entry is ErrCorrupt when
+// replay reaches it. A replay that starts past it steps over it.
+func TestNonCanonicalRecordIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	seg := segmentBytes(segVersion, 1, audit.CanonicalEntry(mkEntry(1)),
+		append(audit.CanonicalEntry(mkEntry(2)), '\n'), audit.CanonicalEntry(mkEntry(3)))
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatalf("Open over frames whose CRCs hold: %v", err)
+	}
+	defer l.Close()
+	err = l.Replay(1, func(uint64, audit.Entry) error { return nil })
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "LSN 2") {
+		t.Fatalf("Replay(1) = %v, want ErrCorrupt at LSN 2", err)
+	}
+	if lsns, _ := collect(t, l, 3); !reflect.DeepEqual(lsns, []uint64{3}) {
+		t.Fatalf("Replay(3) yielded %v, want [3]", lsns)
+	}
+}
+
 func TestBadOptions(t *testing.T) {
 	if _, err := Open(t.TempDir(), Options{Fsync: "sometimes"}); err == nil {
 		t.Fatal("unknown fsync policy accepted")
@@ -511,5 +638,37 @@ func TestStickyWriteFailure(t *testing.T) {
 	}
 	if _, _, err := l.Append([]audit.Entry{mkEntry(2)}); err == nil {
 		t.Fatal("append after sticky failure succeeded")
+	}
+}
+
+// TestTruncateKeepsNextLSN: when an append's rotation has just sealed
+// the last segment, truncation at the last LSN keeps that segment, so
+// the next LSN survives a restart instead of falling back to 1.
+func TestTruncateKeepsNextLSN(t *testing.T) {
+	dir := t.TempDir()
+	// Every record fills a segment, so every append ends in a rotation.
+	opts := Options{SegmentBytes: segHeaderSize + encode.FrameOverhead, Fsync: FsyncAlways}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := l.Append([]audit.Entry{mkEntry(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := l.TruncateBefore(3); err != nil || n != 2 {
+		t.Fatalf("TruncateBefore(3) = %d, %v; want the 2 older segments removed", n, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if first, _, err := l2.Append([]audit.Entry{mkEntry(3)}); err != nil || first != 4 {
+		t.Fatalf("append after truncation and reopen = LSN %d, %v; want 4", first, err)
 	}
 }
